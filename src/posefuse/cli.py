@@ -371,3 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"posefuse: error: {exc}", file=sys.stderr)
         return 1
     return run_pipeline_command(manifest)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,13 +100,19 @@ class Label(enum.Enum):
 @dataclass(frozen=True)
 class ReferencePair:
     """Averaged anchor poses of one alignment window, index-aligned
-    between the two streams."""
+    between the two streams.  The vio-to-world map they define is built
+    once, on first use, and reused for every frame mapped through this
+    reference; its formula lives in reference_transform."""
 
     apr_ref: Pose
     vio_ref: Pose
 
+    @cached_property
+    def vio_to_world(self) -> tuple[RigidTransform, UnitQuaternion]:
+        return reference_transform(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FusionOutput:
     frame_index: int
     pose: Pose
@@ -122,10 +129,6 @@ class FusionState:
     reference: Optional[ReferencePair] = None
     opt_count: int = 0
     frame_index: int = 0
-
-    @classmethod
-    def initial(cls) -> "FusionState":
-        return cls()
 
 
 def relative_pose_check(u_apr: Odometry, u_vio: Odometry, cfg: FusionConfig) -> bool:
@@ -144,20 +147,42 @@ def weiszfeld_median(
 ) -> Vec3:
     """Geometric median, the minimizer of the summed Euclidean distance.
 
-    Iteratively reweighted averaging from the centroid, with a Newton
-    candidate each round that is kept only when it lowers the objective.
-    The reweighted step alone crawls when one cluster dominates the
-    weights; the polish restores fast convergence without giving up its
-    monotone descent.  Stops when the iterate moves less than tol or
-    after max_iter rounds.  An iterate landing within tol of an input
-    point returns that point, which both guards the 1/distance weights
-    and handles the common case of the median sitting on an input.
+    The median often sits exactly on an input point, and iterating
+    toward one crawls.  Kuhn's optimality test settles that case before
+    any iteration: input point p_k is the median when the unit vectors
+    from it to every other distinct input sum to a vector shorter than
+    p_k's multiplicity, and then p_k itself is returned.  A pull that
+    equals the multiplicity (two points, collinear sets) is a tie and
+    falls through to the iteration, as does a pull within a 1e-9
+    relative rounding margin of it.
+
+    Otherwise: iteratively reweighted averaging from the centroid, with
+    a Newton candidate each round that is kept only when it lowers the
+    objective.  The reweighted step alone crawls when one cluster
+    dominates the weights; the polish restores fast convergence without
+    giving up its monotone descent.  tol and max_iter bound only this
+    iterative path: it stops when the iterate moves less than tol or
+    after max_iter rounds, and an iterate landing within tol of an input
+    point returns that point, which guards the 1/distance weights.
     """
     if len(points) == 0:
         raise ValueError("weiszfeld_median needs at least one point")
     pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
     if len(pts) == 1:
         return points[0]
+
+    # Kuhn's test (Kuhn 1973; Vardi & Zhang 2000).  Row k of diff holds
+    # p_j - p_k; coincident points contribute a zero vector to the pull
+    # and one each to the multiplicity.
+    diff = pts[None, :, :] - pts[:, None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    same = dist == 0.0
+    pull = np.linalg.norm(
+        (diff / np.where(same, 1.0, dist)[:, :, None]).sum(axis=1), axis=1
+    )
+    vertex = np.nonzero(pull < same.sum(axis=1) * (1.0 - 1e-9))[0]
+    if vertex.size:
+        return points[vertex[0]]
 
     def objective(at: np.ndarray) -> float:
         return float(np.linalg.norm(pts - at, axis=1).sum())
@@ -206,9 +231,9 @@ def weiszfeld_median(
     # input point; the input points are always candidates.
     best = objective(y)
     for i in range(len(pts)):
-        if objective(pts[i]) < best:
-            best = objective(pts[i])
-            y = pts[i]
+        f = objective(pts[i])
+        if f < best:
+            best, y = f, pts[i]
     return Vec3.from_array(y)
 
 
@@ -255,25 +280,24 @@ def compute_reference(
     return ReferencePair(apr_ref=_avg(aprs), vio_ref=_avg(vios))
 
 
-def reference_transform(ref: ReferencePair) -> RigidTransform:
-    """Rigid map from vio coordinates to world, pinned at the reference:
-    it sends vio_ref's position exactly onto apr_ref's."""
+def reference_transform(ref: ReferencePair) -> tuple[RigidTransform, UnitQuaternion]:
+    """The vio-to-world map of a reference pair, the one place its
+    formula lives: a rigid transform for positions, pinned so that it
+    sends vio_ref's position exactly onto apr_ref's, and the correction
+    that optimize_pose composes onto vio orientations from the right."""
     q_rel = compose(inverse(ref.apr_ref.orientation), ref.vio_ref.orientation)
     r_rel = to_rotation_matrix(q_rel)
     t_rel = ref.apr_ref.position - r_rel.apply(ref.vio_ref.position)
-    return RigidTransform(r_rel, t_rel)
+    return RigidTransform(r_rel, t_rel), inverse(q_rel)
 
 
 def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     """Re-express a vio pose in world coordinates through the reference
-    pair.  At the reference itself this returns apr_ref, and being rigid
-    it preserves relative distances and angles of the vio stream."""
-    q_rel = compose(inverse(ref.apr_ref.orientation), ref.vio_ref.orientation)
-    r_rel = to_rotation_matrix(q_rel)
-    t_rel = ref.apr_ref.position - r_rel.apply(ref.vio_ref.position)
-    x_opt = r_rel.apply(p_vio.position) + t_rel
-    q_opt = compose(p_vio.orientation, inverse(q_rel))
-    return Pose(x_opt, q_opt)
+    pair, applying the map the pair builds once (see reference_transform).
+    At the reference itself this returns apr_ref, and being rigid it
+    preserves relative distances and angles of the vio stream."""
+    transform, q_corr = ref.vio_to_world
+    return Pose(transform.apply_point(p_vio.position), compose(p_vio.orientation, q_corr))
 
 
 def step(
@@ -362,7 +386,7 @@ def run_sequence(
             )
         prev_ts = s.timestamp
 
-    state = FusionState.initial()
+    state = FusionState()
     latest: dict[int, FusionOutput] = {}
     for s in samples:
         state, outs = step(state, s.apr, s.vio, cfg)

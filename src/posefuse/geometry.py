@@ -19,14 +19,11 @@ from typing import Iterable
 
 import numpy as np
 
-# Constructors must leave quaternions unit norm within this bound.
-UNIT_NORM_TOL = 1e-9
-
 # Orthonormality / determinant bound for rotation matrices.
 ROTATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec3:
     """Point or translation in 3-space, meters."""
 
@@ -68,7 +65,7 @@ class Vec3:
         return cls(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitQuaternion:
     """Unit quaternion, scalar first.  Normalized and sign-canonicalized
     by the constructor, so any four finite non-degenerate components are
@@ -112,7 +109,7 @@ def _canonical_flip(vals: list[float]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Position plus orientation of one frame."""
 
@@ -120,7 +117,7 @@ class Pose:
     orientation: UnitQuaternion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Odometry:
     """Scalar motion between two poses: distance traveled (m) and
     rotation magnitude (deg).  Directions are deliberately dropped, the

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import Pose, UnitQuaternion, Vec3
 
@@ -43,7 +43,7 @@ class SequenceFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(slots=True)
 class PoseSample:
     """One frame of a sequence.  gt and apr are optional streams; vio is
     required in sequence files (the fusion pipeline cannot run without

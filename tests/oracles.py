@@ -88,3 +88,37 @@ def sort_median(values) -> float:
     if n % 2:
         return float(s[n // 2])
     return 0.5 * (s[n // 2 - 1] + s[n // 2])
+
+
+def kuhn_optimal_point(points) -> tuple[int, float]:
+    """Input point best placed to be the geometric median, by Kuhn's
+    optimality condition (Kuhn 1973, "A note on Fermat's problem").
+
+    The summed distance x -> sum ||x - p_j|| is minimized at input point
+    p_k exactly when the unit vectors from p_k to every other distinct
+    input sum to a vector no longer than p_k's multiplicity.  Returns
+    (k, margin) for the input with the largest margin, multiplicity
+    minus that length.  A positive margin makes p_k the unique
+    minimizer; zero is a tie (two points, collinear sets), negative
+    means the median lies elsewhere.  Ties between equal points go to
+    the first index.
+    """
+    pts = [tuple(float(c) for c in p) for p in points]
+    best: tuple[int, float] | None = None
+    for k, p in enumerate(pts):
+        multiplicity = 0
+        pull = [0.0, 0.0, 0.0]
+        for q in pts:
+            d = [qc - pc for qc, pc in zip(q, p)]
+            r = math.sqrt(sum(c * c for c in d))
+            if r == 0.0:
+                multiplicity += 1
+                continue
+            for a in range(3):
+                pull[a] += d[a] / r
+        margin = multiplicity - math.sqrt(sum(c * c for c in pull))
+        if best is None or margin > best[1]:
+            best = (k, margin)
+    if best is None:
+        raise ValueError("kuhn_optimal_point needs at least one point")
+    return best

@@ -266,3 +266,26 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "synth-0.summary.json").is_file()
+
+
+class TestModuleRun:
+    """``python -m posefuse.cli`` works from a source checkout, where no
+    console script is installed."""
+
+    def run_module(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "posefuse.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_synth_run_writes_reports(self, tmp_path):
+        proc = self.run_module("--synth", "1", "--frames", "20", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        for suffix in ("summary.json", "frames.csv", "cdf.csv"):
+            assert (tmp_path / f"synth-0.{suffix}").is_file()
+
+    def test_missing_input_exits_one(self, tmp_path):
+        proc = self.run_module("--synth", "0", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "exactly one of --input or --synth" in proc.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import posefuse.fusion
 from posefuse.fusion import (
     FusionConfig,
     FusionOutput,
@@ -40,7 +41,12 @@ from posefuse.synth import (
     simulate_vio,
 )
 from helpers import random_pose, random_quaternion
-from oracles import grid_median_objective, quat_angle_stable_deg, slerp_midpoint
+from oracles import (
+    grid_median_objective,
+    kuhn_optimal_point,
+    quat_angle_stable_deg,
+    slerp_midpoint,
+)
 
 CFG = FusionConfig()
 Z = Vec3(0.0, 0.0, 1.0)
@@ -162,6 +168,56 @@ class TestWeiszfeldMedian:
             assert ours <= grid_median_objective(arr) + 1e-6
 
 
+class TestMedianAtInputPoint:
+    """Kuhn's condition settles a median that sits on an input point
+    before any iteration, so the result is that point exactly and tol
+    and max_iter cannot move it."""
+
+    CASES = {
+        # Angle at the origin is about 169 deg, above 120.
+        "obtuse_triangle": [Vec3(1, 0, 0), Vec3(-1, 0.2, 0), Vec3(0, 0, 0)],
+        # Multiplicity 2 outweighs the pull of three unit vectors (1.73).
+        "duplicate_outweighs_pull": [
+            Vec3(2, 0, 0), Vec3(0, 2, 0), Vec3(0, 0, 2), Vec3(0, 0, 0), Vec3(0, 0, 0),
+        ],
+        # The centroid lands exactly on x = -2, which is not the median;
+        # x = -3 (multiplicity 3 against a pull of 2) is.
+        "centroid_on_wrong_input": [
+            Vec3(-3, 0, 0), Vec3(-3, 0, 0), Vec3(-2, 0, 0), Vec3(1, 0, 0), Vec3(-3, 0, 0),
+        ],
+    }
+
+    @staticmethod
+    def assert_returns_optimal_input(pts):
+        k, margin = kuhn_optimal_point([(p.x, p.y, p.z) for p in pts])
+        assert margin >= 1e-6
+        assert weiszfeld_median(pts) == pts[k]
+        assert weiszfeld_median(pts, tol=1e3, max_iter=1) == pts[k]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_cases(self, name):
+        self.assert_returns_optimal_input(self.CASES[name])
+
+    def test_random_sets(self, rng):
+        vertex_sets = 0
+        for i in range(600):
+            n = int(rng.integers(3, 8))
+            kind = i % 3
+            if kind == 0:  # scattered points
+                arr = rng.normal(size=(n, 3))
+            elif kind == 1:  # a hub with spokes of random length
+                arr = rng.normal(size=(n, 3)) * rng.uniform(0.1, 5.0, size=(n, 1))
+                arr[0] = 0.0
+            else:  # duplicates of one point among scattered ones
+                arr = rng.normal(size=(n, 3))
+                arr[rng.integers(0, n, size=n // 2)] = arr[-1]
+            pts = [Vec3(*row) for row in arr]
+            if kuhn_optimal_point(arr)[1] >= 1e-6:
+                vertex_sets += 1
+                self.assert_returns_optimal_input(pts)
+        assert vertex_sets >= 100
+
+
 class TestAverageQuaternions:
     def test_idempotent(self, rng):
         q = random_quaternion(rng)
@@ -278,6 +334,20 @@ class TestOptimizePose:
         expect = axis_angle_quaternion(Z, -90.0)
         np.testing.assert_allclose(out.orientation.as_array(), expect.as_array(), atol=1e-12)
 
+    def test_map_built_once_per_reference(self, rng, monkeypatch):
+        built = []
+        real = posefuse.fusion.to_rotation_matrix
+
+        def counting(q):
+            built.append(q)
+            return real(q)
+
+        monkeypatch.setattr(posefuse.fusion, "to_rotation_matrix", counting)
+        ref = ReferencePair(random_pose(rng), random_pose(rng))
+        for _ in range(50):
+            optimize_pose(random_pose(rng), ref)
+        assert len(built) == 1
+
     def test_rigid_invariance(self, rng):
         for _ in range(200):
             ref = ReferencePair(random_pose(rng), random_pose(rng))
@@ -318,7 +388,7 @@ class TestStep:
         assert translation_distance(outs[4].pose.position, samples[4].gt.position) < 1e-9
 
     def test_streaming_emits_provisional_then_final(self):
-        state = FusionState.initial()
+        state = FusionState()
         samples = clean_samples(4)
         seen = []
         for s in samples:
