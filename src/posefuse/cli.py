@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .fusion import FusionConfig, FusionOutput, Label, run_sequence
+from .geometry import Pose
 from .io import PoseSample, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
+    ErrorRecord,
     SummaryReport,
     absolute_pose_error,
     align_and_evaluate,
@@ -76,12 +80,12 @@ class RunManifest:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.synth_count < 0:
+            raise ValueError("--synth must be >= 1")
         if bool(self.inputs) == bool(self.synth_count > 0):
             raise ValueError(
                 "exactly one of --input or --synth must be given"
             )
-        if self.synth_count < 0:
-            raise ValueError("--synth must be >= 1")
         for p in self.inputs:
             if not Path(p).is_file():
                 raise ValueError(f"input file not found: {p}")
@@ -165,24 +169,23 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
 
     if mode == "fusion":
         outputs = run_sequence(samples, manifest.fusion)
+        poses = [out.pose for out in outputs]
+        labels = [out.label.value for out in outputs]
+        errors = _errors(poses, samples)
         summary["label_counts"] = _label_counts(outputs)
-        gt_idx = [i for i, s in enumerate(samples) if s.gt is not None]
-        if gt_idx:
+        if any(s.gt is not None for s in samples):
+            raw_errors = _errors([s.apr for s in samples], samples)
             groups: dict = {}
-            for group_name, labels in _GROUPS:
-                members = [i for i, out in enumerate(outputs) if out.label in labels]
+            for group_name, members in _GROUPS:
+                idx = [i for i, out in enumerate(outputs) if out.label in members]
                 entry: dict = {
-                    "count": len(members),
-                    "fraction": len(members) / len(samples),
+                    "count": len(idx),
+                    "fraction": len(idx) / len(samples),
                 }
-                scored = [i for i in members if samples[i].gt is not None]
+                scored = [i for i in idx if errors[i] is not None]
                 if scored:
-                    fused = summarize_errors(
-                        [_err(outputs[i].pose, samples[i]) for i in scored]
-                    )
-                    raw = summarize_errors(
-                        [_err(samples[i].apr, samples[i]) for i in scored]
-                    )
+                    fused = summarize_errors([errors[i] for i in scored])
+                    raw = summarize_errors([raw_errors[i] for i in scored])
                     entry["fused"] = fused.to_dict()
                     entry["raw_apr"] = raw.to_dict()
                     if group_name == "all_frames":
@@ -194,8 +197,6 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
             if vio_stats is not None:
                 summary["vio"] = vio_stats[0]
                 cdf_rows.append(("vio", vio_stats[1]))
-        if "csv" in manifest.formats:
-            _write_frames_csv(manifest.out_dir / f"{name}.frames.csv", samples, outputs)
     else:
         gt_missing = sum(1 for s in samples if s.gt is None)
         if gt_missing:
@@ -203,27 +204,33 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
                 f"sequence {name}: vio evaluation needs ground truth on every "
                 f"frame, missing on {gt_missing}"
             )
+        poses = [s.vio for s in samples]
+        labels = ["vio"] * len(samples)
+        errors = _errors(poses, samples)
         vio_stats = _vio_section(samples, manifest)
         assert vio_stats is not None
         summary["vio"] = vio_stats[0]
         cdf_rows.append(("vio", vio_stats[1]))
-        if "csv" in manifest.formats:
-            outputs = [
-                FusionOutput(s.frame_index, s.vio, Label.PENDING) for s in samples
-            ]
-            _write_frames_csv(
-                manifest.out_dir / f"{name}.frames.csv", samples, outputs, label="vio"
-            )
 
     if "json" in manifest.formats:
         text = json.dumps(_round_floats(summary), sort_keys=True, indent=2) + "\n"
         (manifest.out_dir / f"{name}.summary.json").write_text(text, encoding="utf-8")
     if "csv" in manifest.formats:
+        _write_frames_csv(
+            manifest.out_dir / f"{name}.frames.csv", samples, poses, labels, errors
+        )
         _write_cdf_csv(manifest.out_dir / f"{name}.cdf.csv", cdf_rows)
 
 
-def _err(pose, sample):
-    return absolute_pose_error(pose, sample.gt, frame_index=sample.frame_index)
+def _errors(
+    poses: Sequence[Pose], samples: Sequence[PoseSample]
+) -> list[Optional[ErrorRecord]]:
+    """The error table of one track: a record per frame against gt, None
+    where the frame has no gt."""
+    return [
+        None if s.gt is None else absolute_pose_error(p, s.gt, frame_index=s.frame_index)
+        for p, s in zip(poses, samples)
+    ]
 
 
 def _label_counts(outputs: Sequence[FusionOutput]) -> dict[str, int]:
@@ -249,40 +256,30 @@ def _vio_section(samples: Sequence[PoseSample], manifest: RunManifest):
     )
     section = report.to_dict()
     if len(samples) >= 2:
-        rel = relative_errors(vio_track, gt_track)
-        rpe = sorted(r[0] for r in rel)
-        roe = sorted(r[1] for r in rel)
-        section["rpe_median_m"] = _median_sorted(rpe)
-        section["roe_median_deg"] = _median_sorted(roe)
+        rpe, roe = np.median(relative_errors(vio_track, gt_track), axis=0)
+        section["rpe_median_m"] = float(rpe)
+        section["roe_median_deg"] = float(roe)
     return section, report
-
-
-def _median_sorted(values: list[float]) -> float:
-    n = len(values)
-    mid = n // 2
-    if n % 2:
-        return values[mid]
-    return 0.5 * (values[mid - 1] + values[mid])
 
 
 def _write_frames_csv(
     path: Path,
     samples: Sequence[PoseSample],
-    outputs: Sequence[FusionOutput],
-    label: Optional[str] = None,
+    poses: Sequence[Pose],
+    labels: Sequence[str],
+    errors: Sequence[Optional[ErrorRecord]],
 ) -> None:
     lines = ["frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"]
-    for s, out in zip(samples, outputs):
-        p, q = out.pose.position, out.pose.orientation
+    for s, pose, label, rec in zip(samples, poses, labels, errors):
+        p, q = pose.position, pose.orientation
         fields = [
             str(s.frame_index),
             _FMT % s.timestamp,
-            label if label is not None else out.label.value,
+            label,
             _FMT % p.x, _FMT % p.y, _FMT % p.z,
             _FMT % q.w, _FMT % q.x, _FMT % q.y, _FMT % q.z,
         ]
-        if s.gt is not None:
-            rec = absolute_pose_error(out.pose, s.gt)
+        if rec is not None:
             fields.extend([_FMT % rec.pos_err, _FMT % rec.ori_err])
         else:
             fields.extend(["", ""])

@@ -57,8 +57,6 @@ class FusionConfig:
     o_th: float = 4.0
     n_pairs: int = 2
     t_opt: int = 8
-    weiszfeld_tol: float = 1e-9
-    weiszfeld_max_iter: int = 100
 
     def __post_init__(self) -> None:
         if not self.d_th > 0.0:
@@ -69,10 +67,6 @@ class FusionConfig:
             raise ValueError("n_pairs must be >= 1")
         if self.t_opt < 1:
             raise ValueError("t_opt must be >= 1")
-        if not self.weiszfeld_tol > 0.0:
-            raise ValueError("weiszfeld_tol must be positive")
-        if self.weiszfeld_max_iter < 1:
-            raise ValueError("weiszfeld_max_iter must be >= 1")
 
 
 class Stage(enum.Enum):
@@ -161,9 +155,11 @@ def weiszfeld_median(
     objective.  The reweighted step alone crawls when one cluster
     dominates the weights; the polish restores fast convergence without
     giving up its monotone descent.  tol and max_iter bound only this
-    iterative path: it stops when the iterate moves less than tol or
-    after max_iter rounds, and an iterate landing within tol of an input
-    point returns that point, which guards the 1/distance weights.
+    iterative path: it stops when the iterate moves less than tol, after
+    max_iter rounds, or when it lands within tol of an input point, which
+    guards the 1/distance weights.  The result is then the best of the
+    final iterate and the input points, so a landing on a tied set's
+    non-optimal input point does not stick.
     """
     if len(points) == 0:
         raise ValueError("weiszfeld_median needs at least one point")
@@ -193,7 +189,8 @@ def weiszfeld_median(
         d = np.linalg.norm(diff, axis=1)
         hits = np.nonzero(d < tol)[0]
         if hits.size:
-            return Vec3.from_array(pts[hits[0]])
+            y = pts[hits[0]]
+            break
         w = 1.0 / d
         y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
         f_next = objective(y_next)
@@ -256,12 +253,7 @@ def average_quaternions(quats: Sequence[UnitQuaternion]) -> UnitQuaternion:
     return UnitQuaternion(top[0], top[1], top[2], top[3])
 
 
-def compute_reference(
-    aprs: Sequence[Pose],
-    vios: Sequence[Pose],
-    tol: float = 1e-9,
-    max_iter: int = 100,
-) -> ReferencePair:
+def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePair:
     """Collapse an alignment window into its reference pair: geometric
     median of positions, eigenvector average of orientations, per stream."""
     if len(aprs) != len(vios):
@@ -273,7 +265,7 @@ def compute_reference(
 
     def _avg(poses: Sequence[Pose]) -> Pose:
         return Pose(
-            weiszfeld_median([p.position for p in poses], tol=tol, max_iter=max_iter),
+            weiszfeld_median([p.position for p in poses]),
             average_quaternions([p.orientation for p in poses]),
         )
 
@@ -355,8 +347,6 @@ def step(
             state.reference = compute_reference(
                 [w[1] for w in state.window],
                 [w[2] for w in state.window],
-                tol=cfg.weiszfeld_tol,
-                max_iter=cfg.weiszfeld_max_iter,
             )
             state.window.clear()
             state.stage = Stage.OPTIMIZING

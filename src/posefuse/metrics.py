@@ -10,8 +10,8 @@ rigid fit over the opening window of the sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,10 +85,9 @@ class SummaryReport:
     buckets: PrecisionBuckets
     cdf_pos: tuple[tuple[float, float], ...]
     cdf_ori: tuple[tuple[float, float], ...]
-    label_counts: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out: dict = {
+        return {
             "count": self.count,
             "median_pos_m": self.median_pos,
             "median_ori_deg": self.median_ori,
@@ -100,9 +99,6 @@ class SummaryReport:
                 "low": self.buckets.low,
             },
         }
-        if self.label_counts:
-            out["label_counts"] = dict(sorted(self.label_counts.items()))
-        return out
 
 
 def absolute_pose_error(est: Pose, gt: Pose, frame_index: int = 0) -> ErrorRecord:
@@ -139,8 +135,7 @@ def empirical_cdf(errors: Sequence[float], d: float) -> float:
     """Fraction of errors at or under d (inclusive)."""
     if len(errors) == 0:
         raise ValueError("empirical_cdf needs at least one error value")
-    hits = sum(1 for e in errors if e <= d)
-    return hits / len(errors)
+    return int(np.count_nonzero(np.asarray(errors, dtype=float) <= d)) / len(errors)
 
 
 def precision_buckets(records: Sequence[ErrorRecord]) -> PrecisionBuckets:
@@ -148,11 +143,12 @@ def precision_buckets(records: Sequence[ErrorRecord]) -> PrecisionBuckets:
     both bounds)."""
     if len(records) == 0:
         raise ValueError("precision_buckets needs at least one record")
+    pos = np.array([r.pos_err for r in records], dtype=float)
+    ori = np.array([r.ori_err for r in records], dtype=float)
 
     def frac(level: tuple[float, float]) -> float:
         d, o = level
-        n = sum(1 for r in records if r.pos_err <= d and r.ori_err <= o)
-        return n / len(records)
+        return int(np.count_nonzero((pos <= d) & (ori <= o))) / len(records)
 
     return PrecisionBuckets(
         high=frac(PRECISION_HIGH),
@@ -201,10 +197,7 @@ def apply_alignment(poses: Sequence[Pose], transform: RigidTransform) -> list[Po
     return [transform.apply_pose(p) for p in poses]
 
 
-def summarize_errors(
-    records: Sequence[ErrorRecord],
-    label_counts: Optional[dict[str, int]] = None,
-) -> SummaryReport:
+def summarize_errors(records: Sequence[ErrorRecord]) -> SummaryReport:
     """Medians, means, precision buckets and CDF samples for one record
     set.  Medians average the two central order statistics on even
     counts."""
@@ -221,7 +214,6 @@ def summarize_errors(
         buckets=precision_buckets(records),
         cdf_pos=tuple((d, empirical_cdf(pos, d)) for d in CDF_POS_THRESHOLDS),
         cdf_ori=tuple((d, empirical_cdf(ori, d)) for d in CDF_ORI_THRESHOLDS),
-        label_counts=dict(label_counts or {}),
     )
 
 
@@ -230,7 +222,6 @@ def align_and_evaluate(
     gt_track: Sequence[Pose],
     window_seconds: float,
     timestamps: Sequence[float],
-    label_counts: Optional[dict[str, int]] = None,
 ) -> SummaryReport:
     """Register an estimated track to ground truth and summarize its
     absolute errors.
@@ -261,4 +252,4 @@ def align_and_evaluate(
         absolute_pose_error(a, g, frame_index=i)
         for i, (a, g) in enumerate(zip(aligned, gt_track))
     ]
-    return summarize_errors(records, label_counts=label_counts)
+    return summarize_errors(records)

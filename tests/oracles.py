@@ -90,6 +90,15 @@ def sort_median(values) -> float:
     return 0.5 * (s[n // 2 - 1] + s[n // 2])
 
 
+def line_median_objective(values) -> float:
+    """Least summed distance sum |x - v| over the real line.  Any x
+    between the two central order statistics attains it, the middle
+    element of the sorted values among them."""
+    s = sorted(float(v) for v in values)
+    m = s[len(s) // 2]
+    return sum(abs(v - m) for v in s)
+
+
 def kuhn_optimal_point(points) -> tuple[int, float]:
     """Input point best placed to be the geometric median, by Kuhn's
     optimality condition (Kuhn 1973, "A note on Fermat's problem").

@@ -14,6 +14,11 @@ IDENTITY = "0,0,0,1,0,0,0"
 EMPTY = ",,,,,,"
 
 GOLDEN = Path(__file__).parent / "data" / "golden_summary.json"
+# Inputs and expected reports for the paths the golden summary misses.
+# The inputs are 45 frames of the seed-3 synthetic sequence: partial_gt
+# drops gt on every third frame, no_gt drops it everywhere and vio_eval
+# drops the apr stream.
+REPORTS = Path(__file__).parent / "data" / "reports"
 
 
 def synth_args(out_dir, frames=60, seed=7):
@@ -76,6 +81,10 @@ class TestManifestValidation:
             RunManifest(
                 out_dir=tmp_path, inputs=(Path("x.csv"),), synth_count=1
             ).validate()
+
+    def test_negative_synth_count(self, tmp_path):
+        with pytest.raises(ValueError, match="--synth must be >= 1"):
+            RunManifest(out_dir=tmp_path, synth_count=-2).validate()
 
     def test_missing_input_file(self, tmp_path):
         m = RunManifest(out_dir=tmp_path, inputs=(tmp_path / "nope.csv",))
@@ -206,6 +215,15 @@ class TestSynthRuns:
             s.gt is not None and s.vio is not None and s.apr is not None
             for s in samples
         )
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", ["partial_gt", "no_gt", "vio_eval"])
+    def test_reports_match_committed_bytes(self, tmp_path, name):
+        assert main(["--input", str(REPORTS / f"{name}.csv"), "--out", str(tmp_path)]) == 0
+        for suffix in ("frames.csv", "summary.json", "cdf.csv"):
+            got = (tmp_path / f"{name}.{suffix}").read_bytes()
+            assert got == (REPORTS / f"{name}.{suffix}").read_bytes(), suffix
 
 
 class TestFileRuns:

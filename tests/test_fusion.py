@@ -44,6 +44,7 @@ from helpers import random_pose, random_quaternion
 from oracles import (
     grid_median_objective,
     kuhn_optimal_point,
+    line_median_objective,
     quat_angle_stable_deg,
     slerp_midpoint,
 )
@@ -76,8 +77,6 @@ class TestFusionConfig:
             (dict(o_th=-1.0), "o_th"),
             (dict(n_pairs=0), "n_pairs"),
             (dict(t_opt=0), "t_opt"),
-            (dict(weiszfeld_tol=0.0), "weiszfeld_tol"),
-            (dict(weiszfeld_max_iter=0), "weiszfeld_max_iter"),
         ],
     )
     def test_validation(self, kwargs, msg):
@@ -216,6 +215,37 @@ class TestMedianAtInputPoint:
                 vertex_sets += 1
                 self.assert_returns_optimal_input(pts)
         assert vertex_sets >= 100
+
+
+class TestMedianOnTiedLine:
+    """Collinear sets with repeated points can tie Kuhn's test, so the
+    iteration decides them; an iterate landing on a non-optimal input
+    point must not end it.  Judged against the exact 1-D median."""
+
+    @staticmethod
+    def objective_gap(ts, origin, direction):
+        pts = [Vec3(*(origin + t * direction)) for t in ts]
+        m = weiszfeld_median(pts)
+        ours = sum(translation_distance(m, p) for p in pts)
+        return ours - line_median_objective(ts) * float(np.linalg.norm(direction))
+
+    def test_centroid_on_non_optimal_input(self):
+        # The centroid is x = 2 (summed distance 14); all of [0, 1] gives 12.
+        x_axis = np.array([1.0, 0.0, 0.0])
+        assert self.objective_gap([0, 0, 0, 1, 2, 9], np.zeros(3), x_axis) <= 1e-12
+
+    def test_random_sets_with_repeats(self, rng):
+        for _ in range(400):
+            n = int(rng.integers(3, 9))
+            ts = rng.integers(0, 4, size=n).astype(float)
+            # Place the last point so that the centroid, where the
+            # iteration starts, lands exactly on the first.
+            ts[-1] = n * ts[0] - ts[:-1].sum()
+            origin = rng.integers(-5, 6, size=3).astype(float)
+            direction = rng.integers(-3, 4, size=3).astype(float)
+            if not direction.any():
+                direction[0] = 1.0
+            assert self.objective_gap(ts, origin, direction) <= 1e-9
 
 
 class TestAverageQuaternions:

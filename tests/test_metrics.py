@@ -240,11 +240,10 @@ class TestSummarizeErrors:
         assert tuple(d for d, _ in rep.cdf_ori) == CDF_ORI_THRESHOLDS
 
     def test_to_dict_shape(self):
-        rep = summarize_errors([ErrorRecord(0, 0.1, 0.5)], label_counts={"keyframe": 1})
+        rep = summarize_errors([ErrorRecord(0, 0.1, 0.5)])
         d = rep.to_dict()
         assert d["count"] == 1
         assert set(d["precision"]) == {"high", "medium", "low"}
-        assert d["label_counts"] == {"keyframe": 1}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
