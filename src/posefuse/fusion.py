@@ -274,22 +274,27 @@ def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePa
 
 def reference_transform(ref: ReferencePair) -> tuple[RigidTransform, UnitQuaternion]:
     """The vio-to-world map of a reference pair, the one place its
-    formula lives: a rigid transform for positions, pinned so that it
-    sends vio_ref's position exactly onto apr_ref's, and the correction
-    that optimize_pose composes onto vio orientations from the right."""
-    q_rel = compose(inverse(ref.apr_ref.orientation), ref.vio_ref.orientation)
-    r_rel = to_rotation_matrix(q_rel)
-    t_rel = ref.apr_ref.position - r_rel.apply(ref.vio_ref.position)
-    return RigidTransform(r_rel, t_rel), inverse(q_rel)
+    formula lives.  Poses are camera-to-world, so the map is the rigid
+    transform G with G * vio_ref = apr_ref: rotation
+    q_g = apr_ref * inverse(vio_ref) and translation
+    t = p_apr_ref - R(q_g) p_vio_ref.  Returns the transform for
+    positions and q_g, which optimize_pose composes onto vio
+    orientations from the left."""
+    q_g = compose(ref.apr_ref.orientation, inverse(ref.vio_ref.orientation))
+    r_g = to_rotation_matrix(q_g)
+    t_g = ref.apr_ref.position - r_g.apply(ref.vio_ref.position)
+    return RigidTransform(r_g, t_g), q_g
 
 
 def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     """Re-express a vio pose in world coordinates through the reference
     pair, applying the map the pair builds once (see reference_transform).
     At the reference itself this returns apr_ref, and being rigid it
-    preserves relative distances and angles of the vio stream."""
-    transform, q_corr = ref.vio_to_world
-    return Pose(transform.apply_point(p_vio.position), compose(p_vio.orientation, q_corr))
+    preserves relative distances and angles of the vio stream.  A vio
+    stream that is any rigid transform of the world trajectory maps back
+    onto it."""
+    transform, q_g = ref.vio_to_world
+    return Pose(transform.apply_point(p_vio.position), compose(q_g, p_vio.orientation))
 
 
 def step(

@@ -131,3 +131,27 @@ def kuhn_optimal_point(points) -> tuple[int, float]:
     if best is None:
         raise ValueError("kuhn_optimal_point needs at least one point")
     return best
+
+
+def rigid_map_pose(g_quat, g_t, position, quat) -> tuple[np.ndarray, np.ndarray]:
+    """A pose under the rigid map x -> R(g) x + t, through scipy's
+    rotations: the position is rotated then shifted, the orientation
+    picks up g on the left.  Quaternions are (w, x, y, z) in and out."""
+    from scipy.spatial.transform import Rotation
+
+    def rot(q):
+        w, x, y, z = (float(c) for c in q)
+        return Rotation.from_quat([x, y, z, w])
+
+    g = rot(g_quat)
+    x, y, z, w = (g * rot(quat)).as_quat()
+    return g.apply(np.asarray(position, dtype=float)) + np.asarray(g_t, dtype=float), np.array([w, x, y, z])
+
+
+def chordal_distance(qa, qb) -> float:
+    """Distance between two rotations as unit quaternions, blind to the
+    double cover: min(||qa - qb||, ||qa + qb||).  Unlike an acos of the
+    dot product it keeps full resolution near zero."""
+    a = np.asarray(qa, dtype=float)
+    b = np.asarray(qb, dtype=float)
+    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))

@@ -42,10 +42,12 @@ from posefuse.synth import (
 )
 from helpers import random_pose, random_quaternion
 from oracles import (
+    chordal_distance,
     grid_median_objective,
     kuhn_optimal_point,
     line_median_objective,
     quat_angle_stable_deg,
+    rigid_map_pose,
     slerp_midpoint,
 )
 
@@ -360,7 +362,9 @@ class TestOptimizePose:
             Pose(Vec3.zero(), axis_angle_quaternion(Z, 90.0)),
         )
         out = optimize_pose(Pose(Vec3(1, 0, 0), UnitQuaternion.identity()), ref)
-        np.testing.assert_allclose(out.position.as_array(), [0, 1, 0], atol=1e-12)
+        # The vio frame is the world turned +90 deg about z, so the map
+        # back to the world turns -90 deg: x goes to -y.
+        np.testing.assert_allclose(out.position.as_array(), [0, -1, 0], atol=1e-12)
         expect = axis_angle_quaternion(Z, -90.0)
         np.testing.assert_allclose(out.orientation.as_array(), expect.as_array(), atol=1e-12)
 
@@ -389,6 +393,79 @@ class TestOptimizePose:
             assert rotation_angle_deg(oa.orientation, ob.orientation) == pytest.approx(
                 rotation_angle_deg(a.orientation, b.orientation), abs=1e-6
             )
+
+
+def random_rigid(rng):
+    """Random SE(3) map as (unit quaternion wxyz, translation)."""
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q), rng.uniform(-20.0, 20.0, size=3)
+
+
+def mapped(g, pose):
+    pos, quat = rigid_map_pose(g[0], g[1], pose.position.as_array(), pose.orientation.as_array())
+    return Pose(Vec3(*pos), UnitQuaternion(*quat))
+
+
+def yaw_then_roll():
+    """30 deg yaw followed by 20 deg roll, t = (3, -2, 1)."""
+    yaw = axis_angle_quaternion(Z, 30.0)
+    roll = axis_angle_quaternion(Vec3(1.0, 0.0, 0.0), 20.0)
+    return compose(roll, yaw).as_array(), np.array([3.0, -2.0, 1.0])
+
+
+class TestFrameInvariance:
+    """The fused output must not depend on the frame the vio stream is
+    expressed in, and must follow the world frame of the apr stream."""
+
+    @staticmethod
+    def sequence():
+        samples = generate_gt(TrajectoryConfig(n_frames=200, seed=0))
+        gt = [s.gt for s in samples]
+        for s, v, a in zip(
+            samples,
+            simulate_vio(gt, VioNoiseModel(), 2),
+            simulate_apr(gt, AprNoiseModel(), 1),
+        ):
+            s.vio, s.apr = v, a
+        return samples
+
+    @staticmethod
+    def assert_outputs_match(got, expect):
+        assert [o.label for o in got] == [o.label for o in expect]
+        for g, e in zip(got, expect):
+            assert translation_distance(g.pose.position, e.pose.position) < 1e-8
+            assert chordal_distance(g.pose.orientation.as_array(), e.pose.orientation.as_array()) < 1e-8
+
+    def test_rigidly_moved_vio_maps_back_onto_gt(self, rng):
+        for _ in range(200):
+            g = random_rigid(rng)
+            gt_ref = random_pose(rng)
+            ref = ReferencePair(apr_ref=gt_ref, vio_ref=mapped(g, gt_ref))
+            for _ in range(5):
+                gt = random_pose(rng)
+                out = optimize_pose(mapped(g, gt), ref)
+                assert translation_distance(out.position, gt.position) < 1e-9
+                assert chordal_distance(out.orientation.as_array(), gt.orientation.as_array()) < 1e-9
+
+    def test_vio_frame_does_not_move_output(self, rng):
+        samples = self.sequence()
+        base = run_sequence(samples, CFG)
+        for g in (yaw_then_roll(), random_rigid(rng)):
+            moved = self.sequence()
+            for s in moved:
+                s.vio = mapped(g, s.vio)
+            self.assert_outputs_match(run_sequence(moved, CFG), base)
+
+    def test_world_frame_moves_output_with_it(self, rng):
+        samples = self.sequence()
+        base = run_sequence(samples, CFG)
+        for g in (yaw_then_roll(), random_rigid(rng)):
+            moved = self.sequence()
+            for s in moved:
+                s.vio = mapped(g, s.vio)
+                s.apr = mapped(g, s.apr)
+            expect = [FusionOutput(o.frame_index, mapped(g, o.pose), o.label) for o in base]
+            self.assert_outputs_match(run_sequence(moved, CFG), expect)
 
 
 class TestStep:
