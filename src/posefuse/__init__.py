@@ -23,10 +23,10 @@ from .geometry import (
 )
 from .io import PoseSample, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
-    ErrorRecord,
     PrecisionBuckets,
     SummaryReport,
     align_and_evaluate,
+    track_array,
 )
 from .synth import (
     AprNoiseModel,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AprNoiseModel",
-    "ErrorRecord",
     "FusionConfig",
     "FusionOutput",
     "FusionState",
@@ -68,6 +67,7 @@ __all__ = [
     "simulate_apr",
     "simulate_vio",
     "step",
+    "track_array",
     "write_sequence",
     "__version__",
 ]

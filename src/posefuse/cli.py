@@ -25,17 +25,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig, FusionOutput, Label, run_sequence
-from .geometry import Pose
+from .fusion import FusionConfig, Label, run_sequence
 from .io import PoseSample, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
-    ErrorRecord,
     SummaryReport,
     absolute_pose_error,
     align_and_evaluate,
     relative_errors,
     summarize_errors,
+    track_array,
 )
 from .synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 
@@ -53,11 +52,11 @@ _FMT = "%.12g"
 # Label groups reported in the summary, in report order.  Keyframes and
 # reliable frames both carry checker-approved apr poses, so they form
 # one group; optimized frames carry corrected poses.
-_GROUPS: tuple[tuple[str, frozenset[Label]], ...] = (
-    ("keyframes", frozenset({Label.KEYFRAME, Label.RELIABLE})),
-    ("optimized", frozenset({Label.OPTIMIZED})),
-    ("keyframes_plus_optimized", frozenset({Label.KEYFRAME, Label.RELIABLE, Label.OPTIMIZED})),
-    ("all_frames", frozenset(Label)),
+_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("keyframes", (Label.KEYFRAME.value, Label.RELIABLE.value)),
+    ("optimized", (Label.OPTIMIZED.value,)),
+    ("keyframes_plus_optimized", (Label.KEYFRAME.value, Label.RELIABLE.value, Label.OPTIMIZED.value)),
+    ("all_frames", tuple(label.value for label in Label)),
 )
 
 
@@ -166,26 +165,32 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
         },
     }
     cdf_rows: list[tuple[str, SummaryReport]] = []
+    # Each stream becomes one (N, 7) track; gt keeps only the frames
+    # that have it, and has_gt marks which frames those are.
+    has_gt = np.array([s.gt is not None for s in samples])
+    gt = track_array([s.gt for s in samples if s.gt is not None])
 
     if mode == "fusion":
         outputs = run_sequence(samples, manifest.fusion)
-        poses = [out.pose for out in outputs]
-        labels = [out.label.value for out in outputs]
-        errors = _errors(poses, samples)
-        summary["label_counts"] = _label_counts(outputs)
-        if any(s.gt is not None for s in samples):
-            raw_errors = _errors([s.apr for s in samples], samples)
+        track = track_array([out.pose for out in outputs])
+        labels = np.array([out.label.value for out in outputs])
+        summary["label_counts"] = {
+            label.value: int(np.count_nonzero(labels == label.value)) for label in Label
+        }
+        pos_err, ori_err = absolute_pose_error(track[has_gt], gt)
+        if has_gt.any():
+            raw_pos, raw_ori = absolute_pose_error(
+                track_array([s.apr for s in samples])[has_gt], gt
+            )
+            scored_labels = labels[has_gt]
             groups: dict = {}
             for group_name, members in _GROUPS:
-                idx = [i for i, out in enumerate(outputs) if out.label in members]
-                entry: dict = {
-                    "count": len(idx),
-                    "fraction": len(idx) / len(samples),
-                }
-                scored = [i for i in idx if errors[i] is not None]
-                if scored:
-                    fused = summarize_errors([errors[i] for i in scored])
-                    raw = summarize_errors([raw_errors[i] for i in scored])
+                count = int(np.count_nonzero(np.isin(labels, members)))
+                entry: dict = {"count": count, "fraction": count / len(samples)}
+                scored = np.isin(scored_labels, members)
+                if scored.any():
+                    fused = summarize_errors(pos_err[scored], ori_err[scored])
+                    raw = summarize_errors(raw_pos[scored], raw_ori[scored])
                     entry["fused"] = fused.to_dict()
                     entry["raw_apr"] = raw.to_dict()
                     if group_name == "all_frames":
@@ -193,70 +198,58 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
                         cdf_rows.append(("raw_apr", raw))
                 groups[group_name] = entry
             summary["groups"] = groups
-            vio_stats = _vio_section(samples, manifest)
-            if vio_stats is not None:
-                summary["vio"] = vio_stats[0]
-                cdf_rows.append(("vio", vio_stats[1]))
+            # In fusion mode the vio section is an extra.  It is left out
+            # when gt is partial, and when the vio track cannot be
+            # registered to gt (fewer than 3 frames in the window, or a
+            # straight walk that leaves the rigid fit rank deficient),
+            # rather than losing the fused evaluation with it.
+            if has_gt.all():
+                try:
+                    section, report = _vio_section(
+                        track_array([s.vio for s in samples]), gt, samples, manifest
+                    )
+                except ValueError:
+                    pass
+                else:
+                    summary["vio"] = section
+                    cdf_rows.append(("vio", report))
     else:
-        gt_missing = sum(1 for s in samples if s.gt is None)
+        gt_missing = int(np.count_nonzero(~has_gt))
         if gt_missing:
             raise ValueError(
                 f"sequence {name}: vio evaluation needs ground truth on every "
                 f"frame, missing on {gt_missing}"
             )
-        poses = [s.vio for s in samples]
-        labels = ["vio"] * len(samples)
-        errors = _errors(poses, samples)
-        vio_stats = _vio_section(samples, manifest)
-        assert vio_stats is not None
-        summary["vio"] = vio_stats[0]
-        cdf_rows.append(("vio", vio_stats[1]))
+        track = track_array([s.vio for s in samples])
+        labels = np.array(["vio"] * len(samples))
+        pos_err, ori_err = absolute_pose_error(track, gt)
+        section, report = _vio_section(track, gt, samples, manifest)
+        summary["vio"] = section
+        cdf_rows.append(("vio", report))
 
     if "json" in manifest.formats:
         text = json.dumps(_round_floats(summary), sort_keys=True, indent=2) + "\n"
         (manifest.out_dir / f"{name}.summary.json").write_text(text, encoding="utf-8")
     if "csv" in manifest.formats:
         _write_frames_csv(
-            manifest.out_dir / f"{name}.frames.csv", samples, poses, labels, errors
+            manifest.out_dir / f"{name}.frames.csv",
+            samples, track, labels, has_gt, pos_err, ori_err,
         )
         _write_cdf_csv(manifest.out_dir / f"{name}.cdf.csv", cdf_rows)
 
 
-def _errors(
-    poses: Sequence[Pose], samples: Sequence[PoseSample]
-) -> list[Optional[ErrorRecord]]:
-    """The error table of one track: a record per frame against gt, None
-    where the frame has no gt."""
-    return [
-        None if s.gt is None else absolute_pose_error(p, s.gt, frame_index=s.frame_index)
-        for p, s in zip(poses, samples)
-    ]
-
-
-def _label_counts(outputs: Sequence[FusionOutput]) -> dict[str, int]:
-    counts = {label.value: 0 for label in Label}
-    for out in outputs:
-        counts[out.label.value] += 1
-    return counts
-
-
-def _vio_section(samples: Sequence[PoseSample], manifest: RunManifest):
-    """VIO-vs-gt statistics: absolute errors after a rigid fit over the
-    opening window, plus per-step relative errors.  Needs gt on every
-    frame; returns None when it is partial."""
-    if any(s.gt is None or s.vio is None for s in samples):
-        return None
-    vio_track = [s.vio for s in samples]
-    gt_track = [s.gt for s in samples]
+def _vio_section(
+    vio: np.ndarray, gt: np.ndarray, samples: Sequence[PoseSample], manifest: RunManifest
+) -> tuple[dict, SummaryReport]:
+    """VIO-vs-gt statistics for index-aligned vio and gt tracks of
+    samples: absolute errors after a rigid fit over the opening window,
+    plus per-step relative errors."""
     report = align_and_evaluate(
-        vio_track,
-        gt_track,
-        manifest.align_window_seconds,
-        [s.timestamp for s in samples],
+        vio, gt, manifest.align_window_seconds, [s.timestamp for s in samples]
     )
     section = report.to_dict()
-    if len(samples) >= 2:
-        rpe, roe = np.median(relative_errors(vio_track, gt_track), axis=0)
+    if len(vio) >= 2:
+        rpe, roe = np.median(relative_errors(vio, gt), axis=0)
         section["rpe_median_m"] = float(rpe)
         section["roe_median_deg"] = float(roe)
     return section, report
@@ -265,25 +258,21 @@ def _vio_section(samples: Sequence[PoseSample], manifest: RunManifest):
 def _write_frames_csv(
     path: Path,
     samples: Sequence[PoseSample],
-    poses: Sequence[Pose],
-    labels: Sequence[str],
-    errors: Sequence[Optional[ErrorRecord]],
+    track: np.ndarray,
+    labels: np.ndarray,
+    has_gt: np.ndarray,
+    pos_err: np.ndarray,
+    ori_err: np.ndarray,
 ) -> None:
+    """One row per frame; pos_err and ori_err hold the frames marked in
+    has_gt, in order, and the other frames get blank error cells."""
+    pose_fmt = ",".join(["%d", _FMT, "%s"] + [_FMT] * 7)
+    error_fmt = f",{_FMT},{_FMT}"
+    errors = iter(zip(pos_err.tolist(), ori_err.tolist()))
     lines = ["frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"]
-    for s, pose, label, rec in zip(samples, poses, labels, errors):
-        p, q = pose.position, pose.orientation
-        fields = [
-            str(s.frame_index),
-            _FMT % s.timestamp,
-            label,
-            _FMT % p.x, _FMT % p.y, _FMT % p.z,
-            _FMT % q.w, _FMT % q.x, _FMT % q.y, _FMT % q.z,
-        ]
-        if rec is not None:
-            fields.extend([_FMT % rec.pos_err, _FMT % rec.ori_err])
-        else:
-            fields.extend(["", ""])
-        lines.append(",".join(fields))
+    for s, row, label, scored in zip(samples, track.tolist(), labels.tolist(), has_gt.tolist()):
+        line = pose_fmt % (s.frame_index, s.timestamp, label, *row)
+        lines.append(line + (error_fmt % next(errors) if scored else ",,"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

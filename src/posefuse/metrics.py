@@ -1,10 +1,15 @@
 """Trajectory error metrics and evaluation summaries.
 
-Absolute errors compare a track against ground truth pose by pose.
-Relative errors compare the per-step motion magnitudes of two tracks,
-which cancels any shared rigid offset.  Tracks living in their own
-coordinate frame (odometry) are first registered to ground truth with a
-rigid fit over the opening window of the sequence.
+A track is an (N, 7) float array with one row per frame, position then
+orientation: (x, y, z, qw, qx, qy, qz).  track_array builds one from
+Pose objects.  Absolute errors compare a track against ground truth row
+by row.  Relative errors compare the per-step motion magnitudes of two
+tracks, which cancels any shared rigid offset.  Tracks living in their
+own coordinate frame (odometry) are first registered to ground truth
+with a rigid fit over the opening window of the sequence.
+
+Each row's errors equal, bit for bit, what translation_distance,
+rotation_angle_deg and odometry in geometry give for the same poses.
 """
 
 from __future__ import annotations
@@ -15,15 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    Pose,
-    RigidTransform,
-    RotationMatrix,
-    Vec3,
-    odometry,
-    rotation_angle_deg,
-    translation_distance,
-)
+from .geometry import Pose, RigidTransform, RotationMatrix, Vec3
 
 # Precision levels: a record counts toward a level when BOTH its
 # position and orientation errors are at or under the level's bounds.
@@ -37,22 +34,6 @@ CDF_POS_THRESHOLDS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0
 CDF_ORI_THRESHOLDS = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 45.0, 90.0, 180.0)
 
 DEFAULT_ALIGN_WINDOW_SECONDS = 30.0
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Per-frame absolute errors: position in meters, orientation in
-    degrees."""
-
-    frame_index: int
-    pos_err: float
-    ori_err: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.pos_err) and self.pos_err >= 0.0):
-            raise ValueError(f"pos_err must be finite and >= 0, got {self.pos_err!r}")
-        if not (math.isfinite(self.ori_err) and 0.0 <= self.ori_err <= 180.0):
-            raise ValueError(f"ori_err must be in [0, 180], got {self.ori_err!r}")
 
 
 @dataclass(frozen=True)
@@ -101,34 +82,58 @@ class SummaryReport:
         }
 
 
-def absolute_pose_error(est: Pose, gt: Pose, frame_index: int = 0) -> ErrorRecord:
-    """Position and orientation error of one estimate against ground
-    truth."""
-    return ErrorRecord(
-        frame_index,
-        translation_distance(gt.position, est.position),
-        rotation_angle_deg(gt.orientation, est.orientation),
-    )
+def track_array(poses: Sequence[Pose]) -> np.ndarray:
+    """The (N, 7) track of a pose sequence: x, y, z, qw, qx, qy, qz."""
+    rows = [
+        (p.position.x, p.position.y, p.position.z,
+         p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
+        for p in poses
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 
-def relative_errors(
-    track_a: Sequence[Pose], track_b: Sequence[Pose]
-) -> list[tuple[float, float]]:
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """translation_distance of each row pair of two (N, 3) arrays, with
+    the same operations in the same order."""
+    d = b - a
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+
+
+def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rotation_angle_deg of each row pair of two (N, 4) quaternion
+    arrays.  The dot product sums in the same order, and the angle goes
+    through math.acos: np.arccos differs from it in the last bit on some
+    inputs, which would move printed digits."""
+    c = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
+    c = np.minimum(1.0, np.abs(c))
+    return np.degrees(2.0 * np.array([math.acos(v) for v in c.tolist()], dtype=float))
+
+
+def absolute_pose_error(est: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position (m) and orientation (deg) errors of every row of an
+    estimated track against the index-aligned ground-truth track."""
+    if est.shape != gt.shape:
+        raise ValueError(f"tracks differ in shape: {est.shape} vs {gt.shape}")
+    return _distances(gt[:, :3], est[:, :3]), _angles_deg(gt[:, 3:], est[:, 3:])
+
+
+def relative_errors(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
     """Per consecutive pair, the absolute difference of the two tracks'
-    motion magnitudes: (distance difference m, angle difference deg).
-    Invariant under a rigid transform of either whole track."""
+    motion magnitudes, as an (N - 1, 2) array of (distance difference m,
+    angle difference deg).  Invariant under a rigid transform of either
+    whole track."""
     if len(track_a) != len(track_b):
         raise ValueError(
             f"tracks differ in length: {len(track_a)} vs {len(track_b)}"
         )
     if len(track_a) < 2:
         raise ValueError("relative errors need at least two poses per track")
-    out: list[tuple[float, float]] = []
-    for i in range(len(track_a) - 1):
-        ua = odometry(track_a[i], track_a[i + 1])
-        ub = odometry(track_b[i], track_b[i + 1])
-        out.append((abs(ua.dist - ub.dist), abs(ua.angle - ub.angle)))
-    return out
+
+    def steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _distances(t[:-1, :3], t[1:, :3]), _angles_deg(t[:-1, 3:], t[1:, 3:])
+
+    (dist_a, angle_a), (dist_b, angle_b) = steps(track_a), steps(track_b)
+    return np.column_stack((np.abs(dist_a - dist_b), np.abs(angle_a - angle_b)))
 
 
 def empirical_cdf(errors: Sequence[float], d: float) -> float:
@@ -138,17 +143,17 @@ def empirical_cdf(errors: Sequence[float], d: float) -> float:
     return int(np.count_nonzero(np.asarray(errors, dtype=float) <= d)) / len(errors)
 
 
-def precision_buckets(records: Sequence[ErrorRecord]) -> PrecisionBuckets:
+def precision_buckets(pos: np.ndarray, ori: np.ndarray) -> PrecisionBuckets:
     """Fraction of records within each precision level (inclusive on
-    both bounds)."""
-    if len(records) == 0:
+    both bounds), from index-aligned position and orientation errors."""
+    if len(pos) == 0:
         raise ValueError("precision_buckets needs at least one record")
-    pos = np.array([r.pos_err for r in records], dtype=float)
-    ori = np.array([r.ori_err for r in records], dtype=float)
+    pos = np.asarray(pos, dtype=float)
+    ori = np.asarray(ori, dtype=float)
 
     def frac(level: tuple[float, float]) -> float:
         d, o = level
-        return int(np.count_nonzero((pos <= d) & (ori <= o))) / len(records)
+        return int(np.count_nonzero((pos <= d) & (ori <= o))) / len(pos)
 
     return PrecisionBuckets(
         high=frac(PRECISION_HIGH),
@@ -157,9 +162,9 @@ def precision_buckets(records: Sequence[ErrorRecord]) -> PrecisionBuckets:
     )
 
 
-def kabsch_align(source: Sequence[Vec3], target: Sequence[Vec3]) -> RigidTransform:
+def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid fit (rotation + translation, no scale) taking
-    source points onto target points.
+    (N, 3) source points onto (N, 3) target points.
 
     Centers both sets, takes the SVD of the correlation matrix, and
     flips the smallest singular direction when the raw solution would be
@@ -172,8 +177,8 @@ def kabsch_align(source: Sequence[Vec3], target: Sequence[Vec3]) -> RigidTransfo
         )
     if len(source) < 3:
         raise ValueError("rigid fit needs at least 3 point pairs")
-    src = np.array([[p.x, p.y, p.z] for p in source], dtype=float)
-    dst = np.array([[p.x, p.y, p.z] for p in target], dtype=float)
+    src = np.asarray(source, dtype=float)
+    dst = np.asarray(target, dtype=float)
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
     h = (src - src_c).T @ (dst - dst_c)
@@ -191,35 +196,65 @@ def kabsch_align(source: Sequence[Vec3], target: Sequence[Vec3]) -> RigidTransfo
     return RigidTransform(rot, t)
 
 
-def apply_alignment(poses: Sequence[Pose], transform: RigidTransform) -> list[Pose]:
-    """Map a whole track through a rigid transform (orientations pick up
-    the transform rotation on the left)."""
-    return [transform.apply_pose(p) for p in poses]
+def apply_alignment(track: np.ndarray, transform: RigidTransform) -> np.ndarray:
+    """Map a whole track through a rigid transform.  Positions go to
+    R x + t; orientations pick up the transform's quaternion on the left
+    and come back normalized and sign-canonical, as compose returns
+    them."""
+    # A stack of 3x3 @ 3x1 products runs the same kernel as the single
+    # product in RigidTransform.apply_point, so every row matches it bit
+    # for bit; one (N, 3) @ (3, 3) product rounds about a quarter of the
+    # entries differently.
+    pos = np.matmul(transform.rotation.m, track[:, :3, None])[:, :, 0]
+    pos += transform.translation.as_array()
+    g = transform.rotation.to_quaternion()
+    w, x, y, z = track[:, 3], track[:, 4], track[:, 5], track[:, 6]
+    q = np.column_stack((
+        g.w * w - g.x * x - g.y * y - g.z * z,
+        g.w * x + g.x * w + g.y * z - g.z * y,
+        g.w * y - g.x * z + g.y * w + g.z * x,
+        g.w * z + g.x * y - g.y * x + g.z * w,
+    ))
+    q /= np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])[:, None]
+    # UnitQuaternion's sign rule: the first nonzero component is positive.
+    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    q[lead < 0.0] *= -1.0
+    return np.column_stack((pos, q))
 
 
-def summarize_errors(records: Sequence[ErrorRecord]) -> SummaryReport:
-    """Medians, means, precision buckets and CDF samples for one record
-    set.  Medians average the two central order statistics on even
-    counts."""
-    if len(records) == 0:
+def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:
+    """Medians, means, precision buckets and CDF samples for one set of
+    index-aligned position (m) and orientation (deg) errors.  Medians
+    average the two central order statistics on even counts."""
+    pos = np.asarray(pos, dtype=float)
+    ori = np.asarray(ori, dtype=float)
+    if pos.ndim != 1 or pos.shape != ori.shape:
+        raise ValueError(
+            f"pos and ori errors must be 1-D and index-aligned, got {pos.shape} vs {ori.shape}"
+        )
+    if len(pos) == 0:
         raise ValueError("summarize_errors needs at least one record")
-    pos = np.array([r.pos_err for r in records], dtype=float)
-    ori = np.array([r.ori_err for r in records], dtype=float)
+    bad = ~(np.isfinite(pos) & (pos >= 0.0))
+    if bad.any():
+        raise ValueError(f"pos_err must be finite and >= 0, got {pos[bad][0]!r}")
+    bad = ~(np.isfinite(ori) & (ori >= 0.0) & (ori <= 180.0))
+    if bad.any():
+        raise ValueError(f"ori_err must be in [0, 180], got {ori[bad][0]!r}")
     return SummaryReport(
-        count=len(records),
+        count=len(pos),
         median_pos=float(np.median(pos)),
         median_ori=float(np.median(ori)),
         mean_pos=float(pos.mean()),
         mean_ori=float(ori.mean()),
-        buckets=precision_buckets(records),
+        buckets=precision_buckets(pos, ori),
         cdf_pos=tuple((d, empirical_cdf(pos, d)) for d in CDF_POS_THRESHOLDS),
         cdf_ori=tuple((d, empirical_cdf(ori, d)) for d in CDF_ORI_THRESHOLDS),
     )
 
 
 def align_and_evaluate(
-    est_track: Sequence[Pose],
-    gt_track: Sequence[Pose],
+    est_track: np.ndarray,
+    gt_track: np.ndarray,
     window_seconds: float,
     timestamps: Sequence[float],
 ) -> SummaryReport:
@@ -237,19 +272,13 @@ def align_and_evaluate(
         raise ValueError("align_and_evaluate needs a non-empty track")
     if not window_seconds > 0.0:
         raise ValueError("window_seconds must be positive")
-    t0 = timestamps[0]
-    window = [i for i, t in enumerate(timestamps) if (t - t0) < window_seconds]
-    if len(window) < 3:
+    ts = np.asarray(timestamps, dtype=float)
+    window = (ts - ts[0]) < window_seconds
+    n_window = int(np.count_nonzero(window))
+    if n_window < 3:
         raise ValueError(
-            f"alignment window holds {len(window)} frames, need at least 3"
+            f"alignment window holds {n_window} frames, need at least 3"
         )
-    transform = kabsch_align(
-        [est_track[i].position for i in window],
-        [gt_track[i].position for i in window],
-    )
-    aligned = apply_alignment(est_track, transform)
-    records = [
-        absolute_pose_error(a, g, frame_index=i)
-        for i, (a, g) in enumerate(zip(aligned, gt_track))
-    ]
-    return summarize_errors(records)
+    transform = kabsch_align(est_track[window, :3], gt_track[window, :3])
+    pos, ori = absolute_pose_error(apply_alignment(est_track, transform), gt_track)
+    return summarize_errors(pos, ori)

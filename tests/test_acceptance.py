@@ -65,12 +65,11 @@ from posefuse.geometry import (
     translation_distance,
 )
 from posefuse.metrics import (
-    ErrorRecord,
-    absolute_pose_error,
     empirical_cdf,
     kabsch_align,
     precision_buckets,
     relative_errors,
+    track_array,
 )
 from posefuse.synth import (
     AprNoiseModel,
@@ -93,9 +92,10 @@ def median_objective(points, candidate):
     return sum(translation_distance(p, candidate) for p in points)
 
 
-@pytest.fixture(scope="module")
-def rng():
-    return np.random.Generator(np.random.PCG64(20240915))
+def seeded(criterion: int) -> np.random.Generator:
+    """A generator of the criterion's own, so that it draws the same data
+    when it runs alone (``-k``) as in the full run."""
+    return np.random.Generator(np.random.PCG64([20240915, criterion]))
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,8 @@ def apr_inlier_envelope(model, coverage=0.999):
     return pos, rot
 
 
-def test_criterion_01_reference_fixed_point(rng):
+def test_criterion_01_reference_fixed_point():
+    rng = seeded(1)
     t0 = time.perf_counter()
     worst_pos, worst_ang = 0.0, 0.0
     for _ in range(1000):
@@ -166,7 +167,8 @@ def test_criterion_01_reference_fixed_point(rng):
     assert elapsed < 1.0
 
 
-def test_criterion_02_rigid_invariance(rng):
+def test_criterion_02_rigid_invariance():
+    rng = seeded(2)
     worst_pos, worst_ang = 0.0, 0.0
     for _ in range(1000):
         ref = ReferencePair(apr_ref=random_pose(rng), vio_ref=random_pose(rng))
@@ -212,11 +214,12 @@ def test_criterion_03_checker_truth_table():
     assert case1 is True
     assert case2 is False
     assert case3 is True  # shared offset cancels in the comparison
-    assert absolute_pose_error(far(gt0, 5.0), gt0).pos_err > cfg.d_th
+    assert translation_distance(far(gt0, 5.0).position, gt0.position) > cfg.d_th
     assert case4 is False
 
 
-def test_criterion_04_median_against_grid(rng):
+def test_criterion_04_median_against_grid():
+    rng = seeded(4)
     t0 = time.perf_counter()
     worst_gap = -np.inf
     for _ in range(200):
@@ -232,7 +235,8 @@ def test_criterion_04_median_against_grid(rng):
     assert elapsed < 30.0
 
 
-def test_criterion_05_quaternion_average_oracle(rng):
+def test_criterion_05_quaternion_average_oracle():
+    rng = seeded(5)
     worst = 0.0
     for _ in range(1000):
         qa, qb = random_quaternion(rng), random_quaternion(rng)
@@ -258,9 +262,9 @@ def test_criterion_05_quaternion_average_oracle(rng):
 def test_criterion_06_vio_calibration_gate():
     gt = [s.gt for s in generate_gt(TrajectoryConfig(n_frames=10_001, seed=17))]
     vio = simulate_vio(gt, VioNoiseModel(), 17 + VIO_SEED_OFFSET)
-    pairs = relative_errors(vio, gt)
+    pairs = relative_errors(track_array(vio), track_array(gt))
     assert len(pairs) >= 10_000
-    good = sum(1 for rpe, roe in pairs if rpe < 0.1 and roe < 1.0)
+    good = int(np.count_nonzero((pairs[:, 0] < 0.1) & (pairs[:, 1] < 1.0)))
     fraction = good / len(pairs)
     print(f"criterion 6: {fraction:.4f} of {len(pairs)} steps under 0.1 m / 1 deg (need >= 0.90)")
     assert fraction >= 0.90
@@ -341,13 +345,16 @@ def test_criterion_08_drift_bounding(mc):
 def test_criterion_09_metrics_conformance(tmp_path):
     assert empirical_cdf([0.05, 0.2, 0.5], 0.2) == pytest.approx(2 / 3)
 
-    b = precision_buckets([ErrorRecord(0, 0.2, 1.5)])
+    def buckets(pos, ori):
+        return precision_buckets(np.array([pos]), np.array([ori]))
+
+    b = buckets(0.2, 1.5)
     assert (b.high, b.medium, b.low) == (1.0, 1.0, 1.0)
-    b = precision_buckets([ErrorRecord(0, 0.3, 3.0)])
+    b = buckets(0.3, 3.0)
     assert (b.high, b.medium, b.low) == (0.0, 1.0, 1.0)
-    b = precision_buckets([ErrorRecord(0, 6.0, 1.0)])
+    b = buckets(6.0, 1.0)
     assert (b.high, b.medium, b.low) == (0.0, 0.0, 0.0)
-    assert precision_buckets([ErrorRecord(0, 0.25, 2.0)]).high == 1.0  # inclusive
+    assert buckets(0.25, 2.0).high == 1.0  # inclusive
 
     rng = np.random.Generator(np.random.PCG64(11))
     rot = axis_angle_quaternion(Z, 30.0)
@@ -356,7 +363,9 @@ def test_criterion_09_metrics_conformance(tmp_path):
 
     true = RigidTransform.from_quaternion(rot, Vec3(0.5, -1.0, 2.0))
     dst = [true.apply_point(p) for p in src]
-    fit = kabsch_align(src, dst)
+    fit = kabsch_align(
+        np.array([p.as_array() for p in src]), np.array([p.as_array() for p in dst])
+    )
     residual = max(translation_distance(fit.apply_point(s), d) for s, d in zip(src, dst))
     assert residual < 1e-6
 

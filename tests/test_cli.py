@@ -6,8 +6,16 @@ from pathlib import Path
 import pytest
 
 from posefuse.cli import RunManifest, build_manifest, main, run_pipeline_command
-from posefuse.io import SEQUENCE_COLUMNS, parse_sequence
+from posefuse.io import SEQUENCE_COLUMNS, parse_sequence, write_sequence
 from posefuse.metrics import CDF_ORI_THRESHOLDS, CDF_POS_THRESHOLDS
+from posefuse.synth import (
+    AprNoiseModel,
+    TrajectoryConfig,
+    VioNoiseModel,
+    generate_gt,
+    simulate_apr,
+    simulate_vio,
+)
 
 HEADER = ",".join(SEQUENCE_COLUMNS)
 IDENTITY = "0,0,0,1,0,0,0"
@@ -226,7 +234,34 @@ class TestPinnedReports:
             assert got == (REPORTS / f"{name}.{suffix}").read_bytes(), suffix
 
 
+def straight_walk_file(tmp_path, frames=200):
+    """A walk that never turns: its gt positions are collinear, so no
+    rigid fit onto them determines a rotation."""
+    samples = generate_gt(TrajectoryConfig(n_frames=frames, seed=3, turn_rate_std=0.0))
+    gt = [s.gt for s in samples]
+    for s, v, a in zip(samples, simulate_vio(gt, VioNoiseModel(), 4), simulate_apr(gt, AprNoiseModel(), 5)):
+        s.vio, s.apr = v, a
+    path = tmp_path / "straight.csv"
+    write_sequence(path, samples)
+    return path
+
+
 class TestFileRuns:
+    def test_straight_walk_keeps_fused_report(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["--input", str(straight_walk_file(tmp_path)), "--mode", "fusion", "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "straight.summary.json").read_text())
+        assert summary["groups"]["all_frames"]["fused"]["count"] == 200
+        assert "vio" not in summary
+        series = {line.split(",")[0] for line in (out / "straight.cdf.csv").read_text().splitlines()[1:]}
+        assert series == {"fused", "raw_apr"}
+
+    def test_straight_walk_vio_eval_names_the_fit(self, tmp_path, capsys):
+        rc = main(["--input", str(straight_walk_file(tmp_path)), "--mode", "vio-eval", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "rigid fit is rank deficient" in capsys.readouterr().err
+
     def test_fusion_without_apr_names_the_stream(self, tmp_path, capsys):
         path = gt_vio_file(tmp_path)
         rc = main(["--input", str(path), "--mode", "fusion", "--out", str(tmp_path / "o")])

@@ -31,7 +31,6 @@ from posefuse.geometry import (
     translation_distance,
 )
 from posefuse.io import PoseSample
-from posefuse.metrics import absolute_pose_error
 from posefuse.synth import (
     AprNoiseModel,
     TrajectoryConfig,
@@ -136,7 +135,7 @@ class TestCheckerCases:
     def test_case_3_shared_offset_false_positive(self):
         # Both wrong the same way: passes, and that is the documented gap.
         assert self.check(self.far(self.gt0, 5.0), self.far(self.gt1, 5.0))
-        assert absolute_pose_error(self.far(self.gt0, 5.0), self.gt0).pos_err > CFG.d_th
+        assert translation_distance(self.far(self.gt0, 5.0).position, self.gt0.position) > CFG.d_th
 
     def test_case_4_both_inaccurate_differently_fails(self):
         assert not self.check(self.far(self.gt0, 5.0), self.far(self.gt1, -5.0, -15.0))
@@ -625,7 +624,7 @@ class TestStateMachineInvariants:
             for s, o in zip(samples, run_sequence(samples, CFG)):
                 if o.label is Label.KEYFRAME:
                     kf_total += 1
-                    if absolute_pose_error(s.apr, s.gt).pos_err > CFG.d_th / 2:
+                    if translation_distance(s.apr.position, s.gt.position) > CFG.d_th / 2:
                         kf_bad += 1
         assert 60 * 200 >= 10_000  # enough simulated frames to judge
         assert kf_total > 1_000
