@@ -132,7 +132,7 @@ def _sequences(manifest: RunManifest):
         for s, v, a in zip(samples, vio, apr):
             s.vio = v
             s.apr = a
-        if manifest.save_sequences and "csv" in manifest.formats:
+        if manifest.save_sequences:
             write_sequence(manifest.out_dir / f"synth-{seed}.sequence.csv", samples)
         yield f"synth-{seed}", samples
 

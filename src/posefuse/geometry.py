@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable
 
 import numpy as np
 
 # Orthonormality / determinant bound for rotation matrices.
 ROTATION_TOL = 1e-9
+
+# The value classes are frozen: their constructors, which validate and
+# convert each field once, store fields past the frozen __setattr__.
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,12 +36,15 @@ class Vec3:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        x, y, z = float(x), float(y), float(z)
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            for name, v in (("x", x), ("y", y), ("z", z)):
+                if not isfinite(v):
+                    raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -76,18 +84,15 @@ class UnitQuaternion:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        vals = [float(self.w), float(self.x), float(self.y), float(self.z)]
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"quaternion components must be finite, got {vals}")
-        n = math.sqrt(sum(v * v for v in vals))
-        if n < 1e-12:
-            raise ValueError("quaternion norm too close to zero to normalize")
-        vals = [v / n for v in vals]
-        if _canonical_flip(vals):
-            vals = [-v for v in vals]
-        for name, v in zip(("w", "x", "y", "z"), vals):
-            object.__setattr__(self, name, v)
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        w, x, y, z = float(w), float(x), float(y), float(z)
+        if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
+            raise ValueError(f"quaternion components must be finite, got {[w, x, y, z]}")
+        w, x, y, z = _normalize((w, x, y, z))
+        _set(self, "w", w)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @classmethod
     def identity(cls) -> "UnitQuaternion":
@@ -97,16 +102,50 @@ class UnitQuaternion:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 
 
-def _canonical_flip(vals: list[float]) -> bool:
-    # Sign rule collapsing the double cover: w >= 0, tie broken by the
-    # first nonzero vector component.
-    w = vals[0]
-    if w != 0.0:
-        return w < 0.0
-    for v in vals[1:]:
-        if v != 0.0:
-            return v < 0.0
-    return False
+# Float-tuple forms of the quaternion formulas, (w, x, y, z).  The
+# classes and functions of this module are built on them, and so is the
+# synthetic stream generator, which chains many rotations per frame
+# without building an object for each.
+
+
+def _normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """Unit norm, then the sign rule collapsing the double cover: w >= 0,
+    ties broken by the first nonzero vector component."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-12:
+        raise ValueError("quaternion norm too close to zero to normalize")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0 or (w == 0.0 and (x < 0.0 or (x == 0.0 and (y < 0.0 or (y == 0.0 and z < 0.0))))):
+        return -w, -x, -y, -z
+    return w, x, y, z
+
+
+def _hamilton(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """Hamilton product a * b, not normalized."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _axis_angle(
+    axis: tuple[float, float, float], angle_deg: float
+) -> tuple[float, float, float, float]:
+    """Rotation of angle_deg about axis, not normalized."""
+    ax, ay, az = axis
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    if n < 1e-12:
+        raise ValueError("rotation axis must be nonzero")
+    half = math.radians(angle_deg) * 0.5
+    s = math.sin(half) / n
+    return math.cos(half), ax * s, ay * s, az * s
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,15 +165,14 @@ class Odometry:
     dist: float
     angle: float
 
-    def __post_init__(self) -> None:
-        dist = float(self.dist)
-        angle = float(self.angle)
-        if not (math.isfinite(dist) and dist >= 0.0):
+    def __init__(self, dist: float, angle: float) -> None:
+        dist, angle = float(dist), float(angle)
+        if not (isfinite(dist) and dist >= 0.0):
             raise ValueError(f"odometry distance must be finite and >= 0, got {dist!r}")
-        if not (math.isfinite(angle) and 0.0 <= angle <= 180.0):
+        if not (isfinite(angle) and 0.0 <= angle <= 180.0):
             raise ValueError(f"odometry angle must be in [0, 180] degrees, got {angle!r}")
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "angle", angle)
+        _set(self, "dist", dist)
+        _set(self, "angle", angle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +260,7 @@ class RigidTransform:
 
 def compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a * b, renormalized and sign-canonicalized."""
-    return UnitQuaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
 
 def inverse(q: UnitQuaternion) -> UnitQuaternion:
@@ -290,9 +323,4 @@ def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
 
 def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
     """Quaternion for a rotation of angle_deg about axis."""
-    n = axis.norm()
-    if n < 1e-12:
-        raise ValueError("rotation axis must be nonzero")
-    half = math.radians(angle_deg) * 0.5
-    s = math.sin(half) / n
-    return UnitQuaternion(math.cos(half), axis.x * s, axis.y * s, axis.z * s)
+    return UnitQuaternion(*_axis_angle((axis.x, axis.y, axis.z), angle_deg))

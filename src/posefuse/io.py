@@ -30,6 +30,8 @@ SEQUENCE_COLUMNS = (
 QUAT_NORM_SLACK = 1e-3
 
 _FLOAT_FMT = "%.12g"
+_POSE_GROUP = ("," + _FLOAT_FMT) * 7
+_EMPTY_GROUP = "," * 7
 
 
 class SequenceFormatError(ValueError):
@@ -104,23 +106,22 @@ def parse_sequence(path: str | Path) -> list[PoseSample]:
 
 def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     """Serialize samples back to the sequence CSV format.  Floats keep 12
-    significant digits, enough for a lossless-in-practice round trip."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEQUENCE_COLUMNS)
-        for s in samples:
-            row: list[str] = [str(int(s.frame_index)), _FLOAT_FMT % s.timestamp]
-            for pose in (s.gt, s.vio, s.apr):
-                row.extend(_pose_fields(pose))
-            writer.writerow(row)
-
-
-def _pose_fields(pose: Optional[Pose]) -> list[str]:
-    if pose is None:
-        return [""] * 7
-    p, q = pose.position, pose.orientation
-    return [_FLOAT_FMT % v for v in (p.x, p.y, p.z, q.w, q.x, q.y, q.z)]
+    significant digits, enough for a lossless-in-practice round trip.
+    Lines end in CRLF, as csv.writer ends them; no field needs quoting."""
+    lines = [",".join(SEQUENCE_COLUMNS)]
+    for s in samples:
+        fmt = "%d," + _FLOAT_FMT
+        values: list = [s.frame_index, s.timestamp]
+        for pose in (s.gt, s.vio, s.apr):
+            if pose is None:
+                fmt += _EMPTY_GROUP
+            else:
+                fmt += _POSE_GROUP
+                p, q = pose.position, pose.orientation
+                values += (p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+        lines.append(fmt % tuple(values))
+    lines.append("")
+    Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
 
 def _parse_int(text: str, name: str, line_no: int) -> int:

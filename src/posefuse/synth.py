@@ -25,14 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    Pose,
-    UnitQuaternion,
-    Vec3,
-    axis_angle_quaternion,
-    compose,
-    inverse,
-)
+from .geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton, _normalize
 from .io import PoseSample
 
 
@@ -97,12 +90,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _random_unit(rng: np.random.Generator) -> Vec3:
+def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
     while True:
         v = rng.normal(0.0, 1.0, 3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
         if n > 1e-6:
-            return Vec3(v[0] / n, v[1] / n, v[2] / n)
+            x, y, z = v.tolist()
+            return x / n, y / n, z / n
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the rows of an (N, 3) array, bit for bit the norm
+    _random_unit takes of one row.  numpy computes a (1, 3) by (3, 1)
+    matmul with the dot routine the 1-D v.dot(v) calls; a plain sum of
+    squares would differ wherever BLAS fuses the multiply-adds."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
 
 
 def generate_gt(cfg: TrajectoryConfig) -> list[PoseSample]:
@@ -110,21 +112,39 @@ def generate_gt(cfg: TrajectoryConfig) -> list[PoseSample]:
     stream, timestamped at the frame rate starting from zero."""
     rng = _rng(cfg.seed)
     dt = 1.0 / cfg.frame_rate_hz
-    yaw_deg = 0.0
-    pos = Vec3.zero()
-    z_axis = Vec3(0.0, 0.0, 1.0)
-    samples = [
-        PoseSample(0, 0.0, gt=Pose(pos, UnitQuaternion.identity()))
-    ]
-    for i in range(1, cfg.n_frames):
-        yaw_deg += float(rng.normal(0.0, cfg.turn_rate_std)) * dt
-        speed = max(float(rng.normal(cfg.speed_mean, cfg.speed_std)), 0.0)
+    # Per step: heading change, then speed.
+    draws = rng.normal(
+        [0.0, cfg.speed_mean], [cfg.turn_rate_std, cfg.speed_std], (cfg.n_frames - 1, 2)
+    )
+    yaw_deg = x = y = 0.0
+    samples = [PoseSample(0, 0.0, gt=Pose(Vec3.zero(), UnitQuaternion.identity()))]
+    for i, (turn, speed) in enumerate(draws.tolist(), start=1):
+        yaw_deg += turn * dt
+        step = max(speed, 0.0) * dt
         heading = math.radians(yaw_deg)
-        step = Vec3(math.cos(heading), math.sin(heading), 0.0) * (speed * dt)
-        pos = pos + step
-        ori = axis_angle_quaternion(z_axis, yaw_deg)
-        samples.append(PoseSample(i, i * dt, gt=Pose(pos, ori)))
+        x += math.cos(heading) * step
+        y += math.sin(heading) * step
+        ori = UnitQuaternion(*_axis_angle((0.0, 0.0, 1.0), yaw_deg))
+        samples.append(PoseSample(i, i * dt, gt=Pose(Vec3(x, y, 0.0), ori)))
     return samples
+
+
+def _vio_step_draws(rng: np.random.Generator, n_steps: int, width: int) -> np.ndarray:
+    """(n_steps, width) standard normals in the order a step-by-step
+    loop draws them: 3 position noise, then, for width 7, a rotation
+    axis and an angle.  An axis of norm <= 1e-6 is rejected and redrawn
+    before its angle, as _random_unit does, which shifts the rest of
+    the stream by three draws."""
+    z = rng.standard_normal(n_steps * width)
+    if width == 3:
+        return z.reshape(n_steps, 3)
+    while True:
+        steps = z.reshape(n_steps, 7)
+        rejected = np.flatnonzero(_row_norms(steps[:, 3:6]) <= 1e-6)
+        if rejected.size == 0:
+            return steps
+        k = int(rejected[0]) * 7 + 3
+        z = np.concatenate([z[:k], z[k + 3 :], rng.standard_normal(3)])
 
 
 def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> list[Pose]:
@@ -141,28 +161,45 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> list[Po
     rng = _rng(seed)
     bias_dir = _random_unit(rng)
     bias_axis = _random_unit(rng)
+    bx, by, bz = (c * model.drift_bias_pos for c in bias_dir)
+    bias_rot = _normalize(_axis_angle(bias_axis, model.drift_bias_rot))
+    noisy_rot = model.step_rot_sigma > 0.0
+    steps = _vio_step_draws(rng, len(gt) - 1, 7 if noisy_rot else 3)
+    # rng.normal(0.0, sigma) is 0.0 + sigma * z; the 0.0 + keeps a zero
+    # draw's sign the same.
+    noise = (0.0 + model.step_pos_sigma * steps[:, :3]).tolist()
+    if noisy_rot:
+        axes = 0.0 + steps[:, 3:6]
+        axes = (axes / _row_norms(axes)[:, None]).tolist()
+        angles = (0.0 + model.step_rot_sigma * steps[:, 6]).tolist()
+
     out = [gt[0]]
+    p, q = gt[0].position, gt[0].orientation
+    x, y, z = p.x, p.y, p.z
+    ori = (q.w, q.x, q.y, q.z)
     for i in range(1, len(gt)):
-        d_pos = gt[i].position - gt[i - 1].position
-        d_rot = compose(inverse(gt[i - 1].orientation), gt[i].orientation)
-        noise = rng.normal(0.0, model.step_pos_sigma, 3)
-        pos = (
-            out[-1].position
-            + d_pos
-            + Vec3(noise[0], noise[1], noise[2])
-            + bias_dir * model.drift_bias_pos
+        prev, cur = gt[i - 1], gt[i]
+        pp, cp = prev.position, cur.position
+        pq, cq = prev.orientation, cur.orientation
+        nx, ny, nz = noise[i - 1]
+        # Summed left to right and the conjugate normalized, as the Vec3
+        # sums and inverse() did: either change would move the last bits.
+        x = x + (cp.x - pp.x) + nx + bx
+        y = y + (cp.y - pp.y) + ny + by
+        z = z + (cp.z - pp.z) + nz + bz
+        d_rot = _normalize(
+            _hamilton(_normalize((pq.w, -pq.x, -pq.y, -pq.z)), (cq.w, cq.x, cq.y, cq.z))
         )
-        ori = compose(out[-1].orientation, d_rot)
-        if model.step_rot_sigma > 0.0:
-            ori = compose(
-                ori,
-                axis_angle_quaternion(
-                    _random_unit(rng), float(rng.normal(0.0, model.step_rot_sigma))
-                ),
-            )
+        # Each product but the last is normalized here; the last one is
+        # normalized by the UnitQuaternion constructor.
+        r = _hamilton(ori, d_rot)
+        if noisy_rot:
+            r = _hamilton(_normalize(r), _normalize(_axis_angle(axes[i - 1], angles[i - 1])))
         if model.drift_bias_rot > 0.0:
-            ori = compose(ori, axis_angle_quaternion(bias_axis, model.drift_bias_rot))
-        out.append(Pose(pos, ori))
+            r = _hamilton(_normalize(r), bias_rot)
+        q = UnitQuaternion(*r)
+        out.append(Pose(Vec3(x, y, z), q))
+        ori = (q.w, q.x, q.y, q.z)
     return out
 
 
@@ -170,19 +207,27 @@ def simulate_apr(gt: Sequence[Pose], model: AprNoiseModel, seed: int) -> list[Po
     """Absolute-pose track over a ground-truth track, one independent
     draw per frame."""
     rng = _rng(seed)
+    uniform, standard_normal = rng.random, rng.standard_normal
+    pos_sigma, rot_sigma = model.inlier_pos_sigma, model.inlier_rot_sigma
+    # rng.uniform(0.0, b) is 0.0 + b * rng.random(), and rng.normal(0.0,
+    # s) is 0.0 + s * rng.standard_normal(); the forms below draw the
+    # same values at less cost per call.
     out: list[Pose] = []
     for pose in gt:
-        if float(rng.random()) < model.outlier_prob:
+        if uniform() < model.outlier_prob:
             # Offset uniform in a ball, rotation of uniform magnitude.
-            radius = model.outlier_pos_range * float(rng.random()) ** (1.0 / 3.0)
-            offset = _random_unit(rng) * radius
-            angle = float(rng.uniform(0.0, model.outlier_rot_range))
+            radius = model.outlier_pos_range * uniform() ** (1.0 / 3.0)
+            ux, uy, uz = _random_unit(rng)
+            ox, oy, oz = ux * radius, uy * radius, uz * radius
+            angle = 0.0 + model.outlier_rot_range * uniform()
         else:
-            noise = rng.normal(0.0, model.inlier_pos_sigma, 3)
-            offset = Vec3(noise[0], noise[1], noise[2])
-            angle = float(rng.normal(0.0, model.inlier_rot_sigma))
-        ori = pose.orientation
+            # 3 position noise, then the rotation angle.
+            zx, zy, zz, za = standard_normal(4).tolist()
+            ox, oy, oz = 0.0 + pos_sigma * zx, 0.0 + pos_sigma * zy, 0.0 + pos_sigma * zz
+            angle = 0.0 + rot_sigma * za
+        p, q = pose.position, pose.orientation
         if angle != 0.0:
-            ori = compose(ori, axis_angle_quaternion(_random_unit(rng), angle))
-        out.append(Pose(pose.position + offset, ori))
+            r = _hamilton((q.w, q.x, q.y, q.z), _normalize(_axis_angle(_random_unit(rng), angle)))
+            q = UnitQuaternion(*r)
+        out.append(Pose(Vec3(p.x + ox, p.y + oy, p.z + oz), q))
     return out

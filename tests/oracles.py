@@ -155,3 +155,47 @@ def chordal_distance(qa, qb) -> float:
     a = np.asarray(qa, dtype=float)
     b = np.asarray(qb, dtype=float)
     return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+
+
+def sequential_vio(gt, model, rng):
+    """Odometry track over gt, drawn one generator call per draw: the loop
+    ``posefuse.synth.simulate_vio`` ran before it took each step's draws
+    from one block.
+
+    Unlike the rest of this module it builds on the package's rotation
+    functions, on purpose: it pins the order in which draws are taken and
+    used (a rejected rotation axis is redrawn before its angle), while
+    the stream digests in ``test_synth.py`` pin the arithmetic.
+    """
+    from posefuse.geometry import Pose, Vec3, axis_angle_quaternion, compose, inverse
+
+    def random_unit():
+        while True:
+            v = rng.normal(0.0, 1.0, 3)
+            n = float(np.linalg.norm(v))
+            if n > 1e-6:
+                return Vec3(v[0] / n, v[1] / n, v[2] / n)
+
+    bias_dir = random_unit()
+    bias_axis = random_unit()
+    out = [gt[0]]
+    for i in range(1, len(gt)):
+        d_pos = gt[i].position - gt[i - 1].position
+        d_rot = compose(inverse(gt[i - 1].orientation), gt[i].orientation)
+        noise = rng.normal(0.0, model.step_pos_sigma, 3)
+        pos = (
+            out[-1].position
+            + d_pos
+            + Vec3(noise[0], noise[1], noise[2])
+            + bias_dir * model.drift_bias_pos
+        )
+        ori = compose(out[-1].orientation, d_rot)
+        if model.step_rot_sigma > 0.0:
+            ori = compose(
+                ori,
+                axis_angle_quaternion(random_unit(), float(rng.normal(0.0, model.step_rot_sigma))),
+            )
+        if model.drift_bias_rot > 0.0:
+            ori = compose(ori, axis_angle_quaternion(bias_axis, model.drift_bias_rot))
+        out.append(Pose(pos, ori))
+    return out

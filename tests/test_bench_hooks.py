@@ -1,19 +1,59 @@
 """The traced benchmark run swaps named package attributes for span
 recorders (``bench/tracing.py``).  Every name it patches must still
-resolve to a callable, or a refactor would silently break the traced
-run instead of failing here."""
+resolve to a callable, and the CLI must still call each layer through
+that name, or a refactor would silently break the traced run (or zero
+its per-layer figures) instead of failing here."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from posefuse import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_patched_attribute_is_callable():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def count_cli_calls(monkeypatch, names):
+    patched = {(module, attr) for module, attr, _, _ in load_tracing().PATCHES}
+    counts = Counter()
+    for name in names:
+        assert ("posefuse.cli", name) in patched, name
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    return counts
+
+
+def test_synth_run_calls_each_traced_layer_once_per_sequence(tmp_path, monkeypatch):
+    names = ("generate_gt", "simulate_vio", "simulate_apr", "write_sequence", "run_sequence")
+    counts = count_cli_calls(monkeypatch, names)
+    argv = ["--synth", "2", "--frames", "30", "--save-sequence", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert counts == {name: 2 for name in names}
+
+
+def test_input_run_calls_parse_sequence(tmp_path, monkeypatch):
+    assert cli.main(["--synth", "1", "--frames", "30", "--save-sequence", "--out", str(tmp_path)]) == 0
+    counts = count_cli_calls(monkeypatch, ("parse_sequence", "run_sequence"))
+    argv = ["--input", str(tmp_path / "synth-0.sequence.csv"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert counts == {"parse_sequence": 1, "run_sequence": 1}
+
+
+def test_every_patched_attribute_is_callable():
+    tracing = load_tracing()
     assert tracing.PATCHES
     for module_name, attr, _, _ in tracing.PATCHES:
         module = importlib.import_module(module_name)

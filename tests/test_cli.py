@@ -224,6 +224,14 @@ class TestSynthRuns:
             for s in samples
         )
 
+    def test_save_sequence_ignores_report_formats(self, tmp_path):
+        a, b = tmp_path / "json_only", tmp_path / "csv_json"
+        assert main(synth_args(a) + ["--save-sequence", "--formats", "json"]) == 0
+        assert main(synth_args(b) + ["--save-sequence"]) == 0
+        assert not (a / "synth-7.frames.csv").exists()
+        got = (a / "synth-7.sequence.csv").read_bytes()
+        assert got == (b / "synth-7.sequence.csv").read_bytes()
+
 
 class TestPinnedReports:
     @pytest.mark.parametrize("name", ["partial_gt", "no_gt", "vio_eval"])

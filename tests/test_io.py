@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,22 @@ from posefuse.io import (
     parse_sequence,
     write_sequence,
 )
+from posefuse.synth import (
+    AprNoiseModel,
+    TrajectoryConfig,
+    VioNoiseModel,
+    generate_gt,
+    simulate_apr,
+    simulate_vio,
+)
 from helpers import random_pose
 
 HEADER = ",".join(SEQUENCE_COLUMNS)
 IDENTITY_GROUP = "0,0,0,1,0,0,0"
 EMPTY_GROUP = ",,,,,,"
+
+
+REPORTS = Path(__file__).parent / "data" / "reports"
 
 
 def write_text(tmp_path, text):
@@ -166,3 +178,32 @@ class TestRoundTrip:
         write_sequence(path, [])
         assert path.read_text(encoding="utf-8").strip() == HEADER
         assert parse_sequence(path) == []
+
+
+class TestWriterBytes:
+    """The pinned report inputs are 45 frames of the seed-3 synthetic
+    sequence, stream seeds derived as the CLI derives them, with one
+    stream dropped on some frames.  Writing them again must give the
+    committed bytes: 12 significant digits, seven empty fields for an
+    absent group, CRLF line ends."""
+
+    @pytest.mark.parametrize(
+        "name, stream, dropped",
+        [
+            ("no_gt", "gt", lambda i: True),
+            ("partial_gt", "gt", lambda i: i % 3 == 2),
+            ("vio_eval", "apr", lambda i: True),
+        ],
+    )
+    def test_rewrites_pinned_input(self, tmp_path, name, stream, dropped):
+        samples = generate_gt(TrajectoryConfig(n_frames=45, seed=3))
+        gt = [s.gt for s in samples]
+        vio = simulate_vio(gt, VioNoiseModel(), 3 + 1_000_003)
+        apr = simulate_apr(gt, AprNoiseModel(), 3 + 2_000_003)
+        for i, (s, v, a) in enumerate(zip(samples, vio, apr)):
+            s.vio, s.apr = v, a
+            if dropped(i):
+                setattr(s, stream, None)
+        path = tmp_path / f"{name}.csv"
+        write_sequence(path, samples)
+        assert path.read_bytes() == (REPORTS / f"{name}.csv").read_bytes()

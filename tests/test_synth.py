@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles import sequential_vio
+from posefuse import synth
 from posefuse.geometry import (
     UnitQuaternion,
     Vec3,
@@ -26,6 +30,11 @@ APR_SEED_OFFSET = 2_000_003
 
 def gt_poses(cfg):
     return [s.gt for s in generate_gt(cfg)]
+
+
+def pose_hex(pose):
+    p, q = pose.position, pose.orientation
+    return " ".join(float.hex(v) for v in (p.x, p.y, p.z, q.w, q.x, q.y, q.z))
 
 
 class TestConfigs:
@@ -223,3 +232,114 @@ class TestErrorTrends:
         apr_slope = float(np.polyfit(x, np.mean(apr_curves, axis=0), 1)[0])
         assert vio_slope > 5e-3
         assert abs(apr_slope) < 1e-3
+
+
+# sha256 over float.hex of every gt, vio and apr pose of seeds 0-9 at 200
+# frames and seeds 10-11 at 5000 frames, stream seeds derived as the CLI
+# derives them.  Recorded from the step-by-step generator that drew one
+# value per call; any change to a draw, its order or the float operations
+# applied to it changes a digest.
+#
+# The last bits of every random unit vector follow numpy's 3-term dot
+# product, which OpenBLAS computes with fused multiply-adds on some CPUs
+# (its AVX-512 kernels) and with plain ones on others, so each variant
+# has a digest for each.  A kernel that sums in yet another order
+# matches neither.
+STREAM_MODELS = {
+    "defaults": (TrajectoryConfig(), VioNoiseModel(), AprNoiseModel()),
+    "no_step_rotation": (TrajectoryConfig(), VioNoiseModel(step_rot_sigma=0.0), AprNoiseModel()),
+    "no_drift_bias": (TrajectoryConfig(), VioNoiseModel(drift_bias_pos=0.0, drift_bias_rot=0.0), AprNoiseModel()),
+    "straight_constant_speed": (TrajectoryConfig(turn_rate_std=0.0, speed_std=0.0), VioNoiseModel(), AprNoiseModel()),
+    "no_outliers": (TrajectoryConfig(), VioNoiseModel(), AprNoiseModel(outlier_prob=0.0)),
+    "all_outliers": (TrajectoryConfig(), VioNoiseModel(), AprNoiseModel(outlier_prob=1.0)),
+    "frame_rate_10hz": (TrajectoryConfig(frame_rate_hz=10.0), VioNoiseModel(), AprNoiseModel()),
+}
+STREAM_DIGESTS = {
+    "fused": {
+        "defaults": "2bc9e8a00782e4d80282d0ba4d731d0ac724d67702bf94907c3d9b41fd4e5e8f",
+        "no_step_rotation": "5fa542086fc3399ccfcc92d1c05c7c431ef80a2560fe5e50fe23375ee044ad7d",
+        "no_drift_bias": "eb82d5b4a47841c25f56555bd7d31c643405f0b7276b8a5ef46841083275f62c",
+        "straight_constant_speed": "0b87ae5687628c0c987e3244d879e1e71b69530d0484e46be83dc4766595dcdf",
+        "no_outliers": "9452fb1c9affeb1b60a70946581be2f184f55d3ff5395fe06dd64b8db674d086",
+        "all_outliers": "0f203ab95d2f77b7965d5c46e704ff67c5f5f360bb464d5eedc61ec711e613ca",
+        "frame_rate_10hz": "b73aeca2892bfffde05f82f1d8d51f77c61694aefb9ed7f55e3ba7281e3acc87",
+    },
+    "plain": {
+        "defaults": "428c62c5768b5859135c91a7daa056e0fd8ba752b348dc57c176ee747f63c612",
+        "no_step_rotation": "0b626fa0a695d8a78d40ecde69b34bbf22f95502511960ec75ff03ac8f30088c",
+        "no_drift_bias": "116ac0ef702ba2dd0e4617f9cc65e810341337e8201c43c6907aceaa0e76b2dc",
+        "straight_constant_speed": "fcbd916ee94bedc2dbd44681677ebc17e4519135958e70d9e62e44841be1e6ef",
+        "no_outliers": "23ad6f87fa6de952ec930e3071261032e10287603323592df3f8d21726c70800",
+        "all_outliers": "138bb2595fe7f1801d1fa5311ebbe999e706e260aae199671a4110f0dad3f669",
+        "frame_rate_10hz": "b75523163260c5bd8be48e7203d0e93c779db0aff2c57636c9e0fd0f41cba21e",
+    },
+}
+
+
+def dot_kernel():
+    """Which of the two recorded kernels numpy's dot product runs here."""
+    v = np.array([0.3, 0.7, 0.9])
+    return "plain" if v.dot(v) == 0.3 * 0.3 + 0.7 * 0.7 + 0.9 * 0.9 else "fused"
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_MODELS))
+def test_streams_match_pinned_digest(variant):
+    traj, vio_model, apr_model = STREAM_MODELS[variant]
+    h = hashlib.sha256()
+    for seed, n_frames in [(seed, 200) for seed in range(10)] + [(10, 5000), (11, 5000)]:
+        samples = generate_gt(dataclasses.replace(traj, n_frames=n_frames, seed=seed))
+        gt = [s.gt for s in samples]
+        vio = simulate_vio(gt, vio_model, seed + VIO_SEED_OFFSET)
+        apr = simulate_apr(gt, apr_model, seed + APR_SEED_OFFSET)
+        for s, v, a in zip(samples, vio, apr):
+            line = f"{s.frame_index} {float.hex(s.timestamp)} {pose_hex(s.gt)} {pose_hex(v)} {pose_hex(a)}\n"
+            h.update(line.encode())
+    assert h.hexdigest() == STREAM_DIGESTS[dot_kernel()][variant]
+
+
+class ScriptedNormals:
+    """Stand-in for the generator that serves standard normals from a
+    fixed list, in order, to the normal and standard_normal calls the
+    odometry simulators make."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.taken = 0
+
+    def _take(self, size):
+        count = 1 if size is None else int(np.prod(size))
+        assert self.taken + count <= len(self.values), "script exhausted"
+        out = self.values[self.taken : self.taken + count]
+        self.taken += count
+        return float(out[0]) if size is None else out.reshape(size)
+
+    def standard_normal(self, size=None):
+        return self._take(size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self._take(size)
+
+
+class TestVioRejectedAxis:
+    def test_near_zero_axes_follow_the_sequential_stream(self, monkeypatch):
+        # An axis of norm <= 1e-6 is rejected and redrawn before its angle,
+        # which shifts every later draw.  Script one rejected bias
+        # direction, a step whose axis is rejected twice and a later step
+        # with one rejection.
+        gt = gt_poses(TrajectoryConfig(n_frames=30, seed=2))
+        source = np.random.Generator(np.random.PCG64(5))
+        tiny = [1e-7, -2e-7, 3e-7]
+        values = tiny + list(source.standard_normal(6))
+        for step in range(len(gt) - 1):
+            values += list(source.standard_normal(3))
+            values += tiny * {4: 2, 17: 1}.get(step, 0)
+            values += list(source.standard_normal(4))
+
+        want_rng = ScriptedNormals(values)
+        want = sequential_vio(gt, VioNoiseModel(), want_rng)
+        got_rng = ScriptedNormals(values)
+        monkeypatch.setattr(synth, "_rng", lambda seed: got_rng)
+        got = simulate_vio(gt, VioNoiseModel(), 0)
+
+        assert want_rng.taken == got_rng.taken == len(values)
+        assert [pose_hex(p) for p in got] == [pose_hex(p) for p in want]
