@@ -39,12 +39,17 @@ from .geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
+    _angles_deg,
+    _apply_rigid,
+    _distances,
+    _poses,
     compose,
     inverse,
     odometry,
     to_rotation_matrix,
 )
 from .io import PoseSample
+from .metrics import track_array
 
 
 @dataclass(frozen=True)
@@ -368,6 +373,14 @@ def run_sequence(
     final label per frame (keyframe re-emissions supersede provisional
     tracked/pending outputs).  Requires vio and apr on every sample and
     strictly increasing timestamps.
+
+    The result equals feeding the frames to step one by one, bit for
+    bit, but the sequence is fused in one pass over its arrays.  The
+    stage changes only on the consecutive-pair check and after t_opt
+    optimization frames, so one vectorized pair check and a walk over
+    its results place every window and period.  Then each completed
+    window forms its reference, and that reference's optimization checks
+    and vio map run as array operations over the frames it governs.
     """
     prev_ts: float | None = None
     for s in samples:
@@ -381,6 +394,113 @@ def run_sequence(
             )
         prev_ts = s.timestamp
 
+    aprs = [s.apr for s in samples]
+    vios = [s.vio for s in samples]
+    apr, vio = track_array(aprs), track_array(vios)
+    if not (
+        (np.abs(apr[:, :3]) < _COORD_LIMIT).all() and (np.abs(vio[:, :3]) < _COORD_LIMIT).all()
+    ):
+        return _run_steps(samples, cfg)
+    windows = _windows(_agree(apr[:-1], apr[1:], vio[:-1], vio[1:], cfg).tolist(), cfg)
+    labels = np.full(len(samples), _PENDING)
+    poses: list[Pose] = list(aprs)
+    if windows:
+        refs = [compute_reference(aprs[a : b + 1], vios[a : b + 1]) for a, b in windows]
+        rows, mapped = _label_and_map(refs, windows, apr, vio, labels, cfg)
+        for i, pose in zip(rows.tolist(), _poses(mapped)):
+            poses[i] = pose
+    return [
+        FusionOutput(s.frame_index, pose, _LABELS[code])
+        for s, pose, code in zip(samples, poses, labels.tolist())
+    ]
+
+
+# Below this magnitude every squared coordinate difference is finite, so
+# no motion, reference or mapped position can overflow, and step never
+# raises.  run_sequence feeds sequences with larger coordinates to step
+# frame by frame, which raises where it meets an overflow, or fuses the
+# sequence when none of the values it computes overflows.
+_COORD_LIMIT = 1e150
+
+# Label codes of the batch pass: index into _LABELS.
+_LABELS = tuple(Label)
+_KEYFRAME, _RELIABLE, _OPTIMIZED, _TRACKED, _PENDING = range(len(_LABELS))
+
+
+def _agree(
+    apr_a: np.ndarray, apr_b: np.ndarray, vio_a: np.ndarray, vio_b: np.ndarray,
+    cfg: FusionConfig,
+) -> np.ndarray:
+    """relative_pose_check(odometry(a, b) of apr, odometry(a, b) of vio)
+    for each row pair of the (N, 7) tracks."""
+    d_apr = _distances(apr_a[:, :3], apr_b[:, :3])
+    d_vio = _distances(vio_a[:, :3], vio_b[:, :3])
+    a_apr = _angles_deg(apr_a[:, 3:], apr_b[:, 3:])
+    a_vio = _angles_deg(vio_a[:, 3:], vio_b[:, 3:])
+    return (np.abs(d_apr - d_vio) <= cfg.d_th) & (np.abs(a_apr - a_vio) <= cfg.o_th)
+
+
+def _windows(pair_ok: list[bool], cfg: FusionConfig) -> list[tuple[int, int]]:
+    """First and last frame of every alignment window that completes,
+    given pair_ok[i - 1], the check of frame i against frame i - 1.  The
+    frame after a window's optimization period opens the next window
+    without a check; a failed check restarts the window at its frame."""
+    windows = []
+    start, i = 0, 1
+    while i <= len(pair_ok):
+        if not pair_ok[i - 1]:
+            start = i
+        elif i - start == cfg.n_pairs:
+            windows.append((start, i))
+            start = i = i + cfg.t_opt + 1
+        i += 1
+    return windows
+
+
+def _label_and_map(
+    refs: list[ReferencePair],
+    windows: list[tuple[int, int]],
+    apr: np.ndarray,
+    vio: np.ndarray,
+    labels: np.ndarray,
+    cfg: FusionConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill in the label of every frame from the first reference on, and
+    map the vio poses of the optimized and tracked frames to the world.
+    Reference r governs the t_opt frames of its optimization period, then
+    tracks the next alignment search up to the frame where window r + 1
+    completes, whose frames become keyframes.  Returns the indices of
+    the mapped frames and their (M, 7) poses."""
+    n, first = len(apr), windows[0][1] + 1
+    lasts = np.array([last for _, last in windows])
+    ref_of = np.repeat(np.arange(len(refs)), np.diff(np.append(lasts, n - 1)))
+    in_period = np.arange(first, n) - (lasts + 1)[ref_of] < cfg.t_opt
+    period_ref = ref_of[in_period]
+    reliable = _agree(
+        apr[first:][in_period], track_array([ref.apr_ref for ref in refs])[period_ref],
+        vio[first:][in_period], track_array([ref.vio_ref for ref in refs])[period_ref], cfg,
+    )
+    governed = labels[first:]
+    governed[:] = _TRACKED
+    governed[in_period] = np.where(reliable, _RELIABLE, _OPTIMIZED)
+    for a, b in windows:
+        labels[a : b + 1] = _KEYFRAME
+    rows = np.flatnonzero((governed == _OPTIMIZED) | (governed == _TRACKED))
+    # Each map is built once per reference, as step builds it, and only
+    # for references that map a frame.
+    used, ref_row = np.unique(ref_of[rows], return_inverse=True)
+    maps = [refs[r].vio_to_world for r in used.tolist()]
+    mapped = _apply_rigid(
+        np.array([transform.rotation.m for transform, _ in maps]).reshape(-1, 3, 3)[ref_row],
+        np.array([q_g.as_array() for _, q_g in maps]).reshape(-1, 4)[ref_row],
+        np.array([transform.translation.as_array() for transform, _ in maps]).reshape(-1, 3)[ref_row],
+        vio[first + rows],
+    )
+    return first + rows, mapped
+
+
+def _run_steps(samples: Sequence[PoseSample], cfg: FusionConfig) -> list[FusionOutput]:
+    """run_sequence through step, frame by frame."""
     state = FusionState()
     latest: dict[int, FusionOutput] = {}
     for s in samples:

@@ -324,3 +324,94 @@ def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
 def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
     """Quaternion for a rotation of angle_deg about axis."""
     return UnitQuaternion(*_axis_angle((axis.x, axis.y, axis.z), angle_deg))
+
+
+# Array forms of the formulas above, one row per pose, for code that
+# handles whole tracks: (N, 3) positions, (N, 4) quaternions (w, x, y,
+# z), (N, 7) tracks of both.  Each row equals, bit for bit, what the
+# per-object formula gives: same operations in the same order, and angles
+# through math.acos, which np.arccos differs from in the last bit on some
+# inputs.
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """translation_distance(a, b) of each row pair of two position
+    arrays."""
+    d = b - a
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+
+
+def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rotation_angle_deg(a, b) of each row pair of two quaternion
+    arrays."""
+    c = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
+    c = np.minimum(1.0, np.abs(c))
+    return np.degrees(2.0 * np.array([math.acos(v) for v in c.tolist()], dtype=float))
+
+
+def _normalize_rows(q: np.ndarray) -> np.ndarray:
+    """_normalize of each row of a quaternion array, in place; the rows
+    must not be near zero."""
+    q /= np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])[:, None]
+    # The sign rule: the first nonzero component is positive.
+    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    q[lead < 0.0] *= -1.0
+    return q
+
+
+def _apply_rigid(m: np.ndarray, g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
+    """A track under the rigid map x -> m x + t, whose rotation m is the
+    quaternion g: positions go through RigidTransform.apply_point,
+    orientations through compose(g, q).  m, g and t give one map, shapes
+    (3, 3), (4,) and (3,), or one map per row, (N, 3, 3), (N, 4) and
+    (N, 3)."""
+    # A stack of 3x3 @ 3x1 products runs the same kernel as the single
+    # product in RotationMatrix.apply, so every row matches it bit for
+    # bit; one (N, 3) @ (3, 3) product rounds about a quarter of the
+    # entries differently.
+    pos = np.matmul(m, track[:, :3, None])[:, :, 0]
+    pos += t
+    gw, gx, gy, gz = g.T
+    w, x, y, z = track[:, 3:].T
+    q = np.column_stack((
+        gw * w - gx * x - gy * y - gz * z,
+        gw * x + gx * w + gy * z - gz * y,
+        gw * y - gx * z + gy * w + gz * x,
+        gw * z + gx * y - gy * x + gz * w,
+    ))
+    return np.column_stack((pos, _normalize_rows(q)))
+
+
+# The slot descriptors of the frozen value classes; setting a field
+# through one costs less than _set, which looks the slot up by name.
+_new = object.__new__
+_vx, _vy, _vz = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
+_qw, _qx, _qy, _qz = (
+    UnitQuaternion.w.__set__, UnitQuaternion.x.__set__,
+    UnitQuaternion.y.__set__, UnitQuaternion.z.__set__,
+)
+_pp, _pq = Pose.position.__set__, Pose.orientation.__set__
+
+
+def _poses(track: np.ndarray) -> list[Pose]:
+    """One Pose per row of a track whose rows are finite and whose
+    quaternions are already normalized and sign-canonical.  The fields
+    are stored as they are: running the constructors again would
+    normalize a normalized quaternion once more, which can move its last
+    bits."""
+    out = []
+    for x, y, z, w, qx, qy, qz in track.tolist():
+        p = _new(Vec3)
+        _vx(p, x)
+        _vy(p, y)
+        _vz(p, z)
+        q = _new(UnitQuaternion)
+        _qw(q, w)
+        _qx(q, qx)
+        _qy(q, qy)
+        _qz(q, qz)
+        pose = _new(Pose)
+        _pp(pose, p)
+        _pq(pose, q)
+        out.append(pose)
+    return out

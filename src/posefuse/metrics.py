@@ -20,7 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose, RigidTransform, RotationMatrix, Vec3
+from .geometry import (
+    Pose,
+    RigidTransform,
+    RotationMatrix,
+    Vec3,
+    _angles_deg,
+    _apply_rigid,
+    _distances,
+)
 
 # Precision levels: a record counts toward a level when BOTH its
 # position and orientation errors are at or under the level's bounds.
@@ -90,23 +98,6 @@ def track_array(poses: Sequence[Pose]) -> np.ndarray:
         for p in poses
     ]
     return np.array(rows, dtype=float).reshape(len(rows), 7)
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """translation_distance of each row pair of two (N, 3) arrays, with
-    the same operations in the same order."""
-    d = b - a
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-
-
-def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rotation_angle_deg of each row pair of two (N, 4) quaternion
-    arrays.  The dot product sums in the same order, and the angle goes
-    through math.acos: np.arccos differs from it in the last bit on some
-    inputs, which would move printed digits."""
-    c = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
-    c = np.minimum(1.0, np.abs(c))
-    return np.degrees(2.0 * np.array([math.acos(v) for v in c.tolist()], dtype=float))
 
 
 def absolute_pose_error(est: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,27 +190,12 @@ def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 def apply_alignment(track: np.ndarray, transform: RigidTransform) -> np.ndarray:
     """Map a whole track through a rigid transform.  Positions go to
     R x + t; orientations pick up the transform's quaternion on the left
-    and come back normalized and sign-canonical, as compose returns
+    and come back normalized and sign-canonical, as apply_pose returns
     them."""
-    # A stack of 3x3 @ 3x1 products runs the same kernel as the single
-    # product in RigidTransform.apply_point, so every row matches it bit
-    # for bit; one (N, 3) @ (3, 3) product rounds about a quarter of the
-    # entries differently.
-    pos = np.matmul(transform.rotation.m, track[:, :3, None])[:, :, 0]
-    pos += transform.translation.as_array()
-    g = transform.rotation.to_quaternion()
-    w, x, y, z = track[:, 3], track[:, 4], track[:, 5], track[:, 6]
-    q = np.column_stack((
-        g.w * w - g.x * x - g.y * y - g.z * z,
-        g.w * x + g.x * w + g.y * z - g.z * y,
-        g.w * y - g.x * z + g.y * w + g.z * x,
-        g.w * z + g.x * y - g.y * x + g.z * w,
-    ))
-    q /= np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])[:, None]
-    # UnitQuaternion's sign rule: the first nonzero component is positive.
-    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
-    q[lead < 0.0] *= -1.0
-    return np.column_stack((pos, q))
+    rotation = transform.rotation
+    return _apply_rigid(
+        rotation.m, rotation.to_quaternion().as_array(), transform.translation.as_array(), track
+    )
 
 
 def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:

@@ -199,3 +199,118 @@ def sequential_vio(gt, model, rng):
             ori = compose(ori, axis_angle_quaternion(bias_axis, model.drift_bias_rot))
         out.append(Pose(pos, ori))
     return out
+
+
+def step_run_sequence(samples, cfg):
+    """``posefuse.fusion.run_sequence`` as it was written before the batch
+    pass: every frame fed to ``step`` in order, keeping the last output
+    per frame.  Like ``sequential_vio`` it calls the package on purpose:
+    ``step`` is the streaming reference the batch pass must reproduce."""
+    from dataclasses import replace
+
+    from posefuse.fusion import FusionState, step
+
+    prev_ts = None
+    for s in samples:
+        if s.vio is None:
+            raise ValueError(f"frame {s.frame_index}: vio pose missing, fusion needs it")
+        if s.apr is None:
+            raise ValueError(f"frame {s.frame_index}: apr pose missing, fusion needs it")
+        if prev_ts is not None and s.timestamp <= prev_ts:
+            raise ValueError(
+                f"frame {s.frame_index}: timestamps must be strictly increasing"
+            )
+        prev_ts = s.timestamp
+
+    state = FusionState()
+    latest = {}
+    for s in samples:
+        state, outs = step(state, s.apr, s.vio, cfg)
+        for out in outs:
+            latest[out.frame_index] = out
+    return [
+        replace(latest[i], frame_index=samples[i].frame_index)
+        for i in range(len(samples))
+    ]
+
+
+def row_parse_sequence(path):
+    """``posefuse.io.parse_sequence`` as it was written before chunked
+    parsing: one ``csv.reader`` row at a time, each field converted and
+    checked on its own.  It builds the package's pose and sample types,
+    so its results compare with the parser's directly."""
+    import csv
+    from pathlib import Path
+
+    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+    from posefuse.io import QUAT_NORM_SLACK, SEQUENCE_COLUMNS, PoseSample, SequenceFormatError
+
+    def parse_int(text, name, line_no):
+        try:
+            return int(text.strip())
+        except ValueError:
+            raise SequenceFormatError(f"{name} is not an integer: {text!r}", line=line_no)
+
+    def parse_float(text, name, line_no):
+        try:
+            v = float(text.strip())
+        except ValueError:
+            raise SequenceFormatError(f"{name} is not a number: {text!r}", line=line_no)
+        if not math.isfinite(v):
+            raise SequenceFormatError(f"{name} must be finite: {text!r}", line=line_no)
+        return v
+
+    def parse_pose_group(fields, name, line_no):
+        stripped = [f.strip() for f in fields]
+        if all(f == "" for f in stripped):
+            return None
+        if any(f == "" for f in stripped):
+            raise SequenceFormatError(
+                f"{name} pose group is partially filled, give all 7 fields or none",
+                line=line_no,
+            )
+        x, y, z, qw, qx, qy, qz = [parse_float(f, name, line_no) for f in stripped]
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if abs(norm - 1.0) > QUAT_NORM_SLACK:
+            raise SequenceFormatError(
+                f"{name} quaternion norm {norm:.6f} is further than "
+                f"{QUAT_NORM_SLACK} from 1, refusing to renormalize",
+                line=line_no,
+            )
+        return Pose(Vec3(x, y, z), UnitQuaternion(qw, qx, qy, qz))
+
+    samples = []
+    prev_ts = None
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SequenceFormatError("empty file, expected a header row", line=1)
+        if tuple(h.strip() for h in header) != SEQUENCE_COLUMNS:
+            raise SequenceFormatError(
+                f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(f.strip() == "" for f in row):
+                continue
+            if len(row) != len(SEQUENCE_COLUMNS):
+                raise SequenceFormatError(
+                    f"expected {len(SEQUENCE_COLUMNS)} fields, got {len(row)}",
+                    line=line_no,
+                )
+            frame = parse_int(row[0], "frame", line_no)
+            ts = parse_float(row[1], "timestamp", line_no)
+            gt = parse_pose_group(row[2:9], "gt", line_no)
+            vio = parse_pose_group(row[9:16], "vio", line_no)
+            apr = parse_pose_group(row[16:23], "apr", line_no)
+            if vio is None:
+                raise SequenceFormatError("vio pose is required on every row", line=line_no)
+            if prev_ts is not None and ts <= prev_ts:
+                raise SequenceFormatError(
+                    f"timestamps must be strictly increasing, {ts!r} follows {prev_ts!r}",
+                    line=line_no,
+                )
+            prev_ts = ts
+            samples.append(PoseSample(frame, ts, gt=gt, vio=vio, apr=apr))
+    return samples

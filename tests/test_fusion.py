@@ -48,6 +48,7 @@ from oracles import (
     quat_angle_stable_deg,
     rigid_map_pose,
     slerp_midpoint,
+    step_run_sequence,
 )
 
 CFG = FusionConfig()
@@ -629,3 +630,109 @@ class TestStateMachineInvariants:
         assert 60 * 200 >= 10_000  # enough simulated frames to judge
         assert kf_total > 1_000
         assert kf_bad / kf_total < 0.02
+
+
+def fused(seed=0, n=200, outlier_prob=AprNoiseModel().outlier_prob):
+    """A synthetic sequence with independent vio and apr draws."""
+    samples = generate_gt(TrajectoryConfig(n_frames=max(n, 2), seed=seed))[:n]
+    gt = [s.gt for s in samples]
+    vio = simulate_vio(gt, VioNoiseModel(), 1_000_003 + seed)
+    apr = simulate_apr(gt, AprNoiseModel(outlier_prob=outlier_prob), 2_000_003 + seed)
+    for s, v, a in zip(samples, vio, apr):
+        s.vio, s.apr = v, a
+    return samples
+
+
+def outcome(run, samples, cfg):
+    """Frame indices, labels and poses by float.hex, or the error raised."""
+    try:
+        outs = run(samples, cfg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [
+        (o.frame_index, o.label)
+        + tuple(
+            v.hex()
+            for v in (
+                o.pose.position.x, o.pose.position.y, o.pose.position.z,
+                o.pose.orientation.w, o.pose.orientation.x,
+                o.pose.orientation.y, o.pose.orientation.z,
+            )
+        )
+        for o in outs
+    ]
+
+
+def assert_batch_matches_step(samples, cfg):
+    expect = outcome(step_run_sequence, samples, cfg)
+    assert outcome(run_sequence, samples, cfg) == expect
+    return expect
+
+
+class TestBatchMatchesStep:
+    """run_sequence fuses a sequence in one pass; it must give what
+    feeding step frame by frame gives, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("outlier_prob", [0.0, AprNoiseModel().outlier_prob, 1.0])
+    @pytest.mark.parametrize("t_opt", [1, 8])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_synthetic_sequences(self, n_pairs, t_opt, outlier_prob):
+        cfg = FusionConfig(n_pairs=n_pairs, t_opt=t_opt)
+        labels = set()
+        for seed in range(3):
+            expect = assert_batch_matches_step(fused(seed, outlier_prob=outlier_prob), cfg)
+            labels.update(row[1] for row in expect)
+        if outlier_prob < 1.0:
+            assert labels == set(Label)
+
+    @pytest.mark.parametrize("t_opt", [1, 3, 8])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_every_prefix(self, n_pairs, t_opt):
+        # Prefixes end in every stage: mid-window, on a completed window,
+        # mid-period and on a period's last frame.  Lengths 0 to 3 are
+        # among them.
+        cfg = FusionConfig(n_pairs=n_pairs, t_opt=t_opt)
+        samples = fused(seed=4, n=48)
+        for n in range(len(samples) + 1):
+            assert_batch_matches_step(samples[:n], cfg)
+
+    def test_caller_frame_indices(self):
+        samples = fused(seed=5, n=60)
+        for k, s in enumerate(samples):
+            s.frame_index = 1000 + 3 * k + k % 2
+        expect = assert_batch_matches_step(samples, CFG)
+        assert [row[0] for row in expect] == [s.frame_index for s in samples]
+
+    def test_input_errors(self):
+        samples = fused(n=10)
+        samples[3].timestamp = samples[2].timestamp
+        assert assert_batch_matches_step(samples, CFG)[0] is ValueError
+        for stream, k in (("apr", 0), ("vio", 6)):
+            samples = fused(n=10)
+            setattr(samples[k], stream, None)
+            assert assert_batch_matches_step(samples, CFG)[0] is ValueError
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_coordinates(self):
+        # Near 1e154 a squared motion overflows, near 1e308 a vio pose
+        # mapped to the world does too.  step raises at the first such
+        # value it computes, with its own message; run_sequence must
+        # raise the same, and must not raise for a value step never
+        # computes, such as the motion into the frame that opens a window
+        # after a period.
+        cfg = FusionConfig(t_opt=3)
+        raised = fused_ok = 0
+        for x in (1e140, 1e160, 1.7e308):
+            for k in range(30):
+                for stream in ("apr", "vio"):
+                    for shift_rest in (False, True):
+                        samples = fused(seed=6, n=30, outlier_prob=0.0)
+                        for s in samples[k : None if shift_rest else k + 1]:
+                            pose = getattr(s, stream)
+                            p = pose.position
+                            setattr(s, stream, Pose(Vec3(x, p.y, p.z), pose.orientation))
+                        if assert_batch_matches_step(samples, cfg)[0] is ValueError:
+                            raised += 1
+                        elif x > 1e150:
+                            fused_ok += 1
+        assert raised > 0 and fused_ok > 0

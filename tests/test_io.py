@@ -1,7 +1,13 @@
+import contextlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posefuse.geometry import Pose, UnitQuaternion, Vec3, rotation_angle_deg, translation_distance
 from posefuse.io import (
@@ -20,6 +26,8 @@ from posefuse.synth import (
     simulate_vio,
 )
 from helpers import random_pose
+from oracles import row_parse_sequence
+from posefuse import cli
 
 HEADER = ",".join(SEQUENCE_COLUMNS)
 IDENTITY_GROUP = "0,0,0,1,0,0,0"
@@ -207,3 +215,195 @@ class TestWriterBytes:
         path = tmp_path / f"{name}.csv"
         write_sequence(path, samples)
         assert path.read_bytes() == (REPORTS / f"{name}.csv").read_bytes()
+
+
+# Row mutations for the parser properties.  The first group always makes
+# the row invalid; the quoted and padded fields stay valid, since
+# csv.reader unquotes a field and int and float skip surrounding spaces.
+BAD_MUTATIONS = ("field_count", "non_finite", "partial_group", "quaternion_norm", "timestamp", "frame")
+MUTATIONS = (None,) + BAD_MUTATIONS + ("quoted", "padded")
+
+
+def mutate(rows, k, mutation, rng):
+    """Apply one mutation to the fields of row k (k >= 1 for timestamp)."""
+    fields = rows[k]
+    if mutation == "field_count":
+        rows[k] = fields[:-1] if rng.random() < 0.5 else fields + ["0"]
+    elif mutation == "non_finite":
+        fields[int(rng.integers(1, 23))] = str(rng.choice(["nan", "inf", "-inf", "1e999", "NaN"]))
+    elif mutation == "partial_group":
+        j = 2 + 7 * int(rng.integers(0, 3)) + int(rng.integers(0, 7))
+        fields[j] = "" if fields[j] else "0.5"
+    elif mutation == "quaternion_norm":
+        scale = float(rng.choice([0.5, 0.99, 1.0012, 2.0]))
+        fields[12:16] = ["%.12g" % (float(v) * scale) for v in fields[12:16]]
+    elif mutation == "timestamp":
+        prev = rows[k - 1][1]
+        fields[1] = prev if rng.random() < 0.5 else "%.12g" % (float(prev) - 1.0)
+    elif mutation == "frame":
+        fields[0] += ".0"
+    elif mutation == "quoted":
+        j = int(rng.integers(0, 23))
+        fields[j] = '"%s"' % fields[j]
+    elif mutation == "padded":
+        j = int(rng.integers(0, 23))
+        if fields[j]:
+            fields[j] = " %s " % fields[j]
+
+
+def row_fields(rng, n, presence, number):
+    """The fields of n valid rows; presence maps each pose group to
+    "all", "none" or "some" rows, number is the float format."""
+    rows = []
+    for i in range(n):
+        fields = [str(i + 7), "%.12g" % (100.0 + 0.25 * i)]
+        for group in ("gt", "vio", "apr"):
+            mode = presence[group]
+            if mode == "none" or (mode == "some" and rng.random() < 0.5):
+                fields += [""] * 7
+                continue
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            fields += [number % v for v in [*rng.uniform(-500.0, 500.0, 3).tolist(), *q.tolist()]]
+        rows.append(fields)
+    return rows
+
+
+@st.composite
+def sequence_texts(draw, min_rows=0, max_rows=12, mutations=MUTATIONS, groups=("all", "none", "some")):
+    """A sequence file as text, the line number of its mutated row and
+    the mutation, one of mutations (both None when no row is mutated).  The gt and apr groups are
+    absent on every row, on none or on some; blank lines may separate
+    rows, which end in LF or CRLF."""
+    n = draw(st.integers(min_rows, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    presence = {"gt": draw(st.sampled_from(groups)), "vio": "all", "apr": draw(st.sampled_from(groups))}
+    rows = row_fields(rng, n, presence, draw(st.sampled_from(["%.12g", "%r"])))
+    mutation = draw(st.sampled_from(mutations))
+    first = 1 if mutation == "timestamp" else 0
+    k = None
+    if mutation is not None and n > first:
+        k = draw(st.integers(first, n - 1))
+        mutate(rows, k, mutation, rng)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = draw(st.sets(st.integers(0, n), max_size=3))
+    lines, line_of = [HEADER], {}
+    for i, fields in enumerate(rows):
+        if i in blank:
+            lines.append("" if rng.random() < 0.5 else "," * 22)
+        line_of[i] = len(lines) + 1
+        lines.append(",".join(fields))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return text, line_of.get(k), mutation if k is not None else None
+
+
+def parse_outcome(parse, path):
+    """Samples by float.hex, or the error's message and line."""
+    try:
+        samples = parse(path)
+    except SequenceFormatError as exc:
+        return "error", str(exc), exc.line
+    return [
+        (s.frame_index, s.timestamp.hex())
+        + tuple(
+            None if p is None else tuple(
+                v.hex() for v in (
+                    p.position.x, p.position.y, p.position.z,
+                    p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z,
+                )
+            )
+            for p in (s.gt, s.vio, s.apr)
+        )
+        for s in samples
+    ]
+
+
+@contextlib.contextmanager
+def text_file(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        yield path
+
+
+def assert_parses_as_oracle(text):
+    with text_file(text) as path:
+        expect = parse_outcome(row_parse_sequence, path)
+        assert parse_outcome(parse_sequence, path) == expect
+    return expect
+
+
+class TestParserFuzz:
+    """parse_sequence reads files in chunks of whole lines, converted and
+    checked in bulk; it must return what the row-by-row scanner returns,
+    bit for bit, or raise its error on the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequence_texts())
+    def test_matches_row_scanner(self, case):
+        text, line, mutation = case
+        outcome = assert_parses_as_oracle(text)
+        if mutation in BAD_MUTATIONS:
+            assert outcome[0] == "error" and outcome[2] == line
+
+    @settings(max_examples=20, deadline=None)
+    @given(sequence_texts(min_rows=230, max_rows=700, groups=("all",)))
+    def test_matches_row_scanner_across_chunks(self, case):
+        text, line, mutation = case
+        assert len(text) > 1 << 16
+        outcome = assert_parses_as_oracle(text)
+        if mutation in BAD_MUTATIONS:
+            assert outcome[0] == "error" and outcome[2] == line
+
+    def test_timestamps_checked_across_chunk_edges(self):
+        rng = np.random.default_rng(8)
+        rows = row_fields(rng, 700, {"gt": "all", "vio": "all", "apr": "all"}, "%r")
+        text = "\r\n".join([HEADER] + [",".join(f) for f in rows]) + "\r\n"
+        # The row indices where parse_sequence starts a chunk.
+        fh = io.StringIO(text, newline="")
+        fh.readline()
+        starts, k = [], 0
+        while lines := fh.readlines(1 << 16):
+            starts.append(k)
+            k += len(lines)
+        assert len(starts) >= 3
+        for k in [j + d for j in starts[1:] for d in (-1, 0, 1)]:
+            mutated = [list(f) for f in rows]
+            mutated[k][1] = mutated[k - 1][1]
+            text = "\r\n".join([HEADER] + [",".join(f) for f in mutated]) + "\r\n"
+            assert assert_parses_as_oracle(text)[2] == k + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequence_texts(min_rows=1, mutations=(None,)))
+    def test_round_trip_within_print_precision(self, case):
+        text, _, _ = case
+        with text_file(text) as path:
+            samples = parse_sequence(path)
+            write_sequence(path, samples)
+            back = parse_sequence(path)
+
+        def printed(v):
+            return float("%.12g" % v)
+
+        assert len(back) == len(samples)
+        for a, b in zip(samples, back):
+            assert (b.frame_index, b.timestamp) == (a.frame_index, printed(a.timestamp))
+            for stream in ("gt", "vio", "apr"):
+                pa, pb = getattr(a, stream), getattr(b, stream)
+                assert (pa is None) == (pb is None)
+                if pa is None:
+                    continue
+                p, q = pa.position, pa.orientation
+                assert pb.position == Vec3(printed(p.x), printed(p.y), printed(p.z))
+                assert pb.orientation == UnitQuaternion(printed(q.w), printed(q.x), printed(q.y), printed(q.z))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sequence_texts(min_rows=2, max_rows=6, mutations=BAD_MUTATIONS))
+    def test_cli_names_the_bad_line(self, case):
+        text, line, _ = case
+        with text_file(text) as path:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["--input", str(path), "--out", str(path.parent / "out")])
+        assert code == 1
+        assert f"line {line}:" in err.getvalue()
