@@ -17,7 +17,6 @@ from .geometry import (
     Odometry,
     Pose,
     RigidTransform,
-    RotationMatrix,
     UnitQuaternion,
     Vec3,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "PrecisionBuckets",
     "ReferencePair",
     "RigidTransform",
-    "RotationMatrix",
     "SequenceFormatError",
     "Stage",
     "SummaryReport",

@@ -63,12 +63,13 @@ _GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
 @dataclass(frozen=True)
 class RunManifest:
     """Everything one run depends on.  Exactly one of file inputs or
-    synthetic generation must be requested."""
+    synthetic generation must be requested; frames and seed shape the
+    synthetic sequences only."""
 
     out_dir: Path
     inputs: tuple[Path, ...] = ()
     synth_count: int = 0
-    trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
+    frames: int = 200
     vio_noise: VioNoiseModel = field(default_factory=VioNoiseModel)
     apr_noise: AprNoiseModel = field(default_factory=AprNoiseModel)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -78,6 +79,12 @@ class RunManifest:
     save_sequences: bool = False
     seed: int = 0
 
+    @property
+    def trajectory(self) -> TrajectoryConfig:
+        """The ground-truth model of the first synthetic sequence; the
+        k-th one takes seed + k."""
+        return TrajectoryConfig(n_frames=self.frames, seed=self.seed)
+
     def validate(self) -> None:
         if self.synth_count < 0:
             raise ValueError("--synth must be >= 1")
@@ -85,6 +92,10 @@ class RunManifest:
             raise ValueError(
                 "exactly one of --input or --synth must be given"
             )
+        if self.synth_count and self.frames < 2:
+            raise ValueError("--frames must be >= 2")
+        if self.synth_count and self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         for p in self.inputs:
             if not Path(p).is_file():
                 raise ValueError(f"input file not found: {p}")
@@ -336,7 +347,7 @@ def build_manifest(argv: Sequence[str]) -> RunManifest:
         out_dir=args.out,
         inputs=tuple(args.input),
         synth_count=args.synth,
-        trajectory=TrajectoryConfig(n_frames=args.frames, seed=args.seed),
+        frames=args.frames,
         fusion=FusionConfig(
             d_th=args.dth, o_th=args.oth, n_pairs=args.n_pairs, t_opt=args.t_opt
         ),

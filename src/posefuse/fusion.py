@@ -46,7 +46,7 @@ from .geometry import (
     compose,
     inverse,
     odometry,
-    to_rotation_matrix,
+    rotate,
 )
 from .io import PoseSample
 from .metrics import track_array
@@ -107,7 +107,7 @@ class ReferencePair:
     vio_ref: Pose
 
     @cached_property
-    def vio_to_world(self) -> tuple[RigidTransform, UnitQuaternion]:
+    def vio_to_world(self) -> RigidTransform:
         return reference_transform(self)
 
 
@@ -277,18 +277,14 @@ def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePa
     return ReferencePair(apr_ref=_avg(aprs), vio_ref=_avg(vios))
 
 
-def reference_transform(ref: ReferencePair) -> tuple[RigidTransform, UnitQuaternion]:
+def reference_transform(ref: ReferencePair) -> RigidTransform:
     """The vio-to-world map of a reference pair, the one place its
     formula lives.  Poses are camera-to-world, so the map is the rigid
     transform G with G * vio_ref = apr_ref: rotation
     q_g = apr_ref * inverse(vio_ref) and translation
-    t = p_apr_ref - R(q_g) p_vio_ref.  Returns the transform for
-    positions and q_g, which optimize_pose composes onto vio
-    orientations from the left."""
+    t = p_apr_ref - rotate(q_g, p_vio_ref)."""
     q_g = compose(ref.apr_ref.orientation, inverse(ref.vio_ref.orientation))
-    r_g = to_rotation_matrix(q_g)
-    t_g = ref.apr_ref.position - r_g.apply(ref.vio_ref.position)
-    return RigidTransform(r_g, t_g), q_g
+    return RigidTransform(q_g, ref.apr_ref.position - rotate(q_g, ref.vio_ref.position))
 
 
 def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
@@ -298,8 +294,7 @@ def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     preserves relative distances and angles of the vio stream.  A vio
     stream that is any rigid transform of the world trajectory maps back
     onto it."""
-    transform, q_g = ref.vio_to_world
-    return Pose(transform.apply_point(p_vio.position), compose(q_g, p_vio.orientation))
+    return ref.vio_to_world.apply_pose(p_vio)
 
 
 def step(
@@ -491,9 +486,8 @@ def _label_and_map(
     used, ref_row = np.unique(ref_of[rows], return_inverse=True)
     maps = [refs[r].vio_to_world for r in used.tolist()]
     mapped = _apply_rigid(
-        np.array([transform.rotation.m for transform, _ in maps]).reshape(-1, 3, 3)[ref_row],
-        np.array([q_g.as_array() for _, q_g in maps]).reshape(-1, 4)[ref_row],
-        np.array([transform.translation.as_array() for transform, _ in maps]).reshape(-1, 3)[ref_row],
+        np.array([g.rotation.as_array() for g in maps]).reshape(-1, 4)[ref_row],
+        np.array([g.translation.as_array() for g in maps]).reshape(-1, 3)[ref_row],
         vio[first + rows],
     )
     return first + rows, mapped

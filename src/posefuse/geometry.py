@@ -20,9 +20,6 @@ from typing import Iterable
 
 import numpy as np
 
-# Orthonormality / determinant bound for rotation matrices.
-ROTATION_TOL = 1e-9
-
 # The value classes are frozen: their constructors, which validate and
 # convert each field once, store fields past the frozen __setattr__.
 _set = object.__setattr__
@@ -176,86 +173,23 @@ class Odometry:
 
 
 @dataclass(frozen=True, eq=False)
-class RotationMatrix:
-    """Proper rotation, 3x3.  Validated orthonormal with det +1."""
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("rotation matrix entries must be finite")
-        if not np.allclose(m @ m.T, np.eye(3), atol=ROTATION_TOL, rtol=0.0):
-            raise ValueError("matrix is not orthonormal within 1e-9")
-        if abs(np.linalg.det(m) - 1.0) > 1e-8:
-            raise ValueError("matrix determinant is not +1, improper rotation rejected")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    def apply(self, v: Vec3) -> Vec3:
-        return Vec3.from_array(self.m @ v.as_array())
-
-    def to_quaternion(self) -> UnitQuaternion:
-        """Shepperd-style extraction, branch on the largest diagonal term."""
-        m = self.m
-        t = np.trace(m)
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] > m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        return UnitQuaternion(w, x, y, z)
-
-    @classmethod
-    def identity(cls) -> "RotationMatrix":
-        return cls(np.eye(3))
-
-
-@dataclass(frozen=True, eq=False)
 class RigidTransform:
-    """Rotation followed by translation, x' = R x + t."""
+    """Rotation followed by translation, x' = rotate(rotation, x) + t."""
 
-    rotation: RotationMatrix
+    rotation: UnitQuaternion
     translation: Vec3
 
     def apply_point(self, p: Vec3) -> Vec3:
-        return self.rotation.apply(p) + self.translation
+        return rotate(self.rotation, p) + self.translation
 
     def apply_pose(self, pose: Pose) -> Pose:
         # Orientations pick up the transform rotation on the left, the
         # world frame is what the transform re-expresses.
-        q = compose(self.rotation.to_quaternion(), pose.orientation)
-        return Pose(self.apply_point(pose.position), q)
+        return Pose(self.apply_point(pose.position), compose(self.rotation, pose.orientation))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
-        return cls(RotationMatrix.identity(), Vec3.zero())
-
-    @classmethod
-    def from_quaternion(cls, q: UnitQuaternion, t: Vec3) -> "RigidTransform":
-        return cls(to_rotation_matrix(q), t)
+        return cls(UnitQuaternion.identity(), Vec3.zero())
 
 
 def compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -292,20 +226,8 @@ def odometry(a: Pose, b: Pose) -> Odometry:
     )
 
 
-def to_rotation_matrix(q: UnitQuaternion) -> RotationMatrix:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    m = np.array(
-        [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
-    )
-    return RotationMatrix(m)
-
-
 def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
-    """Rotate a vector by a quaternion without building the matrix."""
+    """Rotate a vector by a unit quaternion, q v q*."""
     # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part.
     ux, uy, uz = q.x, q.y, q.z
     cx = uy * v.z - uz * v.y
@@ -359,19 +281,25 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _apply_rigid(m: np.ndarray, g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
-    """A track under the rigid map x -> m x + t, whose rotation m is the
-    quaternion g: positions go through RigidTransform.apply_point,
-    orientations through compose(g, q).  m, g and t give one map, shapes
-    (3, 3), (4,) and (3,), or one map per row, (N, 3, 3), (N, 4) and
-    (N, 3)."""
-    # A stack of 3x3 @ 3x1 products runs the same kernel as the single
-    # product in RotationMatrix.apply, so every row matches it bit for
-    # bit; one (N, 3) @ (3, 3) product rounds about a quarter of the
-    # entries differently.
-    pos = np.matmul(m, track[:, :3, None])[:, :, 0]
-    pos += t
+def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
+    """A track under the rigid map with rotation g and translation t:
+    positions go through RigidTransform.apply_point, orientations
+    through compose(g, q).  g and t give one map, shapes (4,) and (3,),
+    or one map per row, (N, 4) and (N, 3)."""
     gw, gx, gy, gz = g.T
+    px, py, pz = track[:, :3].T
+    cx = gy * pz - gz * py
+    cy = gz * px - gx * pz
+    cz = gx * py - gy * px
+    dx = gy * cz - gz * cy
+    dy = gz * cx - gx * cz
+    dz = gx * cy - gy * cx
+    pos = np.column_stack((
+        px + 2.0 * (gw * cx + dx),
+        py + 2.0 * (gw * cy + dy),
+        pz + 2.0 * (gw * cz + dz),
+    ))
+    pos += t
     w, x, y, z = track[:, 3:].T
     q = np.column_stack((
         gw * w - gx * x - gy * y - gz * z,

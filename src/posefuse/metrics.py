@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import (
     Pose,
     RigidTransform,
-    RotationMatrix,
+    UnitQuaternion,
     Vec3,
     _angles_deg,
     _apply_rigid,
@@ -182,20 +182,45 @@ def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
         )
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    rot = RotationMatrix(r)
-    t = Vec3.from_array(dst_c - r @ src_c)
-    return RigidTransform(rot, t)
+    return RigidTransform(_matrix_quaternion(r), Vec3.from_array(dst_c - r @ src_c))
+
+
+def _matrix_quaternion(m: np.ndarray) -> UnitQuaternion:
+    """The quaternion of a proper rotation matrix, by Shepperd's method:
+    branch on the largest of the trace and the diagonal terms."""
+    t = np.trace(m)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        w = 0.25 * s
+        x = (m[2, 1] - m[1, 2]) / s
+        y = (m[0, 2] - m[2, 0]) / s
+        z = (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        w = (m[2, 1] - m[1, 2]) / s
+        x = 0.25 * s
+        y = (m[0, 1] + m[1, 0]) / s
+        z = (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        w = (m[0, 2] - m[2, 0]) / s
+        x = (m[0, 1] + m[1, 0]) / s
+        y = 0.25 * s
+        z = (m[1, 2] + m[2, 1]) / s
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        w = (m[1, 0] - m[0, 1]) / s
+        x = (m[0, 2] + m[2, 0]) / s
+        y = (m[1, 2] + m[2, 1]) / s
+        z = 0.25 * s
+    return UnitQuaternion(w, x, y, z)
 
 
 def apply_alignment(track: np.ndarray, transform: RigidTransform) -> np.ndarray:
-    """Map a whole track through a rigid transform.  Positions go to
-    R x + t; orientations pick up the transform's quaternion on the left
-    and come back normalized and sign-canonical, as apply_pose returns
-    them."""
-    rotation = transform.rotation
-    return _apply_rigid(
-        rotation.m, rotation.to_quaternion().as_array(), transform.translation.as_array(), track
-    )
+    """Map a whole track through a rigid transform, as apply_pose maps
+    each of its poses: orientations pick up the transform's rotation on
+    the left and come back normalized and sign-canonical."""
+    return _apply_rigid(transform.rotation.as_array(), transform.translation.as_array(), track)
 
 
 def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:

@@ -14,7 +14,10 @@ orientation follows the heading.  The two sensor models layer on top:
   mode of per-image absolute regression.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
-any seed reproduces the same streams on any platform.
+any seed reproduces the same draws on any platform.  The poses built
+from them can differ in the last bits between CPUs: random unit vectors
+are divided by a norm from numpy's dot product, which OpenBLAS computes
+with fused multiply-adds in some of its kernels and not in others.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class AprNoiseModel:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    # PCG64 is pinned on purpose: seeded streams must reproduce across
+    # PCG64 is pinned on purpose: seeded draws must reproduce across
     # platforms and sessions.
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -361,7 +361,7 @@ def test_criterion_09_metrics_conformance(tmp_path):
     src = [Vec3(*rng.normal(0.0, 5.0, 3)) for _ in range(10)]
     from posefuse.geometry import RigidTransform
 
-    true = RigidTransform.from_quaternion(rot, Vec3(0.5, -1.0, 2.0))
+    true = RigidTransform(rot, Vec3(0.5, -1.0, 2.0))
     dst = [true.apply_point(p) for p in src]
     fit = kabsch_align(
         np.array([p.as_array() for p in src]), np.array([p.as_array() for p in dst])

@@ -132,6 +132,16 @@ class TestExitCodes:
         assert rc == 1
         assert "posefuse: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--frames", "1"], "--frames must be >= 2"), (["--seed", "-3"], "--seed must be >= 0")],
+        ids=["frames", "seed"],
+    )
+    def test_bad_synthetic_flag_is_named(self, tmp_path, capsys, flags, message):
+        rc = main(["--synth", "1", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"posefuse: error: {message}" in capsys.readouterr().err
+
     def test_runtime_failure_is_two(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("x", encoding="utf-8")
@@ -269,6 +279,18 @@ class TestFileRuns:
         rc = main(["--input", str(straight_walk_file(tmp_path)), "--mode", "vio-eval", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "rigid fit is rank deficient" in capsys.readouterr().err
+
+    def test_synthetic_flags_do_not_apply(self, tmp_path):
+        # --frames and --seed shape synthetic sequences; a file run
+        # ignores --frames, even a value a synthetic run would refuse.
+        assert main(synth_args(tmp_path / "gen") + ["--save-sequence"]) == 0
+        path = str(tmp_path / "gen" / "synth-7.sequence.csv")
+        a, b = tmp_path / "plain", tmp_path / "frames"
+        assert main(["--input", path, "--out", str(a)]) == 0
+        assert main(["--input", path, "--frames", "1", "--out", str(b)]) == 0
+        for suffix in ("frames.csv", "summary.json", "cdf.csv"):
+            name = f"synth-7.sequence.{suffix}"
+            assert (a / name).read_bytes() == (b / name).read_bytes(), suffix
 
     def test_fusion_without_apr_names_the_stream(self, tmp_path, capsys):
         path = gt_vio_file(tmp_path)

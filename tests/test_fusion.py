@@ -370,13 +370,13 @@ class TestOptimizePose:
 
     def test_map_built_once_per_reference(self, rng, monkeypatch):
         built = []
-        real = posefuse.fusion.to_rotation_matrix
+        real = posefuse.fusion.reference_transform
 
-        def counting(q):
-            built.append(q)
-            return real(q)
+        def counting(ref):
+            built.append(ref)
+            return real(ref)
 
-        monkeypatch.setattr(posefuse.fusion, "to_rotation_matrix", counting)
+        monkeypatch.setattr(posefuse.fusion, "reference_transform", counting)
         ref = ReferencePair(random_pose(rng), random_pose(rng))
         for _ in range(50):
             optimize_pose(random_pose(rng), ref)

@@ -10,7 +10,6 @@ from posefuse.geometry import (
     Odometry,
     Pose,
     RigidTransform,
-    RotationMatrix,
     UnitQuaternion,
     Vec3,
     axis_angle_quaternion,
@@ -19,7 +18,6 @@ from posefuse.geometry import (
     odometry,
     rotate,
     rotation_angle_deg,
-    to_rotation_matrix,
     translation_distance,
 )
 from helpers import random_pose, random_quaternion, random_vec3
@@ -97,8 +95,8 @@ class TestCompose:
     def test_matches_matrix_composition(self, rng):
         for _ in range(100):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            lhs = to_rotation_matrix(compose(a, b)).m
-            rhs = to_rotation_matrix(a).m @ to_rotation_matrix(b).m
+            lhs = scipy_rotation(compose(a, b)).as_matrix()
+            rhs = scipy_rotation(a).as_matrix() @ scipy_rotation(b).as_matrix()
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -114,7 +112,7 @@ class TestCompose:
     def test_matches_scipy(self, rng):
         for _ in range(50):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            ours = to_rotation_matrix(compose(a, b)).m
+            ours = scipy_rotation(compose(a, b)).as_matrix()
             theirs = (scipy_rotation(a) * scipy_rotation(b)).as_matrix()
             np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
@@ -167,7 +165,9 @@ class TestRotationAngle:
     def test_matches_matrix_trace_oracle(self, rng):
         for _ in range(200):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            expect = matrix_rotation_angle_deg(to_rotation_matrix(a).m, to_rotation_matrix(b).m)
+            expect = matrix_rotation_angle_deg(
+                scipy_rotation(a).as_matrix(), scipy_rotation(b).as_matrix()
+            )
             assert rotation_angle_deg(a, b) == pytest.approx(expect, abs=1e-6)
 
     def test_matches_scipy_magnitude(self, rng):
@@ -212,57 +212,29 @@ class TestOdometry:
             Odometry(0.0, 180.5)
 
 
-class TestRotationMatrix:
-    def test_identity_quaternion(self):
-        np.testing.assert_allclose(to_rotation_matrix(UnitQuaternion.identity()).m, np.eye(3))
-
+class TestRotate:
     def test_z_quarter_turn_maps_x_to_y(self):
-        v = to_rotation_matrix(QZ90).apply(Vec3(1, 0, 0))
-        np.testing.assert_allclose(v.as_array(), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(rotate(QZ90, Vec3(1, 0, 0)).as_array(), [0, 1, 0], atol=1e-12)
 
-    def test_determinant_plus_one(self, rng):
-        for _ in range(50):
-            assert np.linalg.det(to_rotation_matrix(random_quaternion(rng)).m) == pytest.approx(1.0)
-
-    def test_rejects_improper_and_skew(self):
-        with pytest.raises(ValueError, match="determinant"):
-            RotationMatrix(np.diag([1.0, 1.0, -1.0]))
-        with pytest.raises(ValueError, match="orthonormal"):
-            RotationMatrix(np.eye(3) + 1e-6)
-
-    def test_matches_scipy(self, rng):
-        for _ in range(50):
-            q = random_quaternion(rng)
+    def test_matches_matrix_apply(self, rng):
+        for _ in range(100):
+            q, v = random_quaternion(rng), random_vec3(rng)
             np.testing.assert_allclose(
-                to_rotation_matrix(q).m, scipy_rotation(q).as_matrix(), atol=1e-12
+                rotate(q, v).as_array(),
+                scipy_rotation(q).apply(v.as_array()),
+                atol=1e-9,
             )
 
-    def test_quaternion_round_trip(self, rng):
-        for _ in range(200):
-            q = random_quaternion(rng)
-            back = to_rotation_matrix(q).to_quaternion()
-            np.testing.assert_allclose(back.as_array(), q.as_array(), atol=1e-9)
-
-    def test_sign_canonicalization_is_invisible_to_matrices(self, rng):
+    def test_sign_canonicalization_is_invisible(self, rng):
         # Same rotation either way, by construction of the double cover.
         for _ in range(50):
             w, x, y, z = rng.normal(size=4)
             q = UnitQuaternion(w, x, y, z)
             n = math.sqrt(w * w + x * x + y * y + z * z)
             raw = np.array([w, x, y, z]) / n
-            r_raw = Rotation.from_quat([raw[1], raw[2], raw[3], raw[0]]).as_matrix()
-            np.testing.assert_allclose(to_rotation_matrix(q).m, r_raw, atol=1e-12)
-
-
-class TestRotate:
-    def test_matches_matrix_apply(self, rng):
-        for _ in range(100):
-            q, v = random_quaternion(rng), random_vec3(rng)
-            np.testing.assert_allclose(
-                rotate(q, v).as_array(),
-                to_rotation_matrix(q).apply(v).as_array(),
-                atol=1e-9,
-            )
+            v = random_vec3(rng)
+            r_raw = Rotation.from_quat([raw[1], raw[2], raw[3], raw[0]])
+            np.testing.assert_allclose(rotate(q, v).as_array(), r_raw.apply(v.as_array()), atol=1e-12)
 
 
 class TestAxisAngle:
@@ -292,19 +264,19 @@ class TestRigidTransform:
         assert rotation_angle_deg(out.orientation, p.orientation) < 1e-9
 
     def test_point_and_pose_agree(self, rng):
-        t = RigidTransform.from_quaternion(random_quaternion(rng), random_vec3(rng))
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
         p = random_pose(rng)
         assert t.apply_pose(p).position == t.apply_point(p.position)
 
     def test_orientation_left_composed(self, rng):
         q = random_quaternion(rng)
-        t = RigidTransform.from_quaternion(q, Vec3.zero())
+        t = RigidTransform(q, Vec3.zero())
         p = random_pose(rng)
         expect = compose(q, p.orientation)
         assert rotation_angle_deg(t.apply_pose(p).orientation, expect) < 1e-9
 
     def test_preserves_distances(self, rng):
-        t = RigidTransform.from_quaternion(random_quaternion(rng), random_vec3(rng))
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
         a, b = random_vec3(rng), random_vec3(rng)
         assert translation_distance(t.apply_point(a), t.apply_point(b)) == pytest.approx(
             translation_distance(a, b), abs=1e-9

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from posefuse.geometry import (
     Pose,
@@ -18,6 +19,7 @@ from posefuse.metrics import (
     CDF_ORI_THRESHOLDS,
     CDF_POS_THRESHOLDS,
     PrecisionBuckets,
+    _matrix_quaternion,
     absolute_pose_error,
     align_and_evaluate,
     apply_alignment,
@@ -111,7 +113,7 @@ class TestMatchesScalarPrimitives:
         assert got.tolist() == expect
 
     def test_apply_alignment(self, rng):
-        t = RigidTransform.from_quaternion(random_quaternion(rng), random_vec3(rng))
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
         poses = [random_pose(rng) for _ in range(300)]
         expect = track_array([t.apply_pose(p) for p in poses])
         assert apply_alignment(track_array(poses), t).tolist() == expect.tolist()
@@ -126,7 +128,7 @@ class TestRelativeErrors:
 
     def test_rigid_transform_invariance(self, rng):
         track = curved_track(10)
-        t = RigidTransform.from_quaternion(random_quaternion(rng), random_vec3(rng))
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
         moved = [t.apply_pose(p) for p in track]
         for rpe, roe in relative_errors(track_array(moved), track_array(track)):
             assert rpe == pytest.approx(0.0, abs=1e-9)
@@ -205,25 +207,39 @@ class TestKabschAlign:
     def test_identity(self, rng):
         pts = points(random_vec3(rng) for _ in range(6))
         t = kabsch_align(pts, pts)
-        np.testing.assert_allclose(t.rotation.m, np.eye(3), atol=1e-9)
+        # 1e-5 deg is the resolution of rotation_angle_deg near zero.
+        assert rotation_angle_deg(t.rotation, UnitQuaternion.identity()) < 1e-5
         assert t.translation.norm() < 1e-9
 
     def test_pure_translation(self, rng):
         src = points(random_vec3(rng) for _ in range(6))
         dst = src + np.array([1.0, 2.0, 3.0])
         t = kabsch_align(src, dst)
-        np.testing.assert_allclose(t.rotation.m, np.eye(3), atol=1e-9)
+        assert rotation_angle_deg(t.rotation, UnitQuaternion.identity()) < 1e-5
         np.testing.assert_allclose(t.translation.as_array(), [1, 2, 3], atol=1e-9)
 
     def test_recovers_rotation_and_translation(self, rng):
         rot = axis_angle_quaternion(Z, 30.0)
-        true = RigidTransform.from_quaternion(rot, Vec3(0.5, -1.0, 2.0))
+        true = RigidTransform(rot, Vec3(0.5, -1.0, 2.0))
         src = [random_vec3(rng, scale=5.0) for _ in range(10)]
         dst = [true.apply_point(p) for p in src]
         fit = kabsch_align(points(src), points(dst))
-        np.testing.assert_allclose(fit.rotation.m, true.rotation.m, atol=1e-9)
+        assert rotation_angle_deg(fit.rotation, true.rotation) < 1e-5
         for s, d in zip(src, dst):
             assert translation_distance(fit.apply_point(s), d) < 1e-6
+
+    def test_mirror_target_gets_best_proper_rotation(self, rng):
+        # The unconstrained fit of a mirror image is a reflection; the
+        # determinant flip must turn it into the best proper rotation,
+        # whose residual scipy's fit gives independently.
+        for _ in range(20):
+            src = rng.normal(size=(8, 3)) * [3.0, 2.0, 1.0]
+            dst = src * [1.0, 1.0, -1.0] + rng.normal(size=3)
+            fit = kabsch_align(src, dst)
+            moved = np.array([fit.apply_point(Vec3.from_array(p)).as_array() for p in src])
+            residual = math.sqrt(((moved - dst) ** 2).sum())
+            _, rssd = Rotation.align_vectors(dst - dst.mean(axis=0), src - src.mean(axis=0))
+            assert residual == pytest.approx(rssd, abs=1e-9)
 
     def test_collinear_rejected(self):
         src = points(Vec3(float(i), 0.0, 0.0) for i in range(5))
@@ -248,10 +264,47 @@ class TestKabschAlign:
             assert fit_res <= id_res + 1e-9
 
 
+class TestMatrixQuaternion:
+    """The Shepperd extraction kabsch_align turns its matrix into a
+    quaternion with, against scipy's as_quat."""
+
+    @staticmethod
+    def expect(r):
+        x, y, z, w = r.as_quat()
+        return UnitQuaternion(w, x, y, z).as_array()
+
+    def test_each_branch(self):
+        # The identity takes the trace branch; a half turn about x, y or
+        # z makes that axis's diagonal term the largest.  Turns of 60
+        # and 160 deg about axes tilted off x, y and z take the same
+        # branches with nonzero off-diagonal terms.
+        tilt = np.array([0.3, -0.2, 0.25])
+        for k, axis in enumerate(np.eye(3)):
+            tilted = (axis + tilt) / np.linalg.norm(axis + tilt)
+            trace_branch = (Rotation.identity(), Rotation.from_rotvec(math.radians(60.0) * tilted))
+            axis_branch = (Rotation.from_rotvec(math.pi * axis),
+                           Rotation.from_rotvec(math.radians(160.0) * tilted))
+            for r in trace_branch:
+                assert np.trace(r.as_matrix()) > 0.0
+            for r in axis_branch:
+                assert np.trace(r.as_matrix()) <= 0.0 and np.argmax(np.diag(r.as_matrix())) == k
+            for r in trace_branch + axis_branch:
+                got = _matrix_quaternion(r.as_matrix()).as_array()
+                np.testing.assert_allclose(got, self.expect(r), atol=1e-12)
+
+    def test_quaternion_round_trip(self, rng):
+        for _ in range(200):
+            q = random_quaternion(rng)
+            r = Rotation.from_quat([q.x, q.y, q.z, q.w])
+            got = _matrix_quaternion(r.as_matrix()).as_array()
+            np.testing.assert_allclose(got, self.expect(r), atol=1e-12)
+            np.testing.assert_allclose(got, q.as_array(), atol=1e-12)
+
+
 class TestApplyAlignment:
     def test_orientations_pick_up_rotation_on_the_left(self, rng):
         q = random_quaternion(rng)
-        t = RigidTransform.from_quaternion(q, random_vec3(rng))
+        t = RigidTransform(q, random_vec3(rng))
         poses = curved_track(5)
         aligned = apply_alignment(track_array(poses), t)
         assert aligned.shape == (5, 7)
@@ -310,7 +363,7 @@ class TestAlignAndEvaluate:
     def test_rigidly_moved_track_recovered(self, rng):
         gt = curved_track(40)
         ts = [float(i) for i in range(40)]
-        t = RigidTransform.from_quaternion(random_quaternion(rng), random_vec3(rng))
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
         est = [t.apply_pose(p) for p in gt]
         rep = align_and_evaluate(track_array(est), track_array(gt), 30.0, ts)
         assert rep.median_pos == pytest.approx(0.0, abs=1e-8)
