@@ -172,9 +172,11 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
             "n_pairs": manifest.fusion.n_pairs,
             "t_opt": manifest.fusion.t_opt,
             "align_window_seconds": manifest.align_window_seconds,
-            "seed": manifest.seed,
         },
     }
+    # The seed shapes synthetic sequences only.
+    if manifest.synth_count:
+        summary["config"]["seed"] = manifest.seed
     cdf_rows: list[tuple[str, SummaryReport]] = []
     # Each stream becomes one (N, 7) track; gt keeps only the frames
     # that have it, and has_gt marks which frames those are.

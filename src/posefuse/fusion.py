@@ -42,6 +42,7 @@ from .geometry import (
     _angles_deg,
     _apply_rigid,
     _distances,
+    _normalize_rows,
     _poses,
     compose,
     inverse,
@@ -165,6 +166,10 @@ def weiszfeld_median(
     guards the 1/distance weights.  The result is then the best of the
     final iterate and the input points, so a landing on a tied set's
     non-optimal input point does not stick.
+
+    This is the scalar form of the median that run_sequence forms for
+    all its windows at once; that stacked kernel must match it bit for
+    bit.
     """
     if len(points) == 0:
         raise ValueError("weiszfeld_median needs at least one point")
@@ -243,6 +248,10 @@ def average_quaternions(quats: Sequence[UnitQuaternion]) -> UnitQuaternion:
     """Rotation average via the largest eigenvector of the accumulated
     outer-product matrix.  Inputs are sign-aligned to the first element
     beforehand, so either cover of each rotation gives the same answer.
+
+    This is the scalar form of the average that run_sequence forms for
+    all its windows at once; that stacked kernel must match it bit for
+    bit.
     """
     if len(quats) == 0:
         raise ValueError("average_quaternions needs at least one quaternion")
@@ -373,9 +382,11 @@ def run_sequence(
     bit, but the sequence is fused in one pass over its arrays.  The
     stage changes only on the consecutive-pair check and after t_opt
     optimization frames, so one vectorized pair check and a walk over
-    its results place every window and period.  Then each completed
-    window forms its reference, and that reference's optimization checks
-    and vio map run as array operations over the frames it governs.
+    its results place every window and period.  Then the references of
+    all completed windows are formed in one stacked pass, each equal to
+    what compute_reference gives for its window, and each reference's
+    optimization checks and vio map run as array operations over the
+    frames it governs.
     """
     prev_ts: float | None = None
     for s in samples:
@@ -400,8 +411,10 @@ def run_sequence(
     labels = np.full(len(samples), _PENDING)
     poses: list[Pose] = list(aprs)
     if windows:
-        refs = [compute_reference(aprs[a : b + 1], vios[a : b + 1]) for a, b in windows]
-        rows, mapped = _label_and_map(refs, windows, apr, vio, labels, cfg)
+        firsts = np.array([a for a, _ in windows])
+        apr_ref = _references(apr, firsts, cfg.n_pairs + 1)
+        vio_ref = _references(vio, firsts, cfg.n_pairs + 1)
+        rows, mapped = _label_and_map(apr_ref, vio_ref, windows, apr, vio, labels, cfg)
         for i, pose in zip(rows.tolist(), _poses(mapped)):
             poses[i] = pose
     return [
@@ -452,8 +465,135 @@ def _windows(pair_ok: list[bool], cfg: FusionConfig) -> list[tuple[int, int]]:
     return windows
 
 
+def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
+    """The (W, 7) reference rows of one stream: row w is the pose
+    compute_reference forms from frames firsts[w] to firsts[w] + size - 1,
+    equal to it bit for bit."""
+    stack = track[firsts[:, None] + np.arange(size)]
+    return np.column_stack((_medians(stack[:, :, :3]), _average_quaternions(stack[:, :, 3:])))
+
+
+def _medians(pts: np.ndarray) -> np.ndarray:
+    """weiszfeld_median of every window of a (W, n, 3) stack of points,
+    n >= 2.  Each window takes the operations weiszfeld_median applies
+    to it, in the same order and with the same numpy reductions, so the
+    (W, 3) result equals it bit for bit; windows leave the iteration as
+    they finish."""
+    # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w.
+    diff = pts[:, None, :, :] - pts[:, :, None, :]
+    dist = np.linalg.norm(diff, axis=3)
+    same = dist == 0.0
+    pull = np.linalg.norm(
+        (diff / np.where(same, 1.0, dist)[:, :, :, None]).sum(axis=2), axis=2
+    )
+    vertex = pull < same.sum(axis=2) * (1.0 - 1e-9)
+    out = pts[np.arange(len(pts)), vertex.argmax(axis=1)]
+    rest = np.flatnonzero(~vertex.any(axis=1))
+    if rest.size:
+        out[rest] = _iterate_medians(pts[rest], dist[rest])
+    return out
+
+
+def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Summed distance from at[w] to the points of window w."""
+    return np.linalg.norm(pts - at[:, None, :], axis=2).sum(axis=1)
+
+
+def _iterate_medians(
+    pts: np.ndarray, dist: np.ndarray, tol: float = 1e-9, max_iter: int = 100
+) -> np.ndarray:
+    """The iterative path of weiszfeld_median at its default tol and
+    max_iter, then its best-of-inputs pass, for windows that Kuhn's test
+    does not settle.  dist holds the pairwise distances Kuhn's test
+    computed."""
+    y = pts.mean(axis=1)
+    live = np.arange(len(pts))
+    for _ in range(max_iter):
+        p, y_live = pts[live], y[live]
+        diff = p - y_live[:, None, :]
+        d = np.linalg.norm(diff, axis=2)
+        near = d < tol
+        landed = near.any(axis=1)
+        if landed.any():
+            y[live[landed]] = p[landed, near[landed].argmax(axis=1)]
+            keep = ~landed
+            live, p, y_live, diff, d = live[keep], p[keep], y_live[keep], diff[keep], d[keep]
+            if not live.size:
+                break
+        w = 1.0 / d
+        w_sum = w.sum(axis=1)
+        y_next = (p * w[:, :, None]).sum(axis=1) / w_sum[:, None]
+        f_next = _objectives(p, y_next)
+        units = diff * w[:, :, None]
+        grad = -units.sum(axis=1)
+        hess = np.eye(3) * w_sum[:, None, None] - np.matmul(
+            (units * w[:, :, None]).transpose(0, 2, 1), units
+        )
+        newton = y_live - _newton_steps(hess, grad)
+        ok = np.flatnonzero(np.isfinite(newton).all(axis=1))
+        f_newton = _objectives(p[ok], newton[ok])
+        better = f_newton < f_next[ok]
+        y_next[ok[better]] = newton[ok[better]]
+        f_next[ok[better]] = f_newton[better]
+        # Over-relax each window while doubling its displacement still
+        # lowers its objective.
+        delta = y_next - y_live
+        scale = np.full(len(live), 2.0)
+        grow = np.arange(len(live))
+        while grow.size:
+            cand = y_live[grow] + scale[grow, None] * delta[grow]
+            f_cand = _objectives(p[grow], cand)
+            better = f_cand < f_next[grow]
+            grow = grow[better]
+            y_next[grow], f_next[grow] = cand[better], f_cand[better]
+            scale[grow] *= 2.0
+        # np.linalg.norm of a vector squares it through a BLAS dot; a
+        # (1, 3) @ (3, 1) product makes the same call.
+        moved = y_next - y_live
+        step = np.sqrt(np.matmul(moved[:, None, :], moved[:, :, None])[:, 0, 0])
+        y[live] = y_next
+        live = live[~(step < tol)]
+        if not live.size:
+            break
+    # The best of the final iterate and the input points, ties kept by
+    # the earlier candidate.  Row k of dist sums to the objective at p_k.
+    best = _objectives(pts, y)
+    at_inputs = dist.sum(axis=2)
+    k = at_inputs.argmin(axis=1)
+    swap = np.flatnonzero(at_inputs[np.arange(len(pts)), k] < best)
+    y[swap] = pts[swap, k[swap]]
+    return y
+
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """hess^-1 grad for each window, NaN where the solve fails.  One
+    singular Hessian fails the stacked solve, and then each window is
+    solved on its own."""
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(grad, np.nan)
+        for i in range(len(grad)):
+            try:
+                out[i] = np.linalg.solve(hess[i], grad[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _average_quaternions(quats: np.ndarray) -> np.ndarray:
+    """average_quaternions of every window of a (W, n, 4) stack, bit for
+    bit.  Its sign alignment is left out: negating a quaternion leaves
+    every product of two of its components unchanged, bit for bit."""
+    acc = np.zeros((len(quats), 4, 4))
+    for k in range(quats.shape[1]):
+        acc += quats[:, k, :, None] * quats[:, k, None, :]
+    return _normalize_rows(np.linalg.eigh(acc)[1][:, :, -1].copy())
+
+
 def _label_and_map(
-    refs: list[ReferencePair],
+    apr_ref: np.ndarray,
+    vio_ref: np.ndarray,
     windows: list[tuple[int, int]],
     apr: np.ndarray,
     vio: np.ndarray,
@@ -462,18 +602,19 @@ def _label_and_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fill in the label of every frame from the first reference on, and
     map the vio poses of the optimized and tracked frames to the world.
-    Reference r governs the t_opt frames of its optimization period, then
-    tracks the next alignment search up to the frame where window r + 1
-    completes, whose frames become keyframes.  Returns the indices of
-    the mapped frames and their (M, 7) poses."""
+    Reference r, rows r of apr_ref and vio_ref, governs the t_opt frames
+    of its optimization period, then tracks the next alignment search up
+    to the frame where window r + 1 completes, whose frames become
+    keyframes.  Returns the indices of the mapped frames and their
+    (M, 7) poses."""
     n, first = len(apr), windows[0][1] + 1
     lasts = np.array([last for _, last in windows])
-    ref_of = np.repeat(np.arange(len(refs)), np.diff(np.append(lasts, n - 1)))
+    ref_of = np.repeat(np.arange(len(windows)), np.diff(np.append(lasts, n - 1)))
     in_period = np.arange(first, n) - (lasts + 1)[ref_of] < cfg.t_opt
     period_ref = ref_of[in_period]
     reliable = _agree(
-        apr[first:][in_period], track_array([ref.apr_ref for ref in refs])[period_ref],
-        vio[first:][in_period], track_array([ref.vio_ref for ref in refs])[period_ref], cfg,
+        apr[first:][in_period], apr_ref[period_ref],
+        vio[first:][in_period], vio_ref[period_ref], cfg,
     )
     governed = labels[first:]
     governed[:] = _TRACKED
@@ -484,7 +625,10 @@ def _label_and_map(
     # Each map is built once per reference, as step builds it, and only
     # for references that map a frame.
     used, ref_row = np.unique(ref_of[rows], return_inverse=True)
-    maps = [refs[r].vio_to_world for r in used.tolist()]
+    maps = [
+        reference_transform(ReferencePair(a, v))
+        for a, v in zip(_poses(apr_ref[used]), _poses(vio_ref[used]))
+    ]
     mapped = _apply_rigid(
         np.array([g.rotation.as_array() for g in maps]).reshape(-1, 4)[ref_row],
         np.array([g.translation.as_array() for g in maps]).reshape(-1, 3)[ref_row],

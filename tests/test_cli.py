@@ -282,15 +282,18 @@ class TestFileRuns:
 
     def test_synthetic_flags_do_not_apply(self, tmp_path):
         # --frames and --seed shape synthetic sequences; a file run
-        # ignores --frames, even a value a synthetic run would refuse.
+        # ignores them, even values a synthetic run would refuse, and its
+        # summary does not record the seed.
         assert main(synth_args(tmp_path / "gen") + ["--save-sequence"]) == 0
         path = str(tmp_path / "gen" / "synth-7.sequence.csv")
-        a, b = tmp_path / "plain", tmp_path / "frames"
-        assert main(["--input", path, "--out", str(a)]) == 0
-        assert main(["--input", path, "--frames", "1", "--out", str(b)]) == 0
-        for suffix in ("frames.csv", "summary.json", "cdf.csv"):
-            name = f"synth-7.sequence.{suffix}"
-            assert (a / name).read_bytes() == (b / name).read_bytes(), suffix
+        plain = tmp_path / "plain"
+        assert main(["--input", path, "--out", str(plain)]) == 0
+        expect = {f.name: f.read_bytes() for f in plain.iterdir()}
+        assert "seed" not in json.loads(expect["synth-7.sequence.summary.json"])["config"]
+        for flags in (["--frames", "1"], ["--seed", "5"], ["--seed", "-3"]):
+            out = tmp_path / "_".join(flags)
+            assert main(["--input", path, *flags, "--out", str(out)]) == 0
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == expect, flags
 
     def test_fusion_without_apr_names_the_stream(self, tmp_path, capsys):
         path = gt_vio_file(tmp_path)

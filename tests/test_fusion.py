@@ -31,6 +31,7 @@ from posefuse.geometry import (
     translation_distance,
 )
 from posefuse.io import PoseSample
+from posefuse.metrics import track_array
 from posefuse.synth import (
     AprNoiseModel,
     TrajectoryConfig,
@@ -736,3 +737,143 @@ class TestBatchMatchesStep:
                         elif x > 1e150:
                             fused_ok += 1
         assert raised > 0 and fused_ok > 0
+
+
+def pose_hex(pose):
+    return tuple(
+        v.hex()
+        for v in (
+            pose.position.x, pose.position.y, pose.position.z,
+            pose.orientation.w, pose.orientation.x, pose.orientation.y, pose.orientation.z,
+        )
+    )
+
+
+class TestStackedReferences:
+    """run_sequence forms the references of all its windows in one
+    stacked pass.  Each must equal compute_reference of its window by
+    float.hex, whichever path the window's median takes and whatever
+    other windows share the stack."""
+
+    @staticmethod
+    def assert_stack_matches(windows, rng):
+        """windows: equal-length lists of positions; each point gets a
+        random orientation."""
+        size = len(windows[0])
+        poses = [Pose(Vec3(*p), random_quaternion(rng)) for win in windows for p in win]
+        track = track_array(poses)
+        firsts = np.arange(len(windows)) * size
+        got = posefuse.fusion._references(track, firsts, size)
+        for w, a in enumerate(firsts.tolist()):
+            window = poses[a : a + size]
+            expect = pose_hex(compute_reference(window, window).apr_ref)
+            assert tuple(v.hex() for v in got[w].tolist()) == expect, (w, windows[w])
+            # The same window alone gives the same row.
+            alone = posefuse.fusion._references(track, firsts[w : w + 1], size)
+            assert tuple(v.hex() for v in alone[0].tolist()) == expect
+
+    # Windows of 2 to 5 points, one named kind each.  Kuhn's test settles
+    # the vertex and coincident kinds; the axis-aligned lines give an
+    # exactly singular Hessian, so the stacked solve fails; the tied line
+    # puts the centroid on an input point (the d < tol guard), and where
+    # two inputs are within tol of the centroid the first one is taken.
+    CASES = {
+        2: {
+            "coincident": [(1.5, -2, 3), (1.5, -2, 3)],
+            "axis_pair": [(0, 0, 0), (2, 0, 0)],
+            "pair": [(0.3, -1.2, 4.0), (2.1, 0.7, 3.3)],
+        },
+        3: {
+            "obtuse": [(1, 0, 0), (-1, 0.2, 0), (0, 0, 0)],
+            "coincident": [(4, 4, 4)] * 3,
+            "collinear_middle": [(0, 0, 0), (1, 1, 1), (5, 5, 5)],
+            "acute": [(0, 0, 0), (3, 0.5, 0.2), (1.2, 2.7, -0.4)],
+        },
+        4: {
+            "axis_line": [(0, 0, 0), (1, 0, 0), (3, 0, 0), (4, 0, 0)],
+            "tied_line": [(0, 1, 2), (2, 3, 4), (3, 4, 5), (7, 8, 9)],
+            "duplicate_hub": [(0, 0, 0), (0, 0, 0), (2, 0, 0), (0, 3, 0)],
+            "cluster_and_far": [(0, 0, 0), (1e-3, 2e-3, 0), (-2e-3, 1e-3, 1e-3), (50, -40, 30)],
+            "two_inputs_near_centroid": [(0, 0, 0), (4e-10, 0, 0), (-1, 0, 0), (1, 0, 0)],
+        },
+        5: {
+            "duplicate_outweighs_pull": [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, 0), (0, 0, 0)],
+            "centroid_on_wrong_input": [(-3, 0, 0), (-3, 0, 0), (-2, 0, 0), (1, 0, 0), (-3, 0, 0)],
+            "spread": [(0.1, 0.2, 0.3), (4, -1, 2), (-3, 2, 1), (1, 5, -2), (2, 2, 6)],
+            "collinear_odd": [(0, 0, 0), (1, 0, 0), (2.5, 0, 0), (3, 0, 0), (8, 0, 0)],
+        },
+    }
+
+    @pytest.mark.parametrize("size", sorted(CASES))
+    def test_named_windows(self, size, rng, monkeypatch):
+        cases = self.CASES[size]
+        windows = [[tuple(map(float, p)) for p in cases[name]] for name in sorted(cases)]
+        stacked_failures = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                stacked_failures.append(np.ndim(a) == 3)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        self.assert_stack_matches(windows, rng)
+        if size in (2, 4):
+            assert any(stacked_failures)
+
+    def test_kinds_take_their_paths(self):
+        def median(pts, **kw):
+            return weiszfeld_median([Vec3(*p) for p in pts], **kw)
+
+        for size, name in ((3, "obtuse"), (5, "duplicate_outweighs_pull"), (4, "duplicate_hub")):
+            assert kuhn_optimal_point(self.CASES[size][name])[1] >= 1e-6
+        for size, name in ((2, "axis_pair"), (4, "axis_line"), (4, "tied_line")):
+            assert kuhn_optimal_point(self.CASES[size][name])[1] == pytest.approx(0.0, abs=1e-12)
+        tied = np.array(self.CASES[4]["tied_line"], dtype=float)
+        assert (tied.mean(axis=0) == tied[2]).all()
+        near = np.array(self.CASES[4]["two_inputs_near_centroid"], dtype=float)
+        assert (np.linalg.norm(near - near.mean(axis=0), axis=1) < 1e-9).tolist() == [True, True, False, False]
+        assert kuhn_optimal_point(near)[1] == pytest.approx(0.0, abs=1e-12)
+        # The size-4 stack holds a window that stops after one round and
+        # one that runs more than nine.
+        line, cluster = self.CASES[4]["axis_line"], self.CASES[4]["cluster_and_far"]
+        assert median(line, max_iter=1) == median(line)
+        assert median(cluster, max_iter=9) != median(cluster)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_mixed_random_stacks(self, size, rng):
+        windows = []
+        for i in range(120):
+            kind = i % 4
+            if kind == 0:  # scattered
+                arr = rng.normal(size=(size, 3)) * rng.uniform(0.01, 20.0)
+            elif kind == 1:  # repeats of one point
+                arr = rng.normal(size=(size, 3))
+                arr[rng.integers(0, size, size=max(1, size // 2))] = arr[-1]
+            elif kind == 2:  # integer points on a line through the origin
+                ts = rng.integers(-3, 4, size=size).astype(float)
+                arr = ts[:, None] * rng.integers(-2, 3, size=3).astype(float)
+            else:  # a tight cluster and outliers
+                arr = rng.normal(size=(size, 3)) * 1e-3
+                arr[: size // 2] += rng.normal(size=3) * 30.0
+            windows.append([tuple(row) for row in arr.tolist()])
+        self.assert_stack_matches(windows, rng)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+    def test_synthetic_windows(self, n_pairs):
+        # Every window start of two sequences, not only the windows the
+        # gates complete.
+        size = n_pairs + 1
+        for seed in range(2):
+            samples = fused(seed, n=300)
+            for stream in ("apr", "vio"):
+                poses = [getattr(s, stream) for s in samples]
+                track = track_array(poses)
+                firsts = np.arange(len(poses) - n_pairs)
+                got = posefuse.fusion._references(track, firsts, size)
+                for a in firsts.tolist():
+                    window = poses[a : a + size]
+                    expect = pose_hex(compute_reference(window, window).apr_ref)
+                    assert tuple(v.hex() for v in got[a].tolist()) == expect
