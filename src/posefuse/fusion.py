@@ -142,8 +142,14 @@ def relative_pose_check(u_apr: Odometry, u_vio: Odometry, cfg: FusionConfig) -> 
     )
 
 
+# weiszfeld_median's default stopping rule, which the stacked medians of
+# run_sequence also apply; one definition keeps the two forms equal.
+_MEDIAN_TOL = 1e-9
+_MEDIAN_MAX_ITER = 100
+
+
 def weiszfeld_median(
-    points: Sequence[Vec3], tol: float = 1e-9, max_iter: int = 100
+    points: Sequence[Vec3], tol: float = _MEDIAN_TOL, max_iter: int = _MEDIAN_MAX_ITER
 ) -> Vec3:
     """Geometric median, the minimizer of the summed Euclidean distance.
 
@@ -465,12 +471,26 @@ def _windows(pair_ok: list[bool], cfg: FusionConfig) -> list[tuple[int, int]]:
     return windows
 
 
+# Kuhn's test holds size * size pairwise entries per window, so windows
+# are stacked in blocks of at most this many entries: each (..., 3) float
+# temporary of a block stays near 6 MB, whatever the window size and the
+# sequence length.
+_PAIRS_PER_BLOCK = 1 << 18
+
+
 def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
     """The (W, 7) reference rows of one stream: row w is the pose
     compute_reference forms from frames firsts[w] to firsts[w] + size - 1,
-    equal to it bit for bit."""
-    stack = track[firsts[:, None] + np.arange(size)]
-    return np.column_stack((_medians(stack[:, :, :3]), _average_quaternions(stack[:, :, 3:])))
+    equal to it bit for bit.  Each window's arithmetic is its own, so
+    the blocks the windows are stacked in do not change the bits."""
+    rows = max(1, _PAIRS_PER_BLOCK // (size * size))
+    blocks = []
+    for start in range(0, len(firsts), rows):
+        stack = track[firsts[start : start + rows, None] + np.arange(size)]
+        blocks.append(
+            np.column_stack((_medians(stack[:, :, :3]), _average_quaternions(stack[:, :, 3:])))
+        )
+    return np.concatenate(blocks)
 
 
 def _medians(pts: np.ndarray) -> np.ndarray:
@@ -499,20 +519,18 @@ def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pts - at[:, None, :], axis=2).sum(axis=1)
 
 
-def _iterate_medians(
-    pts: np.ndarray, dist: np.ndarray, tol: float = 1e-9, max_iter: int = 100
-) -> np.ndarray:
-    """The iterative path of weiszfeld_median at its default tol and
-    max_iter, then its best-of-inputs pass, for windows that Kuhn's test
-    does not settle.  dist holds the pairwise distances Kuhn's test
-    computed."""
+def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The iterative path of weiszfeld_median at its default stopping
+    rule (_MEDIAN_TOL, _MEDIAN_MAX_ITER), then its best-of-inputs pass,
+    for windows that Kuhn's test does not settle.  dist holds the
+    pairwise distances Kuhn's test computed."""
     y = pts.mean(axis=1)
     live = np.arange(len(pts))
-    for _ in range(max_iter):
+    for _ in range(_MEDIAN_MAX_ITER):
         p, y_live = pts[live], y[live]
         diff = p - y_live[:, None, :]
         d = np.linalg.norm(diff, axis=2)
-        near = d < tol
+        near = d < _MEDIAN_TOL
         landed = near.any(axis=1)
         if landed.any():
             y[live[landed]] = p[landed, near[landed].argmax(axis=1)]
@@ -552,7 +570,7 @@ def _iterate_medians(
         moved = y_next - y_live
         step = np.sqrt(np.matmul(moved[:, None, :], moved[:, :, None])[:, 0, 0])
         y[live] = y_next
-        live = live[~(step < tol)]
+        live = live[~(step < _MEDIAN_TOL)]
         if not live.size:
             break
     # The best of the final iterate and the input points, ties kept by

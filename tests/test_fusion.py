@@ -772,11 +772,12 @@ class TestStackedReferences:
             alone = posefuse.fusion._references(track, firsts[w : w + 1], size)
             assert tuple(v.hex() for v in alone[0].tolist()) == expect
 
-    # Windows of 2 to 5 points, one named kind each.  Kuhn's test settles
-    # the vertex and coincident kinds; the axis-aligned lines give an
-    # exactly singular Hessian, so the stacked solve fails; the tied line
-    # puts the centroid on an input point (the d < tol guard), and where
-    # two inputs are within tol of the centroid the first one is taken.
+    # Windows of 2 to 5 and 9 points, one named kind each.  Kuhn's test
+    # settles the vertex, hub and coincident kinds; the axis-aligned lines
+    # give an exactly singular Hessian, so the stacked solve fails; the
+    # tied line puts the centroid on an input point (the d < tol guard),
+    # and where two inputs are within tol of the centroid the first one is
+    # taken.
     CASES = {
         2: {
             "coincident": [(1.5, -2, 3), (1.5, -2, 3)],
@@ -801,6 +802,17 @@ class TestStackedReferences:
             "centroid_on_wrong_input": [(-3, 0, 0), (-3, 0, 0), (-2, 0, 0), (1, 0, 0), (-3, 0, 0)],
             "spread": [(0.1, 0.2, 0.3), (4, -1, 2), (-3, 2, 1), (1, 5, -2), (2, 2, 6)],
             "collinear_odd": [(0, 0, 0), (1, 0, 0), (2.5, 0, 0), (3, 0, 0), (8, 0, 0)],
+        },
+        # Reductions over 8 or more elements take numpy's unrolled path.
+        9: {
+            "coincident": [(1, -2, 3)] * 9,
+            "ring_and_hub": [(0, 0, 0)] + [
+                (r * np.cos(r * np.pi / 4), r * np.sin(r * np.pi / 4), 0) for r in range(1, 9)
+            ],
+            "spread": [(0.1, 0.2, 0.3), (4, -1, 2), (-3, 2, 1), (1, 5, -2), (2, 2, 6),
+                       (-1, -4, 0.5), (3.3, 0.7, -2.2), (-2, -2, -2), (0.5, 6, 1)],
+            "cluster_and_far": [(1e-3 * k, -2e-3 * k, 1e-3) for k in range(5)]
+                               + [(50, -40, 30), (-60, 10, 5), (20, 70, -30), (-5, -5, 90)],
         },
     }
 
@@ -827,7 +839,8 @@ class TestStackedReferences:
         def median(pts, **kw):
             return weiszfeld_median([Vec3(*p) for p in pts], **kw)
 
-        for size, name in ((3, "obtuse"), (5, "duplicate_outweighs_pull"), (4, "duplicate_hub")):
+        vertices = ((3, "obtuse"), (5, "duplicate_outweighs_pull"), (4, "duplicate_hub"), (9, "ring_and_hub"))
+        for size, name in vertices:
             assert kuhn_optimal_point(self.CASES[size][name])[1] >= 1e-6
         for size, name in ((2, "axis_pair"), (4, "axis_line"), (4, "tied_line")):
             assert kuhn_optimal_point(self.CASES[size][name])[1] == pytest.approx(0.0, abs=1e-12)
@@ -842,7 +855,7 @@ class TestStackedReferences:
         assert median(line, max_iter=1) == median(line)
         assert median(cluster, max_iter=9) != median(cluster)
 
-    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 11])
     def test_mixed_random_stacks(self, size, rng):
         windows = []
         for i in range(120):
@@ -861,7 +874,16 @@ class TestStackedReferences:
             windows.append([tuple(row) for row in arr.tolist()])
         self.assert_stack_matches(windows, rng)
 
-    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+    def test_blocks_give_the_same_rows(self, monkeypatch):
+        # Windows are stacked in blocks that bound the pairwise memory;
+        # how the windows fall into blocks does not change a bit.
+        track = track_array([s.apr for s in fused(0, n=300)])
+        firsts = np.arange(len(track) - 10)
+        whole = posefuse.fusion._references(track, firsts, 11)
+        monkeypatch.setattr(posefuse.fusion, "_PAIRS_PER_BLOCK", 7 * 11 * 11)
+        assert posefuse.fusion._references(track, firsts, 11).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 7, 10])
     def test_synthetic_windows(self, n_pairs):
         # Every window start of two sequences, not only the windows the
         # gates complete.
