@@ -3,6 +3,7 @@ locally precise but drifting odometry, plus the synthetic sensor models
 and trajectory metrics used to exercise the pipeline."""
 
 from .fusion import (
+    FusedTrack,
     FusionConfig,
     FusionOutput,
     FusionState,
@@ -20,7 +21,7 @@ from .geometry import (
     UnitQuaternion,
     Vec3,
 )
-from .io import PoseSample, SequenceFormatError, parse_sequence, write_sequence
+from .io import PoseSample, Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     PrecisionBuckets,
     SummaryReport,
@@ -40,6 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AprNoiseModel",
+    "FusedTrack",
     "FusionConfig",
     "FusionOutput",
     "FusionState",
@@ -48,6 +50,7 @@ __all__ = [
     "Pose",
     "PoseSample",
     "PrecisionBuckets",
+    "Recording",
     "ReferencePair",
     "RigidTransform",
     "SequenceFormatError",

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import FusionConfig, Label, run_sequence
-from .io import PoseSample, SequenceFormatError, parse_sequence, write_sequence
+from .io import PoseSample, Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
     SummaryReport,
@@ -34,7 +34,6 @@ from .metrics import (
     align_and_evaluate,
     relative_errors,
     summarize_errors,
-    track_array,
 )
 from .synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 
@@ -49,14 +48,17 @@ _APR_SEED_OFFSET = 2_000_003
 
 _FMT = "%.12g"
 
+# The labels in the order of a FusedTrack's label codes.
+_LABELS = tuple(Label)
+
 # Label groups reported in the summary, in report order.  Keyframes and
 # reliable frames both carry checker-approved apr poses, so they form
 # one group; optimized frames carry corrected poses.
-_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("keyframes", (Label.KEYFRAME.value, Label.RELIABLE.value)),
-    ("optimized", (Label.OPTIMIZED.value,)),
-    ("keyframes_plus_optimized", (Label.KEYFRAME.value, Label.RELIABLE.value, Label.OPTIMIZED.value)),
-    ("all_frames", tuple(label.value for label in Label)),
+_GROUPS: tuple[tuple[str, tuple[Label, ...]], ...] = (
+    ("keyframes", (Label.KEYFRAME, Label.RELIABLE)),
+    ("optimized", (Label.OPTIMIZED,)),
+    ("keyframes_plus_optimized", (Label.KEYFRAME, Label.RELIABLE, Label.OPTIMIZED)),
+    ("all_frames", _LABELS),
 )
 
 
@@ -149,23 +151,23 @@ def _sequences(manifest: RunManifest):
 
 
 def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunManifest) -> None:
-    if not samples:
+    rec = Recording.of(samples)
+    if not rec:
         raise ValueError(f"sequence {name} is empty")
-    has_apr = all(s.apr is not None for s in samples)
+    missing = int(np.count_nonzero(~rec.has("apr")))
     mode = manifest.mode
     if mode == "auto":
-        mode = "fusion" if has_apr else "vio-eval"
-    if mode == "fusion" and not has_apr:
-        missing = sum(1 for s in samples if s.apr is None)
+        mode = "vio-eval" if missing else "fusion"
+    if mode == "fusion" and missing:
         raise ValueError(
             f"sequence {name}: fusion requested but the apr stream is missing "
-            f"on {missing} of {len(samples)} frames"
+            f"on {missing} of {len(rec)} frames"
         )
 
     summary: dict = {
         "sequence": name,
         "mode": mode,
-        "frames": len(samples),
+        "frames": len(rec),
         "config": {
             "d_th": manifest.fusion.d_th,
             "o_th": manifest.fusion.o_th,
@@ -178,29 +180,29 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
     if manifest.synth_count:
         summary["config"]["seed"] = manifest.seed
     cdf_rows: list[tuple[str, SummaryReport]] = []
-    # Each stream becomes one (N, 7) track; gt keeps only the frames
-    # that have it, and has_gt marks which frames those are.
-    has_gt = np.array([s.gt is not None for s in samples])
-    gt = track_array([s.gt for s in samples if s.gt is not None])
+    # gt keeps only the frames that have it, and has_gt marks which
+    # frames those are.
+    has_gt = rec.has("gt")
+    gt = rec.gt[has_gt]
 
     if mode == "fusion":
-        outputs = run_sequence(samples, manifest.fusion)
-        track = track_array([out.pose for out in outputs])
-        labels = np.array([out.label.value for out in outputs])
+        result = run_sequence(rec, manifest.fusion)
+        track = result.track
+        counts = np.bincount(result.labels, minlength=len(_LABELS))
         summary["label_counts"] = {
-            label.value: int(np.count_nonzero(labels == label.value)) for label in Label
+            label.value: int(count) for label, count in zip(_LABELS, counts)
         }
+        labels = np.array([label.value for label in _LABELS])[result.labels].tolist()
         pos_err, ori_err = absolute_pose_error(track[has_gt], gt)
         if has_gt.any():
-            raw_pos, raw_ori = absolute_pose_error(
-                track_array([s.apr for s in samples])[has_gt], gt
-            )
-            scored_labels = labels[has_gt]
+            raw_pos, raw_ori = absolute_pose_error(rec.apr[has_gt], gt)
+            scored_labels = result.labels[has_gt]
             groups: dict = {}
             for group_name, members in _GROUPS:
-                count = int(np.count_nonzero(np.isin(labels, members)))
-                entry: dict = {"count": count, "fraction": count / len(samples)}
-                scored = np.isin(scored_labels, members)
+                codes = [_LABELS.index(label) for label in members]
+                count = int(np.count_nonzero(np.isin(result.labels, codes)))
+                entry: dict = {"count": count, "fraction": count / len(rec)}
+                scored = np.isin(scored_labels, codes)
                 if scored.any():
                     fused = summarize_errors(pos_err[scored], ori_err[scored])
                     raw = summarize_errors(raw_pos[scored], raw_ori[scored])
@@ -218,9 +220,7 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
             # rather than losing the fused evaluation with it.
             if has_gt.all():
                 try:
-                    section, report = _vio_section(
-                        track_array([s.vio for s in samples]), gt, samples, manifest
-                    )
+                    section, report = _vio_section(rec.vio, gt, rec.timestamps, manifest)
                 except ValueError:
                     pass
                 else:
@@ -233,10 +233,10 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
                 f"sequence {name}: vio evaluation needs ground truth on every "
                 f"frame, missing on {gt_missing}"
             )
-        track = track_array([s.vio for s in samples])
-        labels = np.array(["vio"] * len(samples))
+        track = rec.vio
+        labels = ["vio"] * len(rec)
         pos_err, ori_err = absolute_pose_error(track, gt)
-        section, report = _vio_section(track, gt, samples, manifest)
+        section, report = _vio_section(track, gt, rec.timestamps, manifest)
         summary["vio"] = section
         cdf_rows.append(("vio", report))
 
@@ -246,20 +246,18 @@ def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunMan
     if "csv" in manifest.formats:
         _write_frames_csv(
             manifest.out_dir / f"{name}.frames.csv",
-            samples, track, labels, has_gt, pos_err, ori_err,
+            rec.frames, rec.timestamps, track, labels, has_gt, pos_err, ori_err,
         )
         _write_cdf_csv(manifest.out_dir / f"{name}.cdf.csv", cdf_rows)
 
 
 def _vio_section(
-    vio: np.ndarray, gt: np.ndarray, samples: Sequence[PoseSample], manifest: RunManifest
+    vio: np.ndarray, gt: np.ndarray, timestamps: np.ndarray, manifest: RunManifest
 ) -> tuple[dict, SummaryReport]:
-    """VIO-vs-gt statistics for index-aligned vio and gt tracks of
-    samples: absolute errors after a rigid fit over the opening window,
-    plus per-step relative errors."""
-    report = align_and_evaluate(
-        vio, gt, manifest.align_window_seconds, [s.timestamp for s in samples]
-    )
+    """VIO-vs-gt statistics for index-aligned vio and gt tracks with
+    their timestamps: absolute errors after a rigid fit over the opening
+    window, plus per-step relative errors."""
+    report = align_and_evaluate(vio, gt, manifest.align_window_seconds, timestamps)
     section = report.to_dict()
     if len(vio) >= 2:
         rpe, roe = np.median(relative_errors(vio, gt), axis=0)
@@ -270,9 +268,10 @@ def _vio_section(
 
 def _write_frames_csv(
     path: Path,
-    samples: Sequence[PoseSample],
+    frames: Sequence[int],
+    timestamps: np.ndarray,
     track: np.ndarray,
-    labels: np.ndarray,
+    labels: Sequence[str],
     has_gt: np.ndarray,
     pos_err: np.ndarray,
     ori_err: np.ndarray,
@@ -283,8 +282,9 @@ def _write_frames_csv(
     error_fmt = f",{_FMT},{_FMT}"
     errors = iter(zip(pos_err.tolist(), ori_err.tolist()))
     lines = ["frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"]
-    for s, row, label, scored in zip(samples, track.tolist(), labels.tolist(), has_gt.tolist()):
-        line = pose_fmt % (s.frame_index, s.timestamp, label, *row)
+    rows = zip(frames, timestamps.tolist(), labels, track.tolist(), has_gt.tolist())
+    for frame, timestamp, label, row, scored in rows:
+        line = pose_fmt % (frame, timestamp, label, *row)
         lines.append(line + (error_fmt % next(errors) if scored else ",,"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -22,14 +22,20 @@ output so the stream stays gap-free: tracked (vio through the previous
 reference) once a reference exists, pending (raw apr) before the first
 one.  When a window completes, its frames are re-emitted as keyframes;
 run_sequence keeps the last label per frame.
+
+step is the streaming form, one frame of Pose objects at a time.
+run_sequence fuses a whole Recording on its arrays and returns a
+FusedTrack: label codes and the fused (N, 7) track, which build
+FusionOutput objects only when indexed or iterated.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .geometry import (
     odometry,
     rotate,
 )
-from .io import PoseSample
+from .io import PoseSample, Recording, _frozen, _FrameSequence
 from .metrics import track_array
 
 
@@ -374,10 +380,33 @@ def step(
     return state, outputs
 
 
-def run_sequence(
-    samples: Sequence[PoseSample], cfg: FusionConfig
-) -> list[FusionOutput]:
-    """Run the full pipeline over an in-order sequence.
+class FusedTrack(_FrameSequence):
+    """The fused output of a sequence in array form: the caller's frame
+    indices, one label code per frame (an index into tuple(Label)) and
+    the (N, 7) fused track, rows x, y, z, qw, qx, qy, qz.
+
+    It is a read-only sequence of FusionOutput, one per frame; indexing
+    or iterating builds them."""
+
+    __slots__ = ("frames", "labels", "track")
+
+    def __init__(self, frames, labels, track) -> None:
+        self.frames = tuple(frames)
+        n = len(self.frames)
+        self.labels = _frozen(labels, (n,), dtype=np.intp)
+        self.track = _frozen(track, (n, 7))
+
+    def _item(self, i: int) -> FusionOutput:
+        return FusionOutput(self.frames[i], _poses(self.track[i : i + 1])[0], _LABELS[self.labels[i]])
+
+    def __iter__(self) -> Iterator[FusionOutput]:
+        labels = map(_LABELS.__getitem__, self.labels.tolist())
+        return map(FusionOutput, self.frames, _poses(self.track), labels)
+
+
+def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack:
+    """Run the full pipeline over an in-order sequence, a Recording or
+    any other sequence of samples.
 
     Returns exactly one output per input frame, in input order, with the
     final label per frame (keyframe re-emissions supersede provisional
@@ -394,39 +423,44 @@ def run_sequence(
     optimization checks and vio map run as array operations over the
     frames it governs.
     """
-    prev_ts: float | None = None
-    for s in samples:
-        if s.vio is None:
-            raise ValueError(f"frame {s.frame_index}: vio pose missing, fusion needs it")
-        if s.apr is None:
-            raise ValueError(f"frame {s.frame_index}: apr pose missing, fusion needs it")
-        if prev_ts is not None and s.timestamp <= prev_ts:
-            raise ValueError(
-                f"frame {s.frame_index}: timestamps must be strictly increasing"
-            )
-        prev_ts = s.timestamp
-
-    aprs = [s.apr for s in samples]
-    vios = [s.vio for s in samples]
-    apr, vio = track_array(aprs), track_array(vios)
+    rec = Recording.of(samples)
+    _check_inputs(rec)
+    apr, vio = rec.apr, rec.vio
     if not (
         (np.abs(apr[:, :3]) < _COORD_LIMIT).all() and (np.abs(vio[:, :3]) < _COORD_LIMIT).all()
     ):
-        return _run_steps(samples, cfg)
+        return _run_steps(rec, cfg)
     windows = _windows(_agree(apr[:-1], apr[1:], vio[:-1], vio[1:], cfg).tolist(), cfg)
-    labels = np.full(len(samples), _PENDING)
-    poses: list[Pose] = list(aprs)
+    labels = np.full(len(rec), _PENDING)
+    track = apr.copy()
     if windows:
         firsts = np.array([a for a, _ in windows])
         apr_ref = _references(apr, firsts, cfg.n_pairs + 1)
         vio_ref = _references(vio, firsts, cfg.n_pairs + 1)
         rows, mapped = _label_and_map(apr_ref, vio_ref, windows, apr, vio, labels, cfg)
-        for i, pose in zip(rows.tolist(), _poses(mapped)):
-            poses[i] = pose
-    return [
-        FusionOutput(s.frame_index, pose, _LABELS[code])
-        for s, pose, code in zip(samples, poses, labels.tolist())
-    ]
+        track[rows] = mapped
+    return FusedTrack(rec.frames, labels, track)
+
+
+def _check_inputs(rec: Recording) -> None:
+    """Raise at the first frame that lacks vio, lacks apr or does not
+    follow its predecessor in time, naming the first of these it
+    breaks."""
+    no_vio, no_apr = ~rec.has("vio"), ~rec.has("apr")
+    # A NaN timestamp compares false, so it is not refused here.
+    ts = rec.timestamps
+    late = np.zeros(len(rec), dtype=bool)
+    late[1:] = ts[1:] <= ts[:-1]
+    bad = np.flatnonzero(no_vio | no_apr | late)
+    if not bad.size:
+        return
+    i = bad[0]
+    frame = rec.frames[i]
+    if no_vio[i]:
+        raise ValueError(f"frame {frame}: vio pose missing, fusion needs it")
+    if no_apr[i]:
+        raise ValueError(f"frame {frame}: apr pose missing, fusion needs it")
+    raise ValueError(f"frame {frame}: timestamps must be strictly increasing")
 
 
 # Below this magnitude every squared coordinate difference is finite, so
@@ -655,17 +689,15 @@ def _label_and_map(
     return first + rows, mapped
 
 
-def _run_steps(samples: Sequence[PoseSample], cfg: FusionConfig) -> list[FusionOutput]:
+def _run_steps(rec: Recording, cfg: FusionConfig) -> FusedTrack:
     """run_sequence through step, frame by frame."""
     state = FusionState()
     latest: dict[int, FusionOutput] = {}
-    for s in samples:
+    for s in rec:
         state, outs = step(state, s.apr, s.vio, cfg)
         for out in outs:
             latest[out.frame_index] = out
-    # step() numbers frames 0..n-1 in feed order; surface the caller's
-    # frame indices instead.
-    return [
-        replace(latest[i], frame_index=samples[i].frame_index)
-        for i in range(len(samples))
-    ]
+    # step() numbers frames 0..n-1 in feed order.
+    outputs = [latest[i] for i in range(len(rec))]
+    labels = [_LABELS.index(out.label) for out in outputs]
+    return FusedTrack(rec.frames, labels, track_array([out.pose for out in outputs]))

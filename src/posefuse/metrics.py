@@ -237,10 +237,10 @@ def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:
         raise ValueError("summarize_errors needs at least one record")
     bad = ~(np.isfinite(pos) & (pos >= 0.0))
     if bad.any():
-        raise ValueError(f"pos_err must be finite and >= 0, got {pos[bad][0]!r}")
+        raise ValueError(f"pos_err must be finite and >= 0, got {float(pos[bad][0])!r}")
     bad = ~(np.isfinite(ori) & (ori >= 0.0) & (ori <= 180.0))
     if bad.any():
-        raise ValueError(f"ori_err must be in [0, 180], got {ori[bad][0]!r}")
+        raise ValueError(f"ori_err must be in [0, 180], got {float(ori[bad][0])!r}")
     return SummaryReport(
         count=len(pos),
         median_pos=float(np.median(pos)),

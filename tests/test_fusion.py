@@ -5,6 +5,7 @@ import pytest
 
 import posefuse.fusion
 from posefuse.fusion import (
+    FusedTrack,
     FusionConfig,
     FusionOutput,
     FusionState,
@@ -30,7 +31,7 @@ from posefuse.geometry import (
     rotation_angle_deg,
     translation_distance,
 )
-from posefuse.io import PoseSample
+from posefuse.io import PoseSample, Recording, parse_sequence, write_sequence
 from posefuse.metrics import track_array
 from posefuse.synth import (
     AprNoiseModel,
@@ -737,6 +738,92 @@ class TestBatchMatchesStep:
                         elif x > 1e150:
                             fused_ok += 1
         assert raised > 0 and fused_ok > 0
+
+
+# The apr model of the benchmark's clean recorded sequences, beside the
+# default model.
+CLEAN_APR = AprNoiseModel(inlier_pos_sigma=0.1, inlier_rot_sigma=0.5, outlier_prob=0.02)
+
+
+def recorded(tmp_path, seed, apr_model=AprNoiseModel(), n=200):
+    """A synthetic sequence written to a file and parsed back."""
+    samples = generate_gt(TrajectoryConfig(n_frames=n, seed=seed))
+    gt = [s.gt for s in samples]
+    vio = simulate_vio(gt, VioNoiseModel(), 1_000_003 + seed)
+    apr = simulate_apr(gt, apr_model, 2_000_003 + seed)
+    for s, v, a in zip(samples, vio, apr):
+        s.vio, s.apr = v, a
+    path = tmp_path / f"seq-{seed}.csv"
+    write_sequence(path, samples)
+    return parse_sequence(path)
+
+
+class TestRecordedSequences:
+    """run_sequence takes a Recording as it takes a list of samples, and
+    returns a FusedTrack whose outputs are built on access."""
+
+    @pytest.mark.parametrize("apr_model", [AprNoiseModel(), CLEAN_APR], ids=["default", "clean"])
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_recording_list_and_step_agree(self, tmp_path, n_pairs, apr_model):
+        cfg = FusionConfig(n_pairs=n_pairs)
+        for seed in range(3):
+            rec = recorded(tmp_path, seed, apr_model)
+            expect = outcome(step_run_sequence, list(rec), cfg)
+            assert outcome(run_sequence, rec, cfg) == expect
+            assert outcome(run_sequence, list(rec), cfg) == expect
+
+    def test_indexed_sample_changes_do_not_reach_the_recording(self, tmp_path):
+        rec = recorded(tmp_path, 0, n=40)
+        expect = list(run_sequence(rec, CFG))
+        rec[0].apr = None
+        rec[5].vio = rec[6].vio
+        assert list(run_sequence(rec, CFG)) == expect
+
+    def test_fused_track_as_a_sequence(self, tmp_path):
+        rec = recorded(tmp_path, 1, n=60)
+        fused = run_sequence(rec, CFG)
+        outs = list(fused)
+        assert isinstance(fused, FusedTrack) and len(fused) == len(rec)
+        assert fused == outs and outs == fused
+        assert [fused[i] for i in range(len(fused))] == outs
+        assert fused[-1] == outs[-1]
+        assert list(fused[10:20]) == outs[10:20]
+        assert fused.frames == rec.frames
+        assert [tuple(Label)[code] for code in fused.labels.tolist()] == [o.label for o in outs]
+        assert fused.track.tolist() == [
+            [o.pose.position.x, o.pose.position.y, o.pose.position.z,
+             o.pose.orientation.w, o.pose.orientation.x, o.pose.orientation.y, o.pose.orientation.z]
+            for o in outs
+        ]
+        with pytest.raises(ValueError):
+            fused.track[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "vio_at, apr_at, late_at, message",
+        [
+            (None, 4, 4, "frame 4: apr pose missing"),
+            (2, 4, 4, "frame 2: vio pose missing"),
+            (4, 4, 4, "frame 4: vio pose missing"),
+            (None, 5, 4, "frame 4: timestamps must be strictly increasing"),
+            (6, None, 4, "frame 4: timestamps must be strictly increasing"),
+        ],
+    )
+    def test_first_bad_frame_wins(self, vio_at, apr_at, late_at, message):
+        samples = fused(n=10)
+        if vio_at is not None:
+            samples[vio_at].vio = None
+        if apr_at is not None:
+            samples[apr_at].apr = None
+        samples[late_at].timestamp = samples[late_at - 1].timestamp
+        expect = outcome(step_run_sequence, samples, CFG)
+        assert expect == (ValueError, message + (", fusion needs it" if "pose" in message else ""))
+        assert outcome(run_sequence, samples, CFG) == expect
+        assert outcome(run_sequence, Recording.of(samples), CFG) == expect
+
+    def test_nan_timestamp_passes_as_before(self):
+        samples = fused(n=20)
+        samples[7].timestamp = math.nan
+        assert_batch_matches_step(samples, CFG)
 
 
 def pose_hex(pose):

@@ -13,6 +13,7 @@ from posefuse.geometry import Pose, UnitQuaternion, Vec3, rotation_angle_deg, tr
 from posefuse.io import (
     SEQUENCE_COLUMNS,
     PoseSample,
+    Recording,
     SequenceFormatError,
     parse_sequence,
     write_sequence,
@@ -186,6 +187,82 @@ class TestRoundTrip:
         write_sequence(path, [])
         assert path.read_text(encoding="utf-8").strip() == HEADER
         assert parse_sequence(path) == []
+
+
+def mixed_samples(rng, n=30):
+    """Samples whose gt and apr streams are absent on some frames."""
+    return [
+        PoseSample(
+            i,
+            0.5 * i,
+            gt=random_pose(rng) if i % 3 else None,
+            vio=random_pose(rng),
+            apr=None if i % 4 == 1 else random_pose(rng),
+        )
+        for i in range(n)
+    ]
+
+
+class TestRecording:
+    """parse_sequence returns a Recording: arrays, read as a sequence of
+    PoseSample built on access."""
+
+    @pytest.fixture
+    def rec(self, tmp_path, rng):
+        path = tmp_path / "seq.csv"
+        write_sequence(path, mixed_samples(rng))
+        return parse_sequence(path)
+
+    def test_of_round_trips_array_for_array(self, rec):
+        back = Recording.of(list(rec))
+        assert back.frames == rec.frames
+        assert np.array_equal(back.timestamps, rec.timestamps)
+        for stream in ("gt", "vio", "apr"):
+            got, expect = getattr(back, stream), getattr(rec, stream)
+            assert got.shape == (len(rec), 7)
+            assert np.array_equal(got, expect, equal_nan=True)
+            absent = [getattr(s, stream) is None for s in rec]
+            assert np.isnan(got).all(axis=1).tolist() == absent
+            assert np.isnan(got).any(axis=1).tolist() == absent
+            assert (~rec.has(stream)).tolist() == absent
+        assert not rec.has("gt").all() and not rec.has("apr").all()
+
+    def test_of_returns_a_recording_unchanged(self, rec):
+        assert Recording.of(rec) is rec
+
+    def test_indexing_matches_iteration(self, rec):
+        samples = list(rec)
+        assert [rec[i] for i in range(len(rec))] == samples
+        assert rec[-1] == samples[-1]
+        with pytest.raises(IndexError):
+            rec[len(rec)]
+        part = rec[3:9]
+        assert isinstance(part, Recording)
+        assert list(part) == samples[3:9]
+
+    def test_equals_any_sequence_of_equal_samples(self, rec):
+        samples = list(rec)
+        assert rec == samples and samples == rec
+        assert rec == tuple(samples)
+        samples[4] = PoseSample(samples[4].frame_index, samples[4].timestamp, vio=samples[4].vio)
+        assert rec != samples
+        assert rec != samples[:-1]
+        assert Recording.of([]) == []
+
+    def test_indexed_samples_are_copies(self, rec):
+        expect = list(rec)
+        rec[0].apr = None
+        rec[1].vio = rec[2].vio
+        assert list(rec) == expect
+
+    def test_arrays_are_read_only(self, rec):
+        for values in (rec.timestamps, rec.gt, rec.vio, rec.apr):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            Recording([0, 1], [0.0, 1.0], np.zeros((2, 7)), np.zeros((2, 6)), np.zeros((2, 7)))
 
 
 class TestWriterBytes:

@@ -351,6 +351,13 @@ class TestSummarizeErrors:
         with pytest.raises(ValueError, match="index-aligned"):
             summarize_errors(ok, np.array([0.5]))
 
+    def test_bad_value_printed_as_a_float(self):
+        ok = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match=r"pos_err must be finite and >= 0, got inf$"):
+            summarize_errors(np.array([0.1, math.inf]), ok)
+        with pytest.raises(ValueError, match=r"ori_err must be in \[0, 180\], got 200\.0$"):
+            summarize_errors(ok, np.array([0.0, 200.0]))
+
 
 class TestAlignAndEvaluate:
     def test_exact_track_scores_zero(self):
