@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import FusionConfig, Label, run_sequence
-from .io import PoseSample, Recording, SequenceFormatError, parse_sequence, write_sequence
+from .geometry import PoseTrack
+from .io import Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
     SummaryReport,
@@ -34,6 +35,7 @@ from .metrics import (
     align_and_evaluate,
     relative_errors,
     summarize_errors,
+    track_array,
 )
 from .synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 
@@ -119,8 +121,8 @@ def run_pipeline_command(manifest: RunManifest) -> int:
     try:
         manifest.validate()
         manifest.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, samples in _sequences(manifest):
-            _process_sequence(name, samples, manifest)
+        for name, rec in _sequences(manifest):
+            _process_sequence(name, rec, manifest)
     except (SequenceFormatError, ValueError) as exc:
         print(f"posefuse: error: {exc}", file=sys.stderr)
         return 1
@@ -139,19 +141,19 @@ def _sequences(manifest: RunManifest):
         seed = manifest.seed + k
         traj = dataclasses.replace(manifest.trajectory, seed=seed)
         samples = generate_gt(traj)
-        gt_poses = [s.gt for s in samples]
-        vio = simulate_vio(gt_poses, manifest.vio_noise, seed + _VIO_SEED_OFFSET)
-        apr = simulate_apr(gt_poses, manifest.apr_noise, seed + _APR_SEED_OFFSET)
-        for s, v, a in zip(samples, vio, apr):
-            s.vio = v
-            s.apr = a
+        gt = PoseTrack(track_array([s.gt for s in samples]))
+        vio = simulate_vio(gt, manifest.vio_noise, seed + _VIO_SEED_OFFSET)
+        apr = simulate_apr(gt, manifest.apr_noise, seed + _APR_SEED_OFFSET)
+        rec = Recording(
+            [s.frame_index for s in samples], [s.timestamp for s in samples],
+            gt.track, vio.track, apr.track,
+        )
         if manifest.save_sequences:
-            write_sequence(manifest.out_dir / f"synth-{seed}.sequence.csv", samples)
-        yield f"synth-{seed}", samples
+            write_sequence(manifest.out_dir / f"synth-{seed}.sequence.csv", rec)
+        yield f"synth-{seed}", rec
 
 
-def _process_sequence(name: str, samples: Sequence[PoseSample], manifest: RunManifest) -> None:
-    rec = Recording.of(samples)
+def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
     if not rec:
         raise ValueError(f"sequence {name} is empty")
     missing = int(np.count_nonzero(~rec.has("apr")))

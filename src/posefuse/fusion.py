@@ -48,6 +48,8 @@ from .geometry import (
     _angles_deg,
     _apply_rigid,
     _distances,
+    _FrameSequence,
+    _frozen,
     _normalize_rows,
     _poses,
     compose,
@@ -55,7 +57,7 @@ from .geometry import (
     odometry,
     rotate,
 )
-from .io import PoseSample, Recording, _frozen, _FrameSequence
+from .io import PoseSample, Recording
 from .metrics import track_array
 
 
@@ -395,9 +397,6 @@ class FusedTrack(_FrameSequence):
         n = len(self.frames)
         self.labels = _frozen(labels, (n,), dtype=np.intp)
         self.track = _frozen(track, (n, 7))
-
-    def _item(self, i: int) -> FusionOutput:
-        return FusionOutput(self.frames[i], _poses(self.track[i : i + 1])[0], _LABELS[self.labels[i]])
 
     def __iter__(self) -> Iterator[FusionOutput]:
         labels = map(_LABELS.__getitem__, self.labels.tolist())

@@ -14,9 +14,9 @@ Conventions, fixed once here so every module agrees:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable
 
 import numpy as np
 
@@ -281,6 +281,32 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _hamilton_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_hamilton of each row pair of two quaternion arrays, not
+    normalized; either may also be one quaternion of shape (4,)."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
+    return np.column_stack((
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ))
+
+
+def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
+    """_axis_angle of each row of an (N, 3) axis array with its angle,
+    not normalized.  The trig comes from math, as in _axis_angle: numpy's
+    vectorized sin and cos may differ from it in the last bit."""
+    ax, ay, az = axes.T
+    n = np.sqrt(ax * ax + ay * ay + az * az)
+    if (n < 1e-12).any():
+        raise ValueError("rotation axis must be nonzero")
+    half = [math.radians(a) * 0.5 for a in angles_deg.tolist()]
+    s = np.array([math.sin(h) for h in half], dtype=float) / n
+    return np.column_stack(([math.cos(h) for h in half], ax * s, ay * s, az * s))
+
+
 def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
     """A track under the rigid map with rotation g and translation t:
     positions go through RigidTransform.apply_point, orientations
@@ -300,14 +326,7 @@ def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
         pz + 2.0 * (gw * cz + dz),
     ))
     pos += t
-    w, x, y, z = track[:, 3:].T
-    q = np.column_stack((
-        gw * w - gx * x - gy * y - gz * z,
-        gw * x + gx * w + gy * z - gz * y,
-        gw * y - gx * z + gy * w + gz * x,
-        gw * z + gx * y - gy * x + gz * w,
-    ))
-    return np.column_stack((pos, _normalize_rows(q)))
+    return np.column_stack((pos, _normalize_rows(_hamilton_rows(g, track[:, 3:]))))
 
 
 # The slot descriptors of the frozen value classes; setting a field
@@ -343,3 +362,58 @@ def _poses(track: np.ndarray) -> list[Pose]:
         _pq(pose, q)
         out.append(pose)
     return out
+
+
+class _FrameSequence(Sequence):
+    """A read-only sequence whose fields each hold one entry per frame,
+    named in __slots__.  Iteration, which subclasses define, builds every
+    element; slicing slices every field, and indexing iterates the
+    one-frame slice.  It equals any sequence with equal elements, a list
+    of them included."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(*(getattr(self, name)[i] for name in self.__slots__))
+        i = range(len(self))[i]
+        return next(iter(self[i : i + 1]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} frames>"
+
+
+def _frozen(values, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A read-only copy of values, which must have the given shape."""
+    a = np.array(values, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    a.flags.writeable = False
+    return a
+
+
+class PoseTrack(_FrameSequence):
+    """A sequence of poses in array form: one (N, 7) track, rows x, y,
+    z, qw, qx, qy, qz as a Pose holds them, finite, with normalized and
+    sign-canonical quaternions.
+
+    It is a read-only sequence of Pose.  Indexing builds one Pose and
+    iteration builds them all; it equals a list of equal poses."""
+
+    __slots__ = ("track",)
+
+    def __init__(self, track) -> None:
+        self.track = _frozen(track, (len(track), 7))
+
+    def __iter__(self) -> Iterator[Pose]:
+        return iter(_poses(self.track))

@@ -10,7 +10,8 @@ parse_sequence returns a Recording: the frames in array form, one
 (N, 7) track per stream, which is what fusion and the reports compute
 on.  A Recording is also a read-only sequence of PoseSample, whose Pose
 objects are built only when a caller indexes or iterates it.
-Recording.of turns any sequence of samples into one.
+Recording.of turns any sequence of samples into one, and write_sequence
+formats from that form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Pose, _normalize, _normalize_rows, _poses
+from .geometry import Pose, _FrameSequence, _frozen, _normalize, _normalize_rows, _poses
 from .metrics import track_array
 
 SEQUENCE_COLUMNS = (
@@ -74,45 +75,6 @@ class PoseSample:
     apr: Optional[Pose] = None
 
 
-class _FrameSequence(Sequence):
-    """A read-only sequence whose fields each hold one entry per frame,
-    named in __slots__.  Slicing slices every field; indexing builds one
-    element, iteration builds them all.  It equals any sequence with
-    equal elements, a list of them included."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(getattr(self, self.__slots__[0]))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return type(self)(*(getattr(self, name)[i] for name in self.__slots__))
-        return self._item(range(len(self))[i])
-
-    def _item(self, i: int):
-        raise NotImplementedError
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} of {len(self)} frames>"
-
-
-def _frozen(values, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """A read-only copy of values, which must have the given shape."""
-    a = np.array(values, dtype=dtype)
-    if a.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {a.shape}")
-    a.flags.writeable = False
-    return a
-
-
 STREAMS = ("gt", "vio", "apr")
 
 
@@ -154,13 +116,6 @@ class Recording(_FrameSequence):
     def has(self, stream: str) -> np.ndarray:
         """The (N,) mask of frames that carry stream, one of STREAMS."""
         return ~np.isnan(getattr(self, stream)[:, 0])
-
-    def _item(self, i: int) -> PoseSample:
-        poses = [
-            None if math.isnan(track[i, 0]) else _poses(track[i : i + 1])[0]
-            for track in (self.gt, self.vio, self.apr)
-        ]
-        return PoseSample(self.frames[i], float(self.timestamps[i]), *poses)
 
     def __iter__(self) -> Iterator[PoseSample]:
         streams = []
@@ -317,21 +272,22 @@ def _scan_rows(
 
 
 def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
-    """Serialize samples back to the sequence CSV format.  Floats keep 12
-    significant digits, enough for a lossless-in-practice round trip.
-    Lines end in CRLF, as csv.writer ends them; no field needs quoting."""
-    lines = [",".join(SEQUENCE_COLUMNS)]
-    for s in samples:
-        fmt = "%d," + _FLOAT_FMT
-        values: list = [s.frame_index, s.timestamp]
-        for pose in (s.gt, s.vio, s.apr):
-            if pose is None:
-                fmt += _EMPTY_GROUP
-            else:
-                fmt += _POSE_GROUP
-                p, q = pose.position, pose.orientation
-                values += (p.x, p.y, p.z, q.w, q.x, q.y, q.z)
-        lines.append(fmt % tuple(values))
+    """Serialize samples, a Recording or any sequence of PoseSample,
+    back to the sequence CSV format.  Floats keep 12 significant digits,
+    enough for a lossless-in-practice round trip.  Lines end in CRLF, as
+    csv.writer ends them; no field needs quoting."""
+    rec = Recording.of(samples)
+    values = np.column_stack((rec.timestamps, rec.gt, rec.vio, rec.apr))
+    present = np.column_stack([rec.has(name) for name in STREAMS])
+    lines = [",".join(SEQUENCE_COLUMNS)] + [""] * len(rec)
+    # One format per pattern of present streams, filled from the columns
+    # of the streams present.
+    for pattern in np.unique(present, axis=0).tolist():
+        rows = np.flatnonzero((present == pattern).all(axis=1))
+        fmt = "%d," + _FLOAT_FMT + "".join(_POSE_GROUP if p else _EMPTY_GROUP for p in pattern)
+        cols = [0] + [c for g, p in enumerate(pattern) if p for c in range(1 + 7 * g, 8 + 7 * g)]
+        for i, row in zip(rows.tolist(), values[np.ix_(rows, cols)].tolist()):
+            lines[i + 1] = fmt % (rec.frames[i], *row)
     lines.append("")
     Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .geometry import (
     Pose,
+    PoseTrack,
     RigidTransform,
     UnitQuaternion,
     Vec3,
@@ -91,7 +92,10 @@ class SummaryReport:
 
 
 def track_array(poses: Sequence[Pose]) -> np.ndarray:
-    """The (N, 7) track of a pose sequence: x, y, z, qw, qx, qy, qz."""
+    """The (N, 7) track of a pose sequence: x, y, z, qw, qx, qy, qz.  A
+    PoseTrack gives a writable copy of its array."""
+    if isinstance(poses, PoseTrack):
+        return poses.track.copy()
     rows = [
         (p.position.x, p.position.y, p.position.z,
          p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
@@ -241,16 +245,29 @@ def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:
     bad = ~(np.isfinite(ori) & (ori >= 0.0) & (ori <= 180.0))
     if bad.any():
         raise ValueError(f"ori_err must be in [0, 180], got {float(ori[bad][0])!r}")
+    median_pos, cdf_pos = _sorted_summary(pos, CDF_POS_THRESHOLDS)
+    median_ori, cdf_ori = _sorted_summary(ori, CDF_ORI_THRESHOLDS)
     return SummaryReport(
         count=len(pos),
-        median_pos=float(np.median(pos)),
-        median_ori=float(np.median(ori)),
+        median_pos=median_pos,
+        median_ori=median_ori,
         mean_pos=float(pos.mean()),
         mean_ori=float(ori.mean()),
         buckets=precision_buckets(pos, ori),
-        cdf_pos=tuple((d, empirical_cdf(pos, d)) for d in CDF_POS_THRESHOLDS),
-        cdf_ori=tuple((d, empirical_cdf(ori, d)) for d in CDF_ORI_THRESHOLDS),
+        cdf_pos=cdf_pos,
+        cdf_ori=cdf_ori,
     )
+
+
+def _sorted_summary(errors: np.ndarray, thresholds: tuple[float, ...]) -> tuple[float, tuple]:
+    """The median and the (d, empirical_cdf(errors, d)) samples of a
+    non-empty error array, from one sorted copy.  The median is the mean
+    of the middle one or two values, which is how np.median takes it;
+    the count at or under d is where d would go after its equals."""
+    s = np.sort(errors)
+    counts = np.searchsorted(s, thresholds, side="right").tolist()
+    median = float(s[(len(s) - 1) // 2 : len(s) // 2 + 1].mean())
+    return median, tuple((d, k / len(s)) for d, k in zip(thresholds, counts))
 
 
 def align_and_evaluate(

@@ -13,6 +13,10 @@ orientation follows the heading.  The two sensor models layer on top:
   (outlier).  No temporal correlation, which is the defining failure
   mode of per-image absolute regression.
 
+Each stream is computed as an (N, 7) array, rows x, y, z, qw, qx, qy,
+qz: simulate_vio and simulate_apr return it as a PoseTrack, whose Pose
+objects are built only on access, and generate_gt as PoseSamples.
+
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
 any seed reproduces the same draws on any platform.  The poses built
 from them can differ in the last bits between CPUs: random unit vectors
@@ -28,8 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton, _normalize
+from .geometry import (
+    Pose, PoseTrack, _axis_angle, _axis_angle_rows, _hamilton, _hamilton_rows, _normalize,
+    _normalize_rows, _poses,
+)
 from .io import PoseSample
+from .metrics import track_array
 
 
 @dataclass(frozen=True)
@@ -116,20 +124,20 @@ def generate_gt(cfg: TrajectoryConfig) -> list[PoseSample]:
     rng = _rng(cfg.seed)
     dt = 1.0 / cfg.frame_rate_hz
     # Per step: heading change, then speed.
-    draws = rng.normal(
+    turn, speed = rng.normal(
         [0.0, cfg.speed_mean], [cfg.turn_rate_std, cfg.speed_std], (cfg.n_frames - 1, 2)
-    )
-    yaw_deg = x = y = 0.0
-    samples = [PoseSample(0, 0.0, gt=Pose(Vec3.zero(), UnitQuaternion.identity()))]
-    for i, (turn, speed) in enumerate(draws.tolist(), start=1):
-        yaw_deg += turn * dt
-        step = max(speed, 0.0) * dt
-        heading = math.radians(yaw_deg)
-        x += math.cos(heading) * step
-        y += math.sin(heading) * step
-        ori = UnitQuaternion(*_axis_angle((0.0, 0.0, 1.0), yaw_deg))
-        samples.append(PoseSample(i, i * dt, gt=Pose(Vec3(x, y, 0.0), ori)))
-    return samples
+    ).T
+    # np.add.accumulate adds strictly left to right, as a running sum
+    # from 0.0 does; the trig comes from math, as in _axis_angle.
+    yaw_deg = np.add.accumulate(np.concatenate(([0.0], turn * dt)))
+    heading = [math.radians(a) for a in yaw_deg[1:].tolist()]
+    step = np.maximum(speed, 0.0) * dt
+    x = np.add.accumulate(np.concatenate(([0.0], np.array([math.cos(h) for h in heading]) * step)))
+    y = np.add.accumulate(np.concatenate(([0.0], np.array([math.sin(h) for h in heading]) * step)))
+    ori = _normalize_rows(_axis_angle_rows(np.tile((0.0, 0.0, 1.0), (cfg.n_frames, 1)), yaw_deg))
+    track = np.column_stack((x, y, np.zeros(cfg.n_frames), ori))
+    timestamps = (np.arange(cfg.n_frames) * dt).tolist()
+    return list(map(PoseSample, range(cfg.n_frames), timestamps, _poses(track)))
 
 
 def _vio_step_draws(rng: np.random.Generator, n_steps: int, width: int) -> np.ndarray:
@@ -150,7 +158,7 @@ def _vio_step_draws(rng: np.random.Generator, n_steps: int, width: int) -> np.nd
         z = np.concatenate([z[:k], z[k + 3 :], rng.standard_normal(3)])
 
 
-def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> list[Pose]:
+def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> PoseTrack:
     """Odometry track over a ground-truth track.
 
     The first pose equals gt exactly.  Every step then applies the true
@@ -161,76 +169,73 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> list[Po
     """
     if len(gt) == 0:
         raise ValueError("simulate_vio needs a non-empty ground-truth track")
+    g = track_array(gt)
     rng = _rng(seed)
     bias_dir = _random_unit(rng)
     bias_axis = _random_unit(rng)
-    bx, by, bz = (c * model.drift_bias_pos for c in bias_dir)
     bias_rot = _normalize(_axis_angle(bias_axis, model.drift_bias_rot))
     noisy_rot = model.step_rot_sigma > 0.0
-    steps = _vio_step_draws(rng, len(gt) - 1, 7 if noisy_rot else 3)
+    steps = _vio_step_draws(rng, len(g) - 1, 7 if noisy_rot else 3)
+    # Each position is ((previous + true step) + noise) + bias, summed in
+    # that order: one running sum over x0, d1, n1, b, d2, n2, b, ...
     # rng.normal(0.0, sigma) is 0.0 + sigma * z; the 0.0 + keeps a zero
     # draw's sign the same.
-    noise = (0.0 + model.step_pos_sigma * steps[:, :3]).tolist()
+    terms = np.empty((3 * len(g) - 2, 3))
+    terms[0] = g[0, :3]
+    terms[1::3] = g[1:, :3] - g[:-1, :3]
+    terms[2::3] = 0.0 + model.step_pos_sigma * steps[:, :3]
+    terms[3::3] = [c * model.drift_bias_pos for c in bias_dir]
+    positions = np.add.accumulate(terms)[::3]
+    # The true relative rotations, with the conjugate normalized as
+    # inverse() normalized it.
+    conj = _normalize_rows(g[:-1, 3:] * [1.0, -1.0, -1.0, -1.0])
+    d_rot = _normalize_rows(_hamilton_rows(conj, g[1:, 3:])).tolist()
     if noisy_rot:
         axes = 0.0 + steps[:, 3:6]
-        axes = (axes / _row_norms(axes)[:, None]).tolist()
-        angles = (0.0 + model.step_rot_sigma * steps[:, 6]).tolist()
-
-    out = [gt[0]]
-    p, q = gt[0].position, gt[0].orientation
-    x, y, z = p.x, p.y, p.z
-    ori = (q.w, q.x, q.y, q.z)
-    for i in range(1, len(gt)):
-        prev, cur = gt[i - 1], gt[i]
-        pp, cp = prev.position, cur.position
-        pq, cq = prev.orientation, cur.orientation
-        nx, ny, nz = noise[i - 1]
-        # Summed left to right and the conjugate normalized, as the Vec3
-        # sums and inverse() did: either change would move the last bits.
-        x = x + (cp.x - pp.x) + nx + bx
-        y = y + (cp.y - pp.y) + ny + by
-        z = z + (cp.z - pp.z) + nz + bz
-        d_rot = _normalize(
-            _hamilton(_normalize((pq.w, -pq.x, -pq.y, -pq.z)), (cq.w, cq.x, cq.y, cq.z))
-        )
-        # Each product but the last is normalized here; the last one is
-        # normalized by the UnitQuaternion constructor.
-        r = _hamilton(ori, d_rot)
+        axes /= _row_norms(axes)[:, None]
+        noise = _normalize_rows(_axis_angle_rows(axes, 0.0 + model.step_rot_sigma * steps[:, 6])).tolist()
+    # The orientation chain: each step normalizes the one before.
+    quats = [tuple(g[0, 3:].tolist())]
+    for i, d in enumerate(d_rot):
+        r = _hamilton(quats[-1], d)
         if noisy_rot:
-            r = _hamilton(_normalize(r), _normalize(_axis_angle(axes[i - 1], angles[i - 1])))
+            r = _hamilton(_normalize(r), noise[i])
         if model.drift_bias_rot > 0.0:
             r = _hamilton(_normalize(r), bias_rot)
-        q = UnitQuaternion(*r)
-        out.append(Pose(Vec3(x, y, z), q))
-        ori = (q.w, q.x, q.y, q.z)
-    return out
+        quats.append(_normalize(r))
+    return PoseTrack(np.column_stack((positions, quats)))
 
 
-def simulate_apr(gt: Sequence[Pose], model: AprNoiseModel, seed: int) -> list[Pose]:
+def simulate_apr(gt: Sequence[Pose], model: AprNoiseModel, seed: int) -> PoseTrack:
     """Absolute-pose track over a ground-truth track, one independent
     draw per frame."""
+    track = track_array(gt)
     rng = _rng(seed)
     uniform, standard_normal = rng.random, rng.standard_normal
     pos_sigma, rot_sigma = model.inlier_pos_sigma, model.inlier_rot_sigma
     # rng.uniform(0.0, b) is 0.0 + b * rng.random(), and rng.normal(0.0,
     # s) is 0.0 + s * rng.standard_normal(); the forms below draw the
-    # same values at less cost per call.
-    out: list[Pose] = []
-    for pose in gt:
+    # same values at less cost per call.  Each branch takes its own
+    # number of draws, so the frames draw one at a time.
+    offsets, angles, axes = [], [], []
+    for _ in range(len(track)):
         if uniform() < model.outlier_prob:
             # Offset uniform in a ball, rotation of uniform magnitude.
             radius = model.outlier_pos_range * uniform() ** (1.0 / 3.0)
             ux, uy, uz = _random_unit(rng)
-            ox, oy, oz = ux * radius, uy * radius, uz * radius
+            offsets.append((ux * radius, uy * radius, uz * radius))
             angle = 0.0 + model.outlier_rot_range * uniform()
         else:
             # 3 position noise, then the rotation angle.
             zx, zy, zz, za = standard_normal(4).tolist()
-            ox, oy, oz = 0.0 + pos_sigma * zx, 0.0 + pos_sigma * zy, 0.0 + pos_sigma * zz
+            offsets.append((0.0 + pos_sigma * zx, 0.0 + pos_sigma * zy, 0.0 + pos_sigma * zz))
             angle = 0.0 + rot_sigma * za
-        p, q = pose.position, pose.orientation
+        angles.append(angle)
         if angle != 0.0:
-            r = _hamilton((q.w, q.x, q.y, q.z), _normalize(_axis_angle(_random_unit(rng), angle)))
-            q = UnitQuaternion(*r)
-        out.append(Pose(Vec3(p.x + ox, p.y + oy, p.z + oz), q))
-    return out
+            axes.append(_random_unit(rng))
+    track[:, :3] += np.reshape(offsets, (-1, 3))
+    angles = np.array(angles, dtype=float)
+    turned = angles != 0.0
+    rot = _normalize_rows(_axis_angle_rows(np.reshape(axes, (-1, 3)), angles[turned]))
+    track[turned, 3:] = _normalize_rows(_hamilton_rows(track[turned, 3:], rot))
+    return PoseTrack(track)

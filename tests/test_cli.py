@@ -171,6 +171,30 @@ class TestSynthRuns:
         assert sum(summary["label_counts"].values()) == 60
         assert "rpe_median_m" in summary["vio"]
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize(
+        "vio_model, apr_model",
+        [(VioNoiseModel(step_rot_sigma=0.0), AprNoiseModel()), (VioNoiseModel(), AprNoiseModel(outlier_prob=1.0))],
+        ids=["no_step_rotation", "all_outliers"],
+    )
+    def test_saved_sequence_matches_public_generators(self, tmp_path, seed, vio_model, apr_model):
+        # The CLI builds its recording from the generators' arrays; the
+        # file must hold what the public functions give, sample by sample.
+        manifest = RunManifest(
+            out_dir=tmp_path / "cli", synth_count=1, vio_noise=vio_model, apr_noise=apr_model,
+            save_sequences=True, seed=seed,
+        )
+        assert run_pipeline_command(manifest) == 0
+        samples = generate_gt(TrajectoryConfig(seed=seed))
+        gt = [s.gt for s in samples]
+        vio = simulate_vio(gt, vio_model, seed + 1_000_003)
+        apr = simulate_apr(gt, apr_model, seed + 2_000_003)
+        for s, v, a in zip(samples, vio, apr):
+            s.vio, s.apr = v, a
+        write_sequence(tmp_path / "api.csv", samples)
+        saved = tmp_path / "cli" / f"synth-{seed}.sequence.csv"
+        assert saved.read_bytes() == (tmp_path / "api.csv").read_bytes()
+
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(synth_args(a)) == 0

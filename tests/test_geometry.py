@@ -12,6 +12,10 @@ from posefuse.geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
+    _axis_angle,
+    _axis_angle_rows,
+    _hamilton,
+    _hamilton_rows,
     axis_angle_quaternion,
     compose,
     inverse,
@@ -281,3 +285,42 @@ class TestRigidTransform:
         assert translation_distance(t.apply_point(a), t.apply_point(b)) == pytest.approx(
             translation_distance(a, b), abs=1e-9
         )
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+def signed_zero_rows(rng, n, width):
+    """Random rows with +0.0 and -0.0 scattered through every column."""
+    a = rng.normal(size=(n, width))
+    a[rng.random((n, width)) < 0.15] = 0.0
+    a[rng.random((n, width)) < 0.15] = -0.0
+    return a
+
+
+class TestRowPrimitives:
+    """The row forms equal the tuple forms by float.hex, row for row,
+    signed zeros included."""
+
+    def test_hamilton_rows(self, rng):
+        a, b = signed_zero_rows(rng, 400, 4), signed_zero_rows(rng, 400, 4)
+        got = _hamilton_rows(a, b).tolist()
+        assert [hexes(r) for r in got] == [hexes(_hamilton(x, y)) for x, y in zip(a.tolist(), b.tolist())]
+        # One quaternion against every row.
+        got = _hamilton_rows(a[7], b).tolist()
+        assert [hexes(r) for r in got] == [hexes(_hamilton(a[7].tolist(), y)) for y in b.tolist()]
+
+    def test_axis_angle_rows(self, rng):
+        axes = signed_zero_rows(rng, 400, 3)
+        axes = axes[np.sqrt((axes * axes).sum(axis=1)) >= 1e-12]
+        angles = rng.uniform(-400.0, 400.0, len(axes))
+        angles[::7] = 0.0
+        angles[::11] = -0.0
+        got = _axis_angle_rows(axes, angles).tolist()
+        expect = [_axis_angle(x, a) for x, a in zip(axes.tolist(), angles.tolist())]
+        assert [hexes(r) for r in got] == [hexes(r) for r in expect]
+
+    def test_axis_angle_rows_rejects_a_zero_axis(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            _axis_angle_rows(np.array([[1.0, 0.0, 0.0], [0.0, -0.0, 0.0]]), np.array([1.0, 2.0]))

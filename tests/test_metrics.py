@@ -323,6 +323,24 @@ class TestSummarizeErrors:
             assert rep.median_pos == pytest.approx(sort_median(pos))
             assert rep.median_ori == pytest.approx(sort_median(ori))
 
+    def test_medians_equal_np_median_bit_for_bit(self, rng):
+        for n in (1, 2, 3, 4, 51, 52):
+            pos, ori = errors(n, rng, 3, 20)
+            rep = summarize_errors(pos, ori)
+            assert float.hex(rep.median_pos) == float.hex(float(np.median(pos)))
+            assert float.hex(rep.median_ori) == float.hex(float(np.median(ori)))
+
+    def test_cdf_samples_equal_empirical_cdf(self, rng):
+        # Some values sit exactly on a threshold, one or two of them each;
+        # the inclusive count must take them all.
+        pos = np.concatenate([rng.uniform(0, 12, 60), CDF_POS_THRESHOLDS, CDF_POS_THRESHOLDS[::2]])
+        ori = np.concatenate([rng.uniform(0, 180, 60), CDF_ORI_THRESHOLDS, CDF_ORI_THRESHOLDS[::2]])
+        rng.shuffle(pos)
+        rng.shuffle(ori)
+        rep = summarize_errors(pos, ori)
+        assert rep.cdf_pos == tuple((d, empirical_cdf(pos, d)) for d in CDF_POS_THRESHOLDS)
+        assert rep.cdf_ori == tuple((d, empirical_cdf(ori, d)) for d in CDF_ORI_THRESHOLDS)
+
     def test_cdf_ladders_cover_fixed_thresholds(self, rng):
         rep = summarize_errors(*errors(30, rng, 3, 20))
         assert tuple(d for d, _ in rep.cdf_pos) == CDF_POS_THRESHOLDS

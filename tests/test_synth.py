@@ -8,6 +8,7 @@ import pytest
 from oracles import sequential_vio
 from posefuse import synth
 from posefuse.geometry import (
+    PoseTrack,
     UnitQuaternion,
     Vec3,
     rotate,
@@ -209,6 +210,61 @@ class TestSimulateApr:
         errs = [translation_distance(a.position, g.position) for a, g in zip(apr, gt)]
         fraction = sum(1 for e in errs if e > 1.75) / len(errs)
         assert 0.14 <= fraction <= 0.16
+
+
+class TestPoseTrack:
+    """simulate_vio and simulate_apr return a PoseTrack: one array, read
+    as a sequence of Pose built on access."""
+
+    @pytest.fixture
+    def gt(self):
+        return gt_poses(TrajectoryConfig(n_frames=30, seed=4))
+
+    @pytest.fixture
+    def track(self, gt):
+        return simulate_vio(gt, VioNoiseModel(), 12)
+
+    def test_array_holds_the_poses(self, track):
+        assert isinstance(track, PoseTrack)
+        assert track.track.shape == (30, 7)
+        assert np.array_equal(track.track, track_array(list(track)))
+        copy = track_array(track)
+        copy[0, 0] += 1.0
+        assert not np.array_equal(copy, track.track)
+
+    def test_equals_any_sequence_of_equal_poses(self, track):
+        poses = list(track)
+        assert track == poses and poses == track
+        assert track == tuple(poses)
+        assert track != poses[:-1]
+        poses[3] = poses[4]
+        assert track != poses
+        assert PoseTrack(np.empty((0, 7))) == []
+
+    def test_indexing_and_slicing(self, track):
+        poses = list(track)
+        assert [track[i] for i in range(len(track))] == poses
+        assert track[-1] == poses[-1] and track[-30] == poses[0]
+        with pytest.raises(IndexError):
+            track[30]
+        part = track[5:11]
+        assert isinstance(part, PoseTrack)
+        assert part == poses[5:11]
+        assert track[::-3] == poses[::-3]
+
+    def test_array_is_read_only(self, track):
+        with pytest.raises(ValueError):
+            track.track[0, 0] = 0.0
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            PoseTrack(np.zeros((3, 6)))
+
+    def test_generators_read_a_track_or_a_list_alike(self, gt):
+        as_track = PoseTrack(track_array(gt))
+        for model, simulate in ((VioNoiseModel(), simulate_vio), (AprNoiseModel(outlier_prob=0.5), simulate_apr)):
+            a, b = simulate(gt, model, 3), simulate(as_track, model, 3)
+            assert [pose_hex(p) for p in a] == [pose_hex(p) for p in b]
 
 
 class TestErrorTrends:
