@@ -17,6 +17,7 @@ from .fusion import (
 from .geometry import (
     Odometry,
     Pose,
+    PoseTrack,
     RigidTransform,
     UnitQuaternion,
     Vec3,
@@ -49,6 +50,7 @@ __all__ = [
     "Odometry",
     "Pose",
     "PoseSample",
+    "PoseTrack",
     "PrecisionBuckets",
     "Recording",
     "ReferencePair",

@@ -45,6 +45,10 @@ QUAT_NORM_SLACK = 1e-3
 # time, which bounds its working memory.
 _CHUNK_CHARS = 1 << 16
 
+# write_sequence formats at most this many rows at a time, which bounds
+# the Python floats it holds at once.
+_WRITE_ROWS = 1024
+
 _FLOAT_FMT = "%.12g"
 _POSE_GROUP = ("," + _FLOAT_FMT) * 7
 _EMPTY_GROUP = "," * 7
@@ -277,17 +281,19 @@ def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     enough for a lossless-in-practice round trip.  Lines end in CRLF, as
     csv.writer ends them; no field needs quoting."""
     rec = Recording.of(samples)
-    values = np.column_stack((rec.timestamps, rec.gt, rec.vio, rec.apr))
+    tracks = (rec.gt, rec.vio, rec.apr)
     present = np.column_stack([rec.has(name) for name in STREAMS])
     lines = [",".join(SEQUENCE_COLUMNS)] + [""] * len(rec)
     # One format per pattern of present streams, filled from the columns
-    # of the streams present.
+    # of the streams present, a bounded block of rows at a time.
     for pattern in np.unique(present, axis=0).tolist():
-        rows = np.flatnonzero((present == pattern).all(axis=1))
         fmt = "%d," + _FLOAT_FMT + "".join(_POSE_GROUP if p else _EMPTY_GROUP for p in pattern)
-        cols = [0] + [c for g, p in enumerate(pattern) if p for c in range(1 + 7 * g, 8 + 7 * g)]
-        for i, row in zip(rows.tolist(), values[np.ix_(rows, cols)].tolist()):
-            lines[i + 1] = fmt % (rec.frames[i], *row)
+        rows = np.flatnonzero((present == pattern).all(axis=1))
+        for start in range(0, len(rows), _WRITE_ROWS):
+            block = rows[start : start + _WRITE_ROWS]
+            values = np.column_stack([rec.timestamps[block]] + [t[block] for t, p in zip(tracks, pattern) if p])
+            for i, row in zip(block.tolist(), values.tolist()):
+                lines[i + 1] = fmt % (rec.frames[i], *row)
     lines.append("")
     Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
