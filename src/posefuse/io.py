@@ -281,19 +281,21 @@ def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     enough for a lossless-in-practice round trip.  Lines end in CRLF, as
     csv.writer ends them; no field needs quoting."""
     rec = Recording.of(samples)
-    tracks = (rec.gt, rec.vio, rec.apr)
-    present = np.column_stack([rec.has(name) for name in STREAMS])
+    frames, tracks = rec.frames, (rec.gt, rec.vio, rec.apr)
+    # A frame's pattern has bit 4 set for gt, 2 for vio and 1 for apr.
+    patterns = rec.has("gt") * 4 + rec.has("vio") * 2 + rec.has("apr")
     lines = [",".join(SEQUENCE_COLUMNS)] + [""] * len(rec)
     # One format per pattern of present streams, filled from the columns
     # of the streams present, a bounded block of rows at a time.
-    for pattern in np.unique(present, axis=0).tolist():
+    for code in np.unique(patterns).tolist():
+        rows = np.flatnonzero(patterns == code)
+        pattern = [bool(code & 4), bool(code & 2), bool(code & 1)]
         fmt = "%d," + _FLOAT_FMT + "".join(_POSE_GROUP if p else _EMPTY_GROUP for p in pattern)
-        rows = np.flatnonzero((present == pattern).all(axis=1))
         for start in range(0, len(rows), _WRITE_ROWS):
             block = rows[start : start + _WRITE_ROWS]
             values = np.column_stack([rec.timestamps[block]] + [t[block] for t, p in zip(tracks, pattern) if p])
             for i, row in zip(block.tolist(), values.tolist()):
-                lines[i + 1] = fmt % (rec.frames[i], *row)
+                lines[i + 1] = fmt % (frames[i], *row)
     lines.append("")
     Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
