@@ -50,8 +50,10 @@ from .geometry import (
     _distances,
     _FrameSequence,
     _frozen,
+    _hamilton_rows,
     _normalize_rows,
     _poses,
+    _rotate_rows,
     compose,
     inverse,
     odometry,
@@ -417,10 +419,11 @@ def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack
     stage changes only on the consecutive-pair check and after t_opt
     optimization frames, so one vectorized pair check and a walk over
     its results place every window and period.  Then the references of
-    all completed windows are formed in one stacked pass, each equal to
-    what compute_reference gives for its window, and each reference's
-    optimization checks and vio map run as array operations over the
-    frames it governs.
+    all completed windows, of both streams, are formed in one stacked
+    pass, each equal to what compute_reference gives for its window.
+    Each reference's vio map is built as a row, equal to
+    reference_transform, and its optimization checks and map run as
+    array operations over the frames it governs.
     """
     rec = Recording.of(samples)
     _check_inputs(rec)
@@ -433,11 +436,12 @@ def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack
     labels = np.full(len(rec), _PENDING)
     track = apr.copy()
     if windows:
-        firsts = np.array([a for a, _ in windows])
-        apr_ref = _references(apr, firsts, cfg.n_pairs + 1)
-        vio_ref = _references(vio, firsts, cfg.n_pairs + 1)
-        rows, mapped = _label_and_map(apr_ref, vio_ref, windows, apr, vio, labels, cfg)
-        track[rows] = mapped
+        size = cfg.n_pairs + 1
+        frames = np.array([a for a, _ in windows])[:, None] + np.arange(size)
+        # One stack holds the windows of both streams, apr's then vio's.
+        both = np.concatenate((apr[frames], vio[frames])).reshape(-1, 7)
+        refs = _references(both, np.arange(0, len(both), size), size)
+        _label_and_map(*np.split(refs, 2), windows, apr, vio, labels, track, cfg)
     return FusedTrack(rec.frames, labels, track)
 
 
@@ -512,10 +516,10 @@ _PAIRS_PER_BLOCK = 1 << 18
 
 
 def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
-    """The (W, 7) reference rows of one stream: row w is the pose
+    """The (W, 7) reference rows of a track: row w is the pose
     compute_reference forms from frames firsts[w] to firsts[w] + size - 1,
     equal to it bit for bit.  Each window's arithmetic is its own, so
-    the blocks the windows are stacked in do not change the bits."""
+    neither the other windows (of either stream) nor the blocks change it."""
     rows = max(1, _PAIRS_PER_BLOCK // (size * size))
     blocks = []
     for start in range(0, len(firsts), rows):
@@ -526,19 +530,21 @@ def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of a float array, minus its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def _medians(pts: np.ndarray) -> np.ndarray:
     """weiszfeld_median of every window of a (W, n, 3) stack of points,
     n >= 2.  Each window takes the operations weiszfeld_median applies
     to it, in the same order and with the same numpy reductions, so the
-    (W, 3) result equals it bit for bit; windows leave the iteration as
-    they finish."""
+    (W, 3) result equals it bit for bit."""
     # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w.
     diff = pts[:, None, :, :] - pts[:, :, None, :]
-    dist = np.linalg.norm(diff, axis=3)
+    dist = _norms(diff, 3)
     same = dist == 0.0
-    pull = np.linalg.norm(
-        (diff / np.where(same, 1.0, dist)[:, :, :, None]).sum(axis=2), axis=2
-    )
+    pull = _norms((diff / np.where(same, 1.0, dist)[:, :, :, None]).sum(axis=2), 2)
     vertex = pull < same.sum(axis=2) * (1.0 - 1e-9)
     out = pts[np.arange(len(pts)), vertex.argmax(axis=1)]
     rest = np.flatnonzero(~vertex.any(axis=1))
@@ -549,67 +555,69 @@ def _medians(pts: np.ndarray) -> np.ndarray:
 
 def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Summed distance from at[w] to the points of window w."""
-    return np.linalg.norm(pts - at[:, None, :], axis=2).sum(axis=1)
+    return np.add.reduce(_norms(pts - at[:, None, :], 2), axis=1)
 
 
 def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """The iterative path of weiszfeld_median at its default stopping
     rule (_MEDIAN_TOL, _MEDIAN_MAX_ITER), then its best-of-inputs pass,
     for windows that Kuhn's test does not settle.  dist holds the
-    pairwise distances Kuhn's test computed."""
-    y = pts.mean(axis=1)
-    live = np.arange(len(pts))
+    pairwise distances Kuhn's test computed.  The live windows are
+    compacted only in a round where some of them finish."""
+    eye, y = np.eye(3), pts.mean(axis=1)
+    live, p, y_live = np.arange(len(pts)), pts, y.copy()
     for _ in range(_MEDIAN_MAX_ITER):
-        p, y_live = pts[live], y[live]
         diff = p - y_live[:, None, :]
-        d = np.linalg.norm(diff, axis=2)
+        d = _norms(diff, 2)
         near = d < _MEDIAN_TOL
-        landed = near.any(axis=1)
-        if landed.any():
+        if near.any():
+            landed = near.any(axis=1)
             y[live[landed]] = p[landed, near[landed].argmax(axis=1)]
             keep = ~landed
             live, p, y_live, diff, d = live[keep], p[keep], y_live[keep], diff[keep], d[keep]
             if not live.size:
                 break
         w = 1.0 / d
-        w_sum = w.sum(axis=1)
-        y_next = (p * w[:, :, None]).sum(axis=1) / w_sum[:, None]
+        w_sum = np.add.reduce(w, axis=1)
+        y_next = np.add.reduce(p * w[:, :, None], axis=1) / w_sum[:, None]
         f_next = _objectives(p, y_next)
         units = diff * w[:, :, None]
-        grad = -units.sum(axis=1)
-        hess = np.eye(3) * w_sum[:, None, None] - np.matmul(
-            (units * w[:, :, None]).transpose(0, 2, 1), units
-        )
+        grad = -np.add.reduce(units, axis=1)
+        hess = eye * w_sum[:, None, None] - np.matmul((units * w[:, :, None]).transpose(0, 2, 1), units)
         newton = y_live - _newton_steps(hess, grad)
-        ok = np.flatnonzero(np.isfinite(newton).all(axis=1))
-        f_newton = _objectives(p[ok], newton[ok])
-        better = f_newton < f_next[ok]
-        y_next[ok[better]] = newton[ok[better]]
-        f_next[ok[better]] = f_newton[better]
+        # Where the solve failed the candidate is y_next, which it cannot beat.
+        newton = np.where(np.isfinite(newton).all(axis=1)[:, None], newton, y_next)
+        f_newton = _objectives(p, newton)
+        better = f_newton < f_next
+        y_next, f_next = np.where(better[:, None], newton, y_next), np.where(better, f_newton, f_next)
         # Over-relax each window while doubling its displacement still
-        # lowers its objective.
+        # lowers its objective; the windows still growing share one scale.
         delta = y_next - y_live
-        scale = np.full(len(live), 2.0)
-        grow = np.arange(len(live))
+        scale, grow = 2.0, np.arange(len(live))
         while grow.size:
-            cand = y_live[grow] + scale[grow, None] * delta[grow]
+            cand = y_live[grow] + scale * delta[grow]
             f_cand = _objectives(p[grow], cand)
             better = f_cand < f_next[grow]
             grow = grow[better]
             y_next[grow], f_next[grow] = cand[better], f_cand[better]
-            scale[grow] *= 2.0
+            scale *= 2.0
         # np.linalg.norm of a vector squares it through a BLAS dot; a
         # (1, 3) @ (3, 1) product makes the same call.
         moved = y_next - y_live
         step = np.sqrt(np.matmul(moved[:, None, :], moved[:, :, None])[:, 0, 0])
-        y[live] = y_next
-        live = live[~(step < _MEDIAN_TOL)]
-        if not live.size:
-            break
+        y_live = y_next
+        done = step < _MEDIAN_TOL
+        if done.any():
+            y[live[done]] = y_live[done]
+            keep = ~done
+            live, p, y_live = live[keep], p[keep], y_live[keep]
+            if not live.size:
+                break
+    y[live] = y_live
     # The best of the final iterate and the input points, ties kept by
     # the earlier candidate.  Row k of dist sums to the objective at p_k.
     best = _objectives(pts, y)
-    at_inputs = dist.sum(axis=2)
+    at_inputs = np.add.reduce(dist, axis=2)
     k = at_inputs.argmin(axis=1)
     swap = np.flatnonzero(at_inputs[np.arange(len(pts)), k] < best)
     y[swap] = pts[swap, k[swap]]
@@ -642,30 +650,30 @@ def _average_quaternions(quats: np.ndarray) -> np.ndarray:
     return _normalize_rows(np.linalg.eigh(acc)[1][:, :, -1].copy())
 
 
+def _reference_maps(apr_ref: np.ndarray, vio_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reference_transform of each row pair of two (W, 7) reference arrays:
+    its rotation and translation rows, equal to it bit for bit."""
+    q_g = _normalize_rows(_hamilton_rows(apr_ref[:, 3:], _normalize_rows(vio_ref[:, 3:] * [1, -1, -1, -1])))
+    return q_g, apr_ref[:, :3] - _rotate_rows(q_g, vio_ref[:, :3])
+
+
 def _label_and_map(
-    apr_ref: np.ndarray,
-    vio_ref: np.ndarray,
-    windows: list[tuple[int, int]],
-    apr: np.ndarray,
-    vio: np.ndarray,
-    labels: np.ndarray,
-    cfg: FusionConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+    apr_ref: np.ndarray, vio_ref: np.ndarray, windows: list[tuple[int, int]],
+    apr: np.ndarray, vio: np.ndarray, labels: np.ndarray, track: np.ndarray, cfg: FusionConfig,
+) -> None:
     """Fill in the label of every frame from the first reference on, and
-    map the vio poses of the optimized and tracked frames to the world.
-    Reference r, rows r of apr_ref and vio_ref, governs the t_opt frames
-    of its optimization period, then tracks the next alignment search up
-    to the frame where window r + 1 completes, whose frames become
-    keyframes.  Returns the indices of the mapped frames and their
-    (M, 7) poses."""
+    write the vio poses of the optimized and tracked frames, mapped to
+    the world, into track.  Reference r, rows r of apr_ref and vio_ref,
+    governs the t_opt frames of its optimization period, then tracks the
+    next alignment search up to the frame where window r + 1 completes,
+    whose frames become keyframes."""
     n, first = len(apr), windows[0][1] + 1
     lasts = np.array([last for _, last in windows])
     ref_of = np.repeat(np.arange(len(windows)), np.diff(np.append(lasts, n - 1)))
     in_period = np.arange(first, n) - (lasts + 1)[ref_of] < cfg.t_opt
     period_ref = ref_of[in_period]
     reliable = _agree(
-        apr[first:][in_period], apr_ref[period_ref],
-        vio[first:][in_period], vio_ref[period_ref], cfg,
+        apr[first:][in_period], apr_ref[period_ref], vio[first:][in_period], vio_ref[period_ref], cfg
     )
     governed = labels[first:]
     governed[:] = _TRACKED
@@ -673,19 +681,9 @@ def _label_and_map(
     for a, b in windows:
         labels[a : b + 1] = _KEYFRAME
     rows = np.flatnonzero((governed == _OPTIMIZED) | (governed == _TRACKED))
-    # Each map is built once per reference, as step builds it, and only
-    # for references that map a frame.
-    used, ref_row = np.unique(ref_of[rows], return_inverse=True)
-    maps = [
-        reference_transform(ReferencePair(a, v))
-        for a, v in zip(_poses(apr_ref[used]), _poses(vio_ref[used]))
-    ]
-    mapped = _apply_rigid(
-        np.array([g.rotation.as_array() for g in maps]).reshape(-1, 4)[ref_row],
-        np.array([g.translation.as_array() for g in maps]).reshape(-1, 3)[ref_row],
-        vio[first + rows],
-    )
-    return first + rows, mapped
+    q_g, t = _reference_maps(apr_ref, vio_ref)
+    ref = ref_of[rows]
+    track[first + rows] = _apply_rigid(q_g[ref], t[ref], vio[first + rows])
 
 
 def _run_steps(rec: Recording, cfg: FusionConfig) -> FusedTrack:

@@ -268,7 +268,7 @@ def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arrays."""
     c = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
     c = np.minimum(1.0, np.abs(c))
-    return np.degrees(2.0 * np.array([math.acos(v) for v in c.tolist()], dtype=float))
+    return np.degrees(2.0 * np.fromiter(map(math.acos, c.tolist()), float))
 
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
@@ -302,9 +302,22 @@ def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
     n = np.sqrt(ax * ax + ay * ay + az * az)
     if (n < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
-    half = [math.radians(a) * 0.5 for a in angles_deg.tolist()]
-    s = np.array([math.sin(h) for h in half], dtype=float) / n
-    return np.column_stack(([math.cos(h) for h in half], ax * s, ay * s, az * s))
+    half = (np.fromiter(map(math.radians, angles_deg.tolist()), float) * 0.5).tolist()
+    s = np.fromiter(map(math.sin, half), float) / n
+    return np.column_stack((np.fromiter(map(math.cos, half), float), ax * s, ay * s, az * s))
+
+
+def _rotate_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """rotate(q, p) of each row pair; q may also be one quaternion (4,)."""
+    qw, qx, qy, qz = q.T
+    px, py, pz = p.T
+    cx = qy * pz - qz * py
+    cy = qz * px - qx * pz
+    cz = qx * py - qy * px
+    dx = qy * cz - qz * cy
+    dy = qz * cx - qx * cz
+    dz = qx * cy - qy * cx
+    return np.column_stack((px + 2.0 * (qw * cx + dx), py + 2.0 * (qw * cy + dy), pz + 2.0 * (qw * cz + dz)))
 
 
 def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
@@ -312,20 +325,7 @@ def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
     positions go through RigidTransform.apply_point, orientations
     through compose(g, q).  g and t give one map, shapes (4,) and (3,),
     or one map per row, (N, 4) and (N, 3)."""
-    gw, gx, gy, gz = g.T
-    px, py, pz = track[:, :3].T
-    cx = gy * pz - gz * py
-    cy = gz * px - gx * pz
-    cz = gx * py - gy * px
-    dx = gy * cz - gz * cy
-    dy = gz * cx - gx * cz
-    dz = gx * cy - gy * cx
-    pos = np.column_stack((
-        px + 2.0 * (gw * cx + dx),
-        py + 2.0 * (gw * cy + dy),
-        pz + 2.0 * (gw * cz + dz),
-    ))
-    pos += t
+    pos = _rotate_rows(g, track[:, :3]) + t
     return np.column_stack((pos, _normalize_rows(_hamilton_rows(g, track[:, 3:]))))
 
 

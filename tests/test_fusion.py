@@ -15,6 +15,7 @@ from posefuse.fusion import (
     average_quaternions,
     compute_reference,
     optimize_pose,
+    reference_transform,
     relative_pose_check,
     run_sequence,
     step,
@@ -25,6 +26,8 @@ from posefuse.geometry import (
     Pose,
     UnitQuaternion,
     Vec3,
+    _normalize_rows,
+    _poses,
     axis_angle_quaternion,
     compose,
     odometry,
@@ -942,6 +945,47 @@ class TestStackedReferences:
         assert median(line, max_iter=1) == median(line)
         assert median(cluster, max_iter=9) != median(cluster)
 
+    def test_two_streams_in_one_stack(self, rng, monkeypatch):
+        # run_sequence stacks the windows of both streams in one track.
+        # Each stream's rows come out as they do alone, although the axis
+        # line of the first stream fails the stacked solve and sends the
+        # second stream's windows to per-window solves too.
+        size = 4
+        cases = self.CASES[size]
+        first = [cases[name] for name in sorted(cases)]
+        second = [rng.normal(size=(size, 3)) * rng.uniform(0.1, 10.0) for _ in range(20)]
+
+        def track_of(windows):
+            return track_array([Pose(Vec3(*p), random_quaternion(rng)) for win in windows for p in win])
+
+        track_a, track_b = track_of(first), track_of(second)
+        firsts_a, firsts_b = np.arange(len(first)) * size, np.arange(len(second)) * size
+        solves = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                out = solve(a, b)
+            except np.linalg.LinAlgError:
+                solves.append((np.ndim(a), "failed"))
+                raise
+            solves.append((np.ndim(a), "solved"))
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        alone_a = posefuse.fusion._references(track_a, firsts_a, size)
+        singles_a = solves.count((2, "solved")) + solves.count((2, "failed"))
+        solves.clear()
+        alone_b = posefuse.fusion._references(track_b, firsts_b, size)
+        assert (3, "failed") not in solves and (3, "solved") in solves
+        solves.clear()
+        both = posefuse.fusion._references(
+            np.concatenate((track_a, track_b)), np.concatenate((firsts_a, firsts_b + len(track_a))), size
+        )
+        assert both.tobytes() == np.concatenate((alone_a, alone_b)).tobytes()
+        assert (3, "failed") in solves
+        assert solves.count((2, "solved")) + solves.count((2, "failed")) > singles_a
+
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 11])
     def test_mixed_random_stacks(self, size, rng):
         windows = []
@@ -986,3 +1030,37 @@ class TestStackedReferences:
                     window = poses[a : a + size]
                     expect = pose_hex(compute_reference(window, window).apr_ref)
                     assert tuple(v.hex() for v in got[a].tolist()) == expect
+
+
+class TestReferenceMaps:
+    """run_sequence builds the vio-to-world map of every reference in row
+    form.  Each row must equal reference_transform of its pair by
+    float.hex."""
+
+    @staticmethod
+    def reference_rows(rng, n):
+        """Reference rows as the stacked pass forms them: normalized,
+        sign-canonical quaternions, with signed zeros throughout and half
+        turns (w == 0) on every fifth row."""
+        rows = rng.normal(size=(n, 7)) * rng.uniform(0.01, 50.0, size=(n, 1))
+        rows[rng.random((n, 7)) < 0.15] = 0.0
+        rows[rng.random((n, 7)) < 0.15] = -0.0
+        rows[::5, 3] = 0.0
+        rows[1::10, 3] = -0.0
+        rows[(rows[:, 3:] == 0.0).all(axis=1), 5] = 1.0
+        rows[:, 3:] = _normalize_rows(rows[:, 3:].copy())
+        return rows
+
+    def test_rows_match_reference_transform(self, rng):
+        apr_ref, vio_ref = self.reference_rows(rng, 600), self.reference_rows(rng, 600)
+        # A half turn against the identity, and a pair with equal rotations.
+        apr_ref[0, 3:], vio_ref[0, 3:] = (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)
+        vio_ref[1, 3:] = apr_ref[1, 3:]
+        assert (apr_ref[:, 3] == 0.0).sum() > 100 and np.signbit(apr_ref[apr_ref == 0.0]).any()
+        q_g, t = posefuse.fusion._reference_maps(apr_ref, vio_ref)
+        for a, v, q_row, t_row in zip(_poses(apr_ref), _poses(vio_ref), q_g.tolist(), t.tolist()):
+            g = reference_transform(ReferencePair(a, v))
+            expect_q = (g.rotation.w, g.rotation.x, g.rotation.y, g.rotation.z)
+            expect_t = (g.translation.x, g.translation.y, g.translation.z)
+            assert [x.hex() for x in q_row] == [x.hex() for x in expect_q]
+            assert [x.hex() for x in t_row] == [x.hex() for x in expect_t]

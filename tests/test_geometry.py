@@ -16,6 +16,8 @@ from posefuse.geometry import (
     _axis_angle_rows,
     _hamilton,
     _hamilton_rows,
+    _poses,
+    _rotate_rows,
     axis_angle_quaternion,
     compose,
     inverse,
@@ -320,6 +322,16 @@ class TestRowPrimitives:
         got = _axis_angle_rows(axes, angles).tolist()
         expect = [_axis_angle(x, a) for x, a in zip(axes.tolist(), angles.tolist())]
         assert [hexes(r) for r in got] == [hexes(r) for r in expect]
+
+    def test_rotate_rows(self, rng):
+        q, pts = signed_zero_rows(rng, 400, 4), signed_zero_rows(rng, 400, 3)
+        # Poses built from the raw rows, so rotate reads the same bits.
+        poses = _poses(np.column_stack((pts, q)))
+        expect = [rotate(pose.orientation, pose.position) for pose in poses]
+        assert [hexes(r) for r in _rotate_rows(q, pts).tolist()] == [hexes((v.x, v.y, v.z)) for v in expect]
+        # One quaternion against every row.
+        expect = [rotate(poses[7].orientation, pose.position) for pose in poses]
+        assert [hexes(r) for r in _rotate_rows(q[7], pts).tolist()] == [hexes((v.x, v.y, v.z)) for v in expect]
 
     def test_axis_angle_rows_rejects_a_zero_axis(self):
         with pytest.raises(ValueError, match="nonzero"):
