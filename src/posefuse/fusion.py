@@ -26,7 +26,8 @@ run_sequence keeps the last label per frame.
 step is the streaming form, one frame of Pose objects at a time.
 run_sequence fuses a whole Recording on its arrays and returns a
 FusedTrack: label codes and the fused (N, 7) track, which build
-FusionOutput objects only when indexed or iterated.
+FusionOutput objects only when indexed or iterated.  Both form their
+references in the one stacked kernel, _references.
 """
 
 from __future__ import annotations
@@ -152,154 +153,59 @@ def relative_pose_check(u_apr: Odometry, u_vio: Odometry, cfg: FusionConfig) -> 
     )
 
 
-# weiszfeld_median's default stopping rule, which the stacked medians of
-# run_sequence also apply; one definition keeps the two forms equal.
+# The median iteration's stopping rule, read by _iterate_medians at call time.
 _MEDIAN_TOL = 1e-9
 _MEDIAN_MAX_ITER = 100
 
 
-def weiszfeld_median(
-    points: Sequence[Vec3], tol: float = _MEDIAN_TOL, max_iter: int = _MEDIAN_MAX_ITER
-) -> Vec3:
-    """Geometric median, the minimizer of the summed Euclidean distance.
+def weiszfeld_median(points: Sequence[Vec3]) -> Vec3:
+    """Geometric median, the minimizer of the summed Euclidean distance:
+    _medians on a stack of one window.
 
-    The median often sits exactly on an input point, and iterating
-    toward one crawls.  Kuhn's optimality test settles that case before
-    any iteration: input point p_k is the median when the unit vectors
+    Kuhn's optimality test (Kuhn 1973; Vardi & Zhang 2000) comes first:
+    input point p_k is the median, and is returned, when the unit vectors
     from it to every other distinct input sum to a vector shorter than
-    p_k's multiplicity, and then p_k itself is returned.  A pull that
-    equals the multiplicity (two points, collinear sets) is a tie and
-    falls through to the iteration, as does a pull within a 1e-9
-    relative rounding margin of it.
-
-    Otherwise: iteratively reweighted averaging from the centroid, with
-    a Newton candidate each round that is kept only when it lowers the
-    objective.  The reweighted step alone crawls when one cluster
-    dominates the weights; the polish restores fast convergence without
-    giving up its monotone descent.  tol and max_iter bound only this
-    iterative path: it stops when the iterate moves less than tol, after
-    max_iter rounds, or when it lands within tol of an input point, which
-    guards the 1/distance weights.  The result is then the best of the
-    final iterate and the input points, so a landing on a tied set's
-    non-optimal input point does not stick.
-
-    This is the scalar form of the median that run_sequence forms for
-    all its windows at once; that stacked kernel must match it bit for
-    bit.
-    """
+    p_k's multiplicity by more than a 1e-9 relative margin.  Ties (two
+    points, collinear sets) go on to the iteration: reweighted averaging
+    from the centroid, with a Newton candidate and over-relaxation that
+    are kept where they lower the objective, since the reweighted step
+    alone crawls when one cluster dominates the weights.  It stops when
+    the iterate moves less than _MEDIAN_TOL, after _MEDIAN_MAX_ITER
+    rounds, or when it lands within _MEDIAN_TOL of an input point, and
+    the result is the best of the final iterate and the input points."""
     if len(points) == 0:
         raise ValueError("weiszfeld_median needs at least one point")
-    pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
-    if len(pts) == 1:
-        return points[0]
-
-    # Kuhn's test (Kuhn 1973; Vardi & Zhang 2000).  Row k of diff holds
-    # p_j - p_k; coincident points contribute a zero vector to the pull
-    # and one each to the multiplicity.
-    diff = pts[None, :, :] - pts[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    same = dist == 0.0
-    pull = np.linalg.norm(
-        (diff / np.where(same, 1.0, dist)[:, :, None]).sum(axis=1), axis=1
-    )
-    vertex = np.nonzero(pull < same.sum(axis=1) * (1.0 - 1e-9))[0]
-    if vertex.size:
-        return points[vertex[0]]
-
-    def objective(at: np.ndarray) -> float:
-        return float(np.linalg.norm(pts - at, axis=1).sum())
-
-    y = pts.mean(axis=0)
-    for _ in range(max_iter):
-        diff = pts - y
-        d = np.linalg.norm(diff, axis=1)
-        hits = np.nonzero(d < tol)[0]
-        if hits.size:
-            y = pts[hits[0]]
-            break
-        w = 1.0 / d
-        y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
-        f_next = objective(y_next)
-        units = diff * w[:, None]
-        grad = -units.sum(axis=0)
-        hess = np.eye(3) * w.sum() - (units * w[:, None]).T @ units
-        try:
-            newton = y - np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            newton = None
-        # Collinear inputs make the Hessian singular along the line and
-        # the solve either fails or shoots far out; the objective test
-        # rejects those candidates.
-        if newton is not None and np.isfinite(newton).all():
-            f_newton = objective(newton)
-            if f_newton < f_next:
-                y_next, f_next = newton, f_newton
-        # Over-relax: double the displacement while that still improves
-        # the objective.  The reweighted step alone contracts painfully
-        # slowly when a tight cluster dominates the weights.
-        delta = y_next - y
-        scale = 2.0
-        while True:
-            cand = y + scale * delta
-            f_cand = objective(cand)
-            if not f_cand < f_next:
-                break
-            y_next, f_next = cand, f_cand
-            scale *= 2.0
-        step = np.linalg.norm(y_next - y)
-        y = y_next
-        if step < tol:
-            break
-    # Degenerate clusters leave a near-flat valley whose minimum hugs an
-    # input point; the input points are always candidates.
-    best = objective(y)
-    for i in range(len(pts)):
-        f = objective(pts[i])
-        if f < best:
-            best, y = f, pts[i]
-    return Vec3.from_array(y)
+    return Vec3.from_array(_medians(np.array([[[p.x, p.y, p.z] for p in points]]))[0])
 
 
 def average_quaternions(quats: Sequence[UnitQuaternion]) -> UnitQuaternion:
     """Rotation average via the largest eigenvector of the accumulated
-    outer-product matrix.  Inputs are sign-aligned to the first element
-    beforehand, so either cover of each rotation gives the same answer.
-
-    This is the scalar form of the average that run_sequence forms for
-    all its windows at once; that stacked kernel must match it bit for
-    bit.
-    """
+    outer-product matrix: _average_quaternions on a stack of one window.
+    An outer product is the same for either cover of a rotation, so either
+    cover of each input gives the same answer without sign alignment."""
     if len(quats) == 0:
         raise ValueError("average_quaternions needs at least one quaternion")
-    ref = quats[0].as_array()
-    acc = np.zeros((4, 4))
-    for q in quats:
-        v = q.as_array()
-        if float(v @ ref) < 0.0:
-            v = -v
-        acc += np.outer(v, v)
-    _, vecs = np.linalg.eigh(acc)
-    top = vecs[:, -1]  # eigh sorts eigenvalues ascending
-    return UnitQuaternion(top[0], top[1], top[2], top[3])
+    q = _average_quaternions(np.array([[[q.w, q.x, q.y, q.z] for q in quats]]))
+    # The row is normalized already; the constructor would normalize it again.
+    return _poses(np.column_stack((np.zeros((1, 3)), q)))[0].orientation
 
 
 def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePair:
     """Collapse an alignment window into its reference pair: geometric
-    median of positions, eigenvector average of orientations, per stream."""
+    median of positions, eigenvector average of orientations, per stream.
+    The two streams' windows are stacked and formed in one _references
+    call, as run_sequence forms all of its windows."""
     if len(aprs) != len(vios):
         raise ValueError(
             f"window streams differ in length: {len(aprs)} apr vs {len(vios)} vio"
         )
-    if len(aprs) == 0:
+    n = len(aprs)
+    if n == 0:
         raise ValueError("compute_reference needs a non-empty window")
-
-    def _avg(poses: Sequence[Pose]) -> Pose:
-        return Pose(
-            weiszfeld_median([p.position for p in poses]),
-            average_quaternions([p.orientation for p in poses]),
-        )
-
-    return ReferencePair(apr_ref=_avg(aprs), vio_ref=_avg(vios))
+    refs = _references(track_array([*aprs, *vios]), np.array([0, n]), n)
+    for median in refs[:, :3]:
+        Vec3.from_array(median)  # refuses a median that overflowed
+    return ReferencePair(*_poses(refs))
 
 
 def reference_transform(ref: ReferencePair) -> RigidTransform:
@@ -420,7 +326,8 @@ def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack
     optimization frames, so one vectorized pair check and a walk over
     its results place every window and period.  Then the references of
     all completed windows, of both streams, are formed in one stacked
-    pass, each equal to what compute_reference gives for its window.
+    pass, the _references call that compute_reference makes for one
+    window.
     Each reference's vio map is built as a row, equal to
     reference_transform, and its optimization checks and map run as
     array operations over the frames it governs.
@@ -516,10 +423,11 @@ _PAIRS_PER_BLOCK = 1 << 18
 
 
 def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
-    """The (W, 7) reference rows of a track: row w is the pose
-    compute_reference forms from frames firsts[w] to firsts[w] + size - 1,
-    equal to it bit for bit.  Each window's arithmetic is its own, so
-    neither the other windows (of either stream) nor the blocks change it."""
+    """The (W, 7) reference rows of a track: row w is the median
+    position and averaged orientation of frames firsts[w] to
+    firsts[w] + size - 1, with a normalized, sign-canonical quaternion.
+    Each window's arithmetic is its own, so neither the other windows
+    (of either stream) nor the blocks change a bit of it."""
     rows = max(1, _PAIRS_PER_BLOCK // (size * size))
     blocks = []
     for start in range(0, len(firsts), rows):
@@ -537,10 +445,11 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _medians(pts: np.ndarray) -> np.ndarray:
     """weiszfeld_median of every window of a (W, n, 3) stack of points,
-    n >= 2.  Each window takes the operations weiszfeld_median applies
-    to it, in the same order and with the same numpy reductions, so the
-    (W, 3) result equals it bit for bit."""
-    # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w.
+    n >= 1: Kuhn's test for every window, then the iteration for the
+    windows it does not settle.  A window of one point is its own
+    vertex."""
+    # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w; coincident
+    # points add a zero vector to the pull and one each to the multiplicity.
     diff = pts[:, None, :, :] - pts[:, :, None, :]
     dist = _norms(diff, 3)
     same = dist == 0.0
@@ -559,8 +468,7 @@ def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The iterative path of weiszfeld_median at its default stopping
-    rule (_MEDIAN_TOL, _MEDIAN_MAX_ITER), then its best-of-inputs pass,
+    """The iteration of weiszfeld_median, then its best-of-inputs pass,
     for windows that Kuhn's test does not settle.  dist holds the
     pairwise distances Kuhn's test computed.  The live windows are
     compacted only in a round where some of them finish."""
@@ -601,8 +509,8 @@ def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
             grow = grow[better]
             y_next[grow], f_next[grow] = cand[better], f_cand[better]
             scale *= 2.0
-        # np.linalg.norm of a vector squares it through a BLAS dot; a
-        # (1, 3) @ (3, 1) product makes the same call.
+        # The step length squares the move through a BLAS dot, as
+        # np.linalg.norm of a vector does: (1, 3) @ (3, 1) makes that call.
         moved = y_next - y_live
         step = np.sqrt(np.matmul(moved[:, None, :], moved[:, :, None])[:, 0, 0])
         y_live = y_next
@@ -641,9 +549,10 @@ def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _average_quaternions(quats: np.ndarray) -> np.ndarray:
-    """average_quaternions of every window of a (W, n, 4) stack, bit for
-    bit.  Its sign alignment is left out: negating a quaternion leaves
-    every product of two of its components unchanged, bit for bit."""
+    """average_quaternions of every window of a (W, n, 4) stack, as
+    normalized, sign-canonical rows.  Negating a quaternion leaves every
+    product of two of its components unchanged, bit for bit, so the sum
+    of outer products is already blind to the cover of each input."""
     acc = np.zeros((len(quats), 4, 4))
     for k in range(quats.shape[1]):
         acc += quats[:, k, :, None] * quats[:, k, None, :]

@@ -314,3 +314,101 @@ def row_parse_sequence(path):
             prev_ts = ts
             samples.append(PoseSample(frame, ts, gt=gt, vio=vio, apr=apr))
     return samples
+
+
+def scalar_reference(poses):
+    """The reference pose ``posefuse.fusion.compute_reference`` formed
+    for one stream's window before it went through the stacked kernel:
+    the scalar Weiszfeld loop and the scalar quaternion average below,
+    which the stacked kernel must match by ``float.hex``.  It builds the
+    package's pose types, so its results compare with the package's
+    directly."""
+    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+
+    def weiszfeld_median(points, tol=1e-9, max_iter=100):
+        pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
+        if len(pts) == 1:
+            return points[0]
+
+        # Kuhn's test (Kuhn 1973; Vardi & Zhang 2000).  Row k of diff holds
+        # p_j - p_k; coincident points contribute a zero vector to the pull
+        # and one each to the multiplicity.
+        diff = pts[None, :, :] - pts[:, None, :]
+        dist = np.linalg.norm(diff, axis=2)
+        same = dist == 0.0
+        pull = np.linalg.norm(
+            (diff / np.where(same, 1.0, dist)[:, :, None]).sum(axis=1), axis=1
+        )
+        vertex = np.nonzero(pull < same.sum(axis=1) * (1.0 - 1e-9))[0]
+        if vertex.size:
+            return points[vertex[0]]
+
+        def objective(at):
+            return float(np.linalg.norm(pts - at, axis=1).sum())
+
+        y = pts.mean(axis=0)
+        for _ in range(max_iter):
+            diff = pts - y
+            d = np.linalg.norm(diff, axis=1)
+            hits = np.nonzero(d < tol)[0]
+            if hits.size:
+                y = pts[hits[0]]
+                break
+            w = 1.0 / d
+            y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
+            f_next = objective(y_next)
+            units = diff * w[:, None]
+            grad = -units.sum(axis=0)
+            hess = np.eye(3) * w.sum() - (units * w[:, None]).T @ units
+            try:
+                newton = y - np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                newton = None
+            # Collinear inputs make the Hessian singular along the line and
+            # the solve either fails or shoots far out; the objective test
+            # rejects those candidates.
+            if newton is not None and np.isfinite(newton).all():
+                f_newton = objective(newton)
+                if f_newton < f_next:
+                    y_next, f_next = newton, f_newton
+            # Over-relax: double the displacement while that still improves
+            # the objective.  The reweighted step alone contracts painfully
+            # slowly when a tight cluster dominates the weights.
+            delta = y_next - y
+            scale = 2.0
+            while True:
+                cand = y + scale * delta
+                f_cand = objective(cand)
+                if not f_cand < f_next:
+                    break
+                y_next, f_next = cand, f_cand
+                scale *= 2.0
+            step = np.linalg.norm(y_next - y)
+            y = y_next
+            if step < tol:
+                break
+        # Degenerate clusters leave a near-flat valley whose minimum hugs an
+        # input point; the input points are always candidates.
+        best = objective(y)
+        for i in range(len(pts)):
+            f = objective(pts[i])
+            if f < best:
+                best, y = f, pts[i]
+        return Vec3.from_array(y)
+
+    def average_quaternions(quats):
+        ref = quats[0].as_array()
+        acc = np.zeros((4, 4))
+        for q in quats:
+            v = q.as_array()
+            if float(v @ ref) < 0.0:
+                v = -v
+            acc += np.outer(v, v)
+        _, vecs = np.linalg.eigh(acc)
+        top = vecs[:, -1]  # eigh sorts eigenvalues ascending
+        return UnitQuaternion(top[0], top[1], top[2], top[3])
+
+    return Pose(
+        weiszfeld_median([p.position for p in poses]),
+        average_quaternions([p.orientation for p in poses]),
+    )

@@ -52,6 +52,7 @@ from oracles import (
     line_median_objective,
     quat_angle_stable_deg,
     rigid_map_pose,
+    scalar_reference,
     slerp_midpoint,
     step_run_sequence,
 )
@@ -176,8 +177,8 @@ class TestWeiszfeldMedian:
 
 class TestMedianAtInputPoint:
     """Kuhn's condition settles a median that sits on an input point
-    before any iteration, so the result is that point exactly and tol
-    and max_iter cannot move it."""
+    before any iteration, so the result is that point exactly and the
+    iteration's stopping rule cannot move it."""
 
     CASES = {
         # Angle at the origin is about 169 deg, above 120.
@@ -198,7 +199,10 @@ class TestMedianAtInputPoint:
         k, margin = kuhn_optimal_point([(p.x, p.y, p.z) for p in pts])
         assert margin >= 1e-6
         assert weiszfeld_median(pts) == pts[k]
-        assert weiszfeld_median(pts, tol=1e3, max_iter=1) == pts[k]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posefuse.fusion, "_MEDIAN_TOL", 1e3)
+            mp.setattr(posefuse.fusion, "_MEDIAN_MAX_ITER", 1)
+            assert weiszfeld_median(pts) == pts[k]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_named_cases(self, name):
@@ -343,6 +347,15 @@ class TestComputeReference:
         p = random_pose(rng)
         with pytest.raises(ValueError, match="length"):
             compute_reference([p, p], [p])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_median_rejected(self):
+        # The apr window is one point, its own median.  Kuhn's test does
+        # not settle the vio triangle, and the centroid the iteration
+        # starts from overflows, so the vio median is not finite.
+        poses = [Pose(Vec3(1.7e308, y, z), UnitQuaternion.identity()) for y, z in ((0, 0), (1, 0), (0, 1))]
+        with pytest.raises(ValueError, match="Vec3.x must be finite"):
+            compute_reference(poses[:1] * 3, poses)
 
 
 class TestOptimizePose:
@@ -840,10 +853,12 @@ def pose_hex(pose):
 
 
 class TestStackedReferences:
-    """run_sequence forms the references of all its windows in one
-    stacked pass.  Each must equal compute_reference of its window by
-    float.hex, whichever path the window's median takes and whatever
-    other windows share the stack."""
+    """Every reference, in step and in run_sequence, comes from one
+    stacked pass over its windows.  Each row must equal the scalar
+    oracle of its window by float.hex, whichever path the window's
+    median takes and whatever other windows share the stack, and its
+    median must be optimal by Kuhn's condition or no worse than scipy's
+    minimizer."""
 
     @staticmethod
     def assert_stack_matches(windows, rng):
@@ -856,19 +871,51 @@ class TestStackedReferences:
         got = posefuse.fusion._references(track, firsts, size)
         for w, a in enumerate(firsts.tolist()):
             window = poses[a : a + size]
-            expect = pose_hex(compute_reference(window, window).apr_ref)
+            expect = pose_hex(scalar_reference(window))
             assert tuple(v.hex() for v in got[w].tolist()) == expect, (w, windows[w])
-            # The same window alone gives the same row.
+            # The same window alone gives the same row, and so does
+            # compute_reference, which stacks it with the other stream's.
             alone = posefuse.fusion._references(track, firsts[w : w + 1], size)
             assert tuple(v.hex() for v in alone[0].tolist()) == expect
+            other = poses[a - size : a] if a else poses[-size:]
+            ref = compute_reference(window, other)
+            assert pose_hex(ref.apr_ref) == expect
+            assert pose_hex(ref.vio_ref) == pose_hex(scalar_reference(other))
+        TestStackedReferences.assert_medians_optimal(windows, got[:, :3])
 
-    # Windows of 2 to 5 and 9 points, one named kind each.  Kuhn's test
+    @staticmethod
+    def assert_medians_optimal(windows, medians):
+        """A window whose input point passes Kuhn's test by a clear margin
+        has that point as its median, exactly.  Any other window's summed
+        distance is no worse than scipy's minimizer from the centroid
+        finds, up to 1e-9 of the summed distance at the centroid."""
+        from scipy.optimize import minimize
+
+        for win, median in zip(windows, medians):
+            pts = np.array(win, dtype=float)
+            k, margin = kuhn_optimal_point(pts)
+            if margin >= 1e-6:
+                assert [v.hex() for v in median.tolist()] == [v.hex() for v in pts[k].tolist()], win
+                continue
+
+            def objective(at):
+                return float(np.linalg.norm(pts - at, axis=1).sum())
+
+            centroid = pts.mean(axis=0)
+            found = minimize(objective, centroid).fun
+            assert objective(median) <= found + 1e-9 * objective(centroid), win
+
+    # Windows of 1 to 5 and 9 points, one named kind each.  Kuhn's test
     # settles the vertex, hub and coincident kinds; the axis-aligned lines
     # give an exactly singular Hessian, so the stacked solve fails; the
     # tied line puts the centroid on an input point (the d < tol guard),
     # and where two inputs are within tol of the centroid the first one is
     # taken.
     CASES = {
+        1: {
+            "origin": [(0, 0, 0)],
+            "point": [(1.5, -2, 3)],
+        },
         2: {
             "coincident": [(1.5, -2, 3), (1.5, -2, 3)],
             "axis_pair": [(0, 0, 0), (2, 0, 0)],
@@ -925,9 +972,11 @@ class TestStackedReferences:
         if size in (2, 4):
             assert any(stacked_failures)
 
-    def test_kinds_take_their_paths(self):
-        def median(pts, **kw):
-            return weiszfeld_median([Vec3(*p) for p in pts], **kw)
+    def test_kinds_take_their_paths(self, monkeypatch):
+        def median(pts, max_iter=posefuse.fusion._MEDIAN_MAX_ITER):
+            with monkeypatch.context() as mp:
+                mp.setattr(posefuse.fusion, "_MEDIAN_MAX_ITER", max_iter)
+                return weiszfeld_median([Vec3(*p) for p in pts])
 
         vertices = ((3, "obtuse"), (5, "duplicate_outweighs_pull"), (4, "duplicate_hub"), (9, "ring_and_hub"))
         for size, name in vertices:
@@ -986,7 +1035,7 @@ class TestStackedReferences:
         assert (3, "failed") in solves
         assert solves.count((2, "solved")) + solves.count((2, "failed")) > singles_a
 
-    @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 11])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 11])
     def test_mixed_random_stacks(self, size, rng):
         windows = []
         for i in range(120):
@@ -1028,7 +1077,7 @@ class TestStackedReferences:
                 got = posefuse.fusion._references(track, firsts, size)
                 for a in firsts.tolist():
                     window = poses[a : a + size]
-                    expect = pose_hex(compute_reference(window, window).apr_ref)
+                    expect = pose_hex(scalar_reference(window))
                     assert tuple(v.hex() for v in got[a].tolist()) == expect
 
 
