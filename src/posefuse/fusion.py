@@ -129,6 +129,18 @@ class FusionOutput:
     pose: Pose
     label: Label
 
+    def __init__(self, frame_index: int, pose: Pose, label: Label) -> None:
+        # step and FusedTrack build one or more per frame; storing
+        # through the slot descriptors skips the frozen __setattr__.
+        _out_frame(self, frame_index)
+        _out_pose(self, pose)
+        _out_label(self, label)
+
+
+_out_frame, _out_pose, _out_label = (
+    FusionOutput.frame_index.__set__, FusionOutput.pose.__set__, FusionOutput.label.__set__,
+)
+
 
 @dataclass
 class FusionState:

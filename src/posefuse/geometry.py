@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from math import isfinite
 
 import numpy as np
@@ -100,9 +101,11 @@ class UnitQuaternion:
 
 
 # Float-tuple forms of the quaternion formulas, (w, x, y, z).  The
-# classes and functions of this module are built on them, and so is the
-# synthetic stream generator, which chains many rotations per frame
-# without building an object for each.
+# classes and functions of this module are built on them.  So is
+# RigidTransform.apply_pose: fusion.step maps a pose through it on every
+# tracked or optimized frame, so, like odometry, it computes in plain
+# floats and builds only its result object.  So is the synthetic stream
+# generator, which chains many rotations per frame.
 
 
 def _normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -130,6 +133,22 @@ def _hamilton(
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     )
+
+
+def _rotate(
+    q: tuple[float, float, float, float], v: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """Vector v rotated by unit quaternion q, q v q*."""
+    # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part.
+    w, ux, uy, uz = q
+    vx, vy, vz = v
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    dx = uy * cz - uz * cy
+    dy = uz * cx - ux * cz
+    dz = ux * cy - uy * cx
+    return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
 
 
 def _axis_angle(
@@ -185,7 +204,14 @@ class RigidTransform:
     def apply_pose(self, pose: Pose) -> Pose:
         # Orientations pick up the transform rotation on the left, the
         # world frame is what the transform re-expresses.
-        return Pose(self.apply_point(pose.position), compose(self.rotation, pose.orientation))
+        g, t, p, o = self.rotation, self.translation, pose.position, pose.orientation
+        q = (g.w, g.x, g.y, g.z)
+        x, y, z = _rotate(q, (p.x, p.y, p.z))
+        x, y, z = x + t.x, y + t.y, z + t.z
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            # The object form, which words the overflow error.
+            return Pose(self.apply_point(p), compose(g, o))
+        return _pose(x, y, z, *_normalize(_hamilton(q, (o.w, o.x, o.y, o.z))))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -220,27 +246,24 @@ def translation_distance(a: Vec3, b: Vec3) -> float:
 
 def odometry(a: Pose, b: Pose) -> Odometry:
     """Scalar motion magnitudes between two poses."""
-    return Odometry(
-        translation_distance(a.position, b.position),
-        rotation_angle_deg(a.orientation, b.orientation),
-    )
+    pa, pb = a.position, b.position
+    dx, dy, dz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    angle = rotation_angle_deg(a.orientation, b.orientation)
+    if not isfinite(d):
+        # The object form, which words the overflow error.
+        return Odometry(translation_distance(pa, pb), angle)
+    # A finite distance is >= 0 and the angle is in [0, 180], so the
+    # constructor's check cannot fail.
+    u = _new(Odometry)
+    _od(u, d)
+    _oa(u, angle)
+    return u
 
 
 def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
     """Rotate a vector by a unit quaternion, q v q*."""
-    # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part.
-    ux, uy, uz = q.x, q.y, q.z
-    cx = uy * v.z - uz * v.y
-    cy = uz * v.x - ux * v.z
-    cz = ux * v.y - uy * v.x
-    dx = uy * cz - uz * cy
-    dy = uz * cx - ux * cz
-    dz = ux * cy - uy * cx
-    return Vec3(
-        v.x + 2.0 * (q.w * cx + dx),
-        v.y + 2.0 * (q.w * cy + dy),
-        v.z + 2.0 * (q.w * cz + dz),
-    )
+    return Vec3(*_rotate((q.w, q.x, q.y, q.z), (v.x, v.y, v.z)))
 
 
 def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
@@ -338,30 +361,32 @@ _qw, _qx, _qy, _qz = (
     UnitQuaternion.y.__set__, UnitQuaternion.z.__set__,
 )
 _pp, _pq = Pose.position.__set__, Pose.orientation.__set__
+_od, _oa = Odometry.dist.__set__, Odometry.angle.__set__
+
+
+def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: float) -> Pose:
+    """The Pose of finite floats whose quaternion is already normalized
+    and sign-canonical.  The fields are stored as they are: running the
+    constructors again would normalize a normalized quaternion once
+    more, which can move its last bits."""
+    p = _new(Vec3)
+    _vx(p, x)
+    _vy(p, y)
+    _vz(p, z)
+    q = _new(UnitQuaternion)
+    _qw(q, w)
+    _qx(q, qx)
+    _qy(q, qy)
+    _qz(q, qz)
+    pose = _new(Pose)
+    _pp(pose, p)
+    _pq(pose, q)
+    return pose
 
 
 def _poses(track: np.ndarray) -> list[Pose]:
-    """One Pose per row of a track whose rows are finite and whose
-    quaternions are already normalized and sign-canonical.  The fields
-    are stored as they are: running the constructors again would
-    normalize a normalized quaternion once more, which can move its last
-    bits."""
-    out = []
-    for x, y, z, w, qx, qy, qz in track.tolist():
-        p = _new(Vec3)
-        _vx(p, x)
-        _vy(p, y)
-        _vz(p, z)
-        q = _new(UnitQuaternion)
-        _qw(q, w)
-        _qx(q, qx)
-        _qy(q, qy)
-        _qz(q, qz)
-        pose = _new(Pose)
-        _pp(pose, p)
-        _pq(pose, q)
-        out.append(pose)
-    return out
+    """_pose of each row of a track, x, y, z, qw, qx, qy, qz."""
+    return list(starmap(_pose, track.tolist()))
 
 
 class _FrameSequence(Sequence):

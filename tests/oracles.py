@@ -412,3 +412,50 @@ def scalar_reference(poses):
         weiszfeld_median([p.position for p in poses]),
         average_quaternions([p.orientation for p in poses]),
     )
+
+
+def object_odometry(a, b):
+    """``posefuse.geometry.odometry`` as it was before it computed in
+    plain floats: the distance through ``Vec3`` subtraction and the
+    ``Odometry`` constructor, whose checks word the overflow errors."""
+    from posefuse.geometry import Odometry, rotation_angle_deg, translation_distance
+
+    return Odometry(
+        translation_distance(a.position, b.position),
+        rotation_angle_deg(a.orientation, b.orientation),
+    )
+
+
+def object_apply_pose(transform, pose):
+    """``posefuse.geometry.RigidTransform.apply_pose`` as it was before
+    it computed in plain floats: ``rotate`` as it was then and
+    ``compose`` with its Hamilton product written out, every
+    intermediate through the ``Vec3`` and ``UnitQuaternion``
+    constructors."""
+    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+
+    def rotate(q, v):
+        # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part.
+        ux, uy, uz = q.x, q.y, q.z
+        cx = uy * v.z - uz * v.y
+        cy = uz * v.x - ux * v.z
+        cz = ux * v.y - uy * v.x
+        dx = uy * cz - uz * cy
+        dy = uz * cx - ux * cz
+        dz = ux * cy - uy * cx
+        return Vec3(
+            v.x + 2.0 * (q.w * cx + dx),
+            v.y + 2.0 * (q.w * cy + dy),
+            v.z + 2.0 * (q.w * cz + dz),
+        )
+
+    def compose(a, b):
+        return UnitQuaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+        )
+
+    return Pose(rotate(transform.rotation, pose.position) + transform.translation,
+                compose(transform.rotation, pose.orientation))

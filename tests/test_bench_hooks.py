@@ -9,7 +9,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import posefuse.fusion
 from posefuse import cli
+from posefuse.fusion import FusionConfig, FusionState, Label, Stage, step
+from posefuse.synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -58,3 +61,34 @@ def test_every_patched_attribute_is_callable():
     for module_name, attr, _, _ in tracing.PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_step_calls_traced_fusion_names(monkeypatch):
+    # The stream workload's traced geometry.odometry and
+    # fusion.optimize_pose figures count the calls step makes through
+    # these module globals; inlining either would zero them silently.
+    patched = {(module, attr) for module, attr, _, _ in load_tracing().PATCHES}
+    counts = Counter()
+    for name in ("odometry", "optimize_pose"):
+        assert ("posefuse.fusion", name) in patched, name
+        original = getattr(posefuse.fusion, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(posefuse.fusion, name, counting)
+    gt = [s.gt for s in generate_gt(TrajectoryConfig(n_frames=300, seed=5))]
+    vio = simulate_vio(gt, VioNoiseModel(), 11)
+    apr = simulate_apr(gt, AprNoiseModel(), 12)
+    state, cfg = FusionState(), FusionConfig()
+    checked = mapped = 0
+    for a, v in zip(apr, vio):
+        # A frame is checked in an optimization period, or when the
+        # alignment window already holds a frame to pair it with.
+        was_checked = state.stage is Stage.OPTIMIZING or len(state.window) >= 1
+        state, outs = step(state, a, v, cfg)
+        checked += was_checked
+        mapped += outs[0].label in (Label.TRACKED, Label.OPTIMIZED)
+    assert checked > 0 and mapped > 0
+    assert counts == {"odometry": 2 * checked, "optimize_pose": mapped}

@@ -1,4 +1,8 @@
+import dataclasses
+import inspect
 import math
+import pickle
+import typing
 
 import numpy as np
 import pytest
@@ -542,6 +546,33 @@ class TestStep:
         assert labels[11:] == [Label.TRACKED] * 5
         for i in range(11, 16):
             assert translation_distance(outs[i].pose.position, samples[i].gt.position) < 1e-9
+
+
+class TestFusionOutput:
+    """FusionOutput stores its fields through the slot descriptors and
+    stays the frozen dataclass it was."""
+
+    def test_value_type(self, rng):
+        pose = random_pose(rng)
+        out = FusionOutput(3, pose, Label.TRACKED)
+        assert (out.frame_index, out.pose, out.label) == (3, pose, Label.TRACKED)
+        assert out == FusionOutput(3, pose, Label.TRACKED) != FusionOutput(3, pose, Label.RELIABLE)
+        # What the generated dataclass methods give.
+        assert hash(out) == hash((3, pose, Label.TRACKED))
+        assert repr(out) == f"FusionOutput(frame_index=3, pose={pose!r}, label={Label.TRACKED!r})"
+        for field in ("frame_index", "pose", "label"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(out, field, getattr(out, field))
+        assert dataclasses.replace(out, label=Label.RELIABLE) == FusionOutput(3, pose, Label.RELIABLE)
+        assert pickle.loads(pickle.dumps(out)) == out
+        params = inspect.signature(FusionOutput).parameters.values()
+        assert [(p.name, p.annotation) for p in params] == [
+            ("frame_index", "int"), ("pose", "Pose"), ("label", "Label")
+        ]
+        assert typing.get_type_hints(FusionOutput.__init__) == {
+            "frame_index": int, "pose": Pose, "label": Label, "return": type(None)
+        }
+        assert [f.name for f in dataclasses.fields(FusionOutput)] == ["frame_index", "pose", "label"]
 
 
 class TestRunSequence:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from posefuse.geometry import (
     translation_distance,
 )
 from helpers import random_pose, random_quaternion, random_vec3
-from oracles import matrix_rotation_angle_deg, quat_angle_stable_deg
+from oracles import matrix_rotation_angle_deg, object_apply_pose, object_odometry, quat_angle_stable_deg
 
 QZ90 = UnitQuaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
 
@@ -336,3 +338,105 @@ class TestRowPrimitives:
     def test_axis_angle_rows_rejects_a_zero_axis(self):
         with pytest.raises(ValueError, match="nonzero"):
             _axis_angle_rows(np.array([[1.0, 0.0, 0.0], [0.0, -0.0, 0.0]]), np.array([1.0, 2.0]))
+
+
+def edge_poses(rng, n, scale=10.0):
+    """n poses with +0.0 and -0.0 scattered through every field and a
+    half turn (w == 0, of either sign) on every fifth."""
+    pos = signed_zero_rows(rng, n, 3) * scale
+    quat = signed_zero_rows(rng, n, 4)
+    quat[::5, 0] = 0.0
+    quat[::10, 0] = -0.0
+    quat[np.abs(quat).sum(axis=1) < 1e-3] = [-0.0, 0.0, 1.0, -0.0]
+    return [Pose(Vec3(*p), UnitQuaternion(*q)) for p, q in zip(pos.tolist(), quat.tolist())]
+
+
+def pose_hexes(pose):
+    p, q = pose.position, pose.orientation
+    return hexes((p.x, p.y, p.z, q.w, q.x, q.y, q.z))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestFloatForms:
+    """odometry and RigidTransform.apply_pose compute in plain floats and
+    build one value object; they equal the object forms they replaced
+    (tests/oracles.py) by float.hex, and raise what those raise."""
+
+    def test_odometry_matches_object_form(self, rng):
+        poses = edge_poses(rng, 10_000)
+        others = poses[3:] + poses[:3]
+        # Coincident poses: the same object, and an equal copy.
+        others[::9] = poses[::9]
+        others[1::9] = [Pose(Vec3(p.position.x, p.position.y, p.position.z), p.orientation) for p in poses[1::9]]
+        for a, b in zip(poses, others):
+            u, expect = odometry(a, b), object_odometry(a, b)
+            assert type(u) is Odometry
+            assert hexes((u.dist, u.angle)) == hexes((expect.dist, expect.angle))
+            assert Odometry(u.dist, u.angle) == u
+
+    def test_apply_pose_matches_object_form(self, rng):
+        poses = edge_poses(rng, 10_000)
+        rotations = [p.orientation for p in edge_poses(rng, 10_000)]
+        translations = [p.position for p in edge_poses(rng, 10_000, scale=100.0)]
+        maps = [RigidTransform(q, t) for q, t in zip(rotations, translations)]
+        maps[::7] = [RigidTransform.identity()] * len(maps[::7])
+        for t, p in zip(maps, poses):
+            out = t.apply_pose(p)
+            assert (type(out), type(out.position), type(out.orientation)) == (Pose, Vec3, UnitQuaternion)
+            assert pose_hexes(out) == pose_hexes(object_apply_pose(t, p))
+
+    def test_overflow_raises_as_object_form(self, rng):
+        # Near 1e154 a squared distance overflows, near 1e308 a
+        # difference or a mapped coordinate does; some pairs stay finite.
+        raised = {"odometry": set(), "apply_pose": set()}
+        for scale in (1e150, 1e153, 1e154, 1e155, 1e306, 1e307, 1.7e308):
+            poses = edge_poses(rng, 200, scale=1.0)
+            big = [Pose(Vec3(*(scale * np.clip(rng.normal(size=3), -1.0, 1.0)).tolist()), p.orientation) for p in poses]
+            for a, b in zip(big, big[1:] + poses[:1]):
+                got, expect = outcome(odometry, a, b), outcome(object_odometry, a, b)
+                if isinstance(expect, Odometry):
+                    assert hexes((got.dist, got.angle)) == hexes((expect.dist, expect.angle))
+                else:
+                    assert got == expect
+                    raised["odometry"].add(expect[1].split(" must")[0])
+            for a, b in zip(big, big[::-1]):
+                t = RigidTransform(b.orientation, b.position)
+                got, expect = outcome(t.apply_pose, a), outcome(object_apply_pose, t, a)
+                if isinstance(expect, Pose):
+                    assert pose_hexes(got) == pose_hexes(expect)
+                else:
+                    assert got == expect
+                    raised["apply_pose"].add(expect[1].split(" must")[0])
+        assert raised == {
+            "odometry": {"odometry distance", "Vec3.x", "Vec3.y", "Vec3.z"},
+            "apply_pose": {"Vec3.x", "Vec3.y", "Vec3.z"},
+        }
+
+
+class TestValueTypes:
+    """Values built through the slot descriptors are the same values the
+    constructors build."""
+
+    def test_setter_built_values(self, rng):
+        a, b = random_pose(rng), random_pose(rng)
+        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
+        u, built_u = odometry(a, b), object_odometry(a, b)
+        p, built_p = t.apply_pose(a), object_apply_pose(t, a)
+        for got, built in ((u, built_u), (p, built_p), (p.position, built_p.position),
+                           (p.orientation, built_p.orientation)):
+            assert got == built
+            assert hash(got) == hash(built)
+            assert repr(got) == repr(built)
+            assert pickle.loads(pickle.dumps(got)) == got
+        for obj, field in ((u, "dist"), (u, "angle"), (p, "position"), (p.position, "x"), (p.orientation, "w")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+        assert dataclasses.replace(u, dist=2.0) == Odometry(2.0, u.angle)
+        assert dataclasses.replace(p, position=Vec3(1, 2, 3)) == Pose(Vec3(1, 2, 3), p.orientation)
