@@ -329,8 +329,10 @@ def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack
 
     Returns exactly one output per input frame, in input order, with the
     final label per frame (keyframe re-emissions supersede provisional
-    tracked/pending outputs).  Requires vio and apr on every sample and
-    strictly increasing timestamps.
+    tracked/pending outputs).  Raises ValueError, naming the frame, at a
+    sample without vio or apr, at a timestamp not above its predecessor,
+    and, through Recording.of, at a row that breaks Recording's checks,
+    within which no value it computes overflows.
 
     The result equals feeding the frames to step one by one, bit for
     bit, but the sequence is fused in one pass over its arrays.  The
@@ -347,10 +349,6 @@ def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack
     rec = Recording.of(samples)
     _check_inputs(rec)
     apr, vio = rec.apr, rec.vio
-    if not (
-        (np.abs(apr[:, :3]) < _COORD_LIMIT).all() and (np.abs(vio[:, :3]) < _COORD_LIMIT).all()
-    ):
-        return _run_steps(rec, cfg)
     windows = _windows(_agree(apr[:-1], apr[1:], vio[:-1], vio[1:], cfg).tolist(), cfg)
     labels = np.full(len(rec), _PENDING)
     track = apr.copy()
@@ -369,7 +367,6 @@ def _check_inputs(rec: Recording) -> None:
     follow its predecessor in time, naming the first of these it
     breaks."""
     no_vio, no_apr = ~rec.has("vio"), ~rec.has("apr")
-    # A NaN timestamp compares false, so it is not refused here.
     ts = rec.timestamps
     late = np.zeros(len(rec), dtype=bool)
     late[1:] = ts[1:] <= ts[:-1]
@@ -384,13 +381,6 @@ def _check_inputs(rec: Recording) -> None:
         raise ValueError(f"frame {frame}: apr pose missing, fusion needs it")
     raise ValueError(f"frame {frame}: timestamps must be strictly increasing")
 
-
-# Below this magnitude every squared coordinate difference is finite, so
-# no motion, reference or mapped position can overflow, and step never
-# raises.  run_sequence feeds sequences with larger coordinates to step
-# frame by frame, which raises where it meets an overflow, or fuses the
-# sequence when none of the values it computes overflows.
-_COORD_LIMIT = 1e150
 
 # Label codes of the batch pass: index into _LABELS.
 _LABELS = tuple(Label)
@@ -606,16 +596,3 @@ def _label_and_map(
     ref = ref_of[rows]
     track[first + rows] = _apply_rigid(q_g[ref], t[ref], vio[first + rows])
 
-
-def _run_steps(rec: Recording, cfg: FusionConfig) -> FusedTrack:
-    """run_sequence through step, frame by frame."""
-    state = FusionState()
-    latest: dict[int, FusionOutput] = {}
-    for s in rec:
-        state, outs = step(state, s.apr, s.vio, cfg)
-        for out in outs:
-            latest[out.frame_index] = out
-    # step() numbers frames 0..n-1 in feed order.
-    outputs = [latest[i] for i in range(len(rec))]
-    labels = [_LABELS.index(out.label) for out in outputs]
-    return FusedTrack(rec.frames, labels, track_array([out.pose for out in outputs]))

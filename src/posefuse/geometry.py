@@ -209,8 +209,7 @@ class RigidTransform:
         x, y, z = _rotate(q, (p.x, p.y, p.z))
         x, y, z = x + t.x, y + t.y, z + t.z
         if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            # The object form, which words the overflow error.
-            return Pose(self.apply_point(p), compose(g, o))
+            Vec3(x, y, z)  # raises, naming the first field that overflowed
         return _pose(x, y, z, *_normalize(_hamilton(q, (o.w, o.x, o.y, o.z))))
 
     @classmethod
@@ -251,8 +250,7 @@ def odometry(a: Pose, b: Pose) -> Odometry:
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
     angle = rotation_angle_deg(a.orientation, b.orientation)
     if not isfinite(d):
-        # The object form, which words the overflow error.
-        return Odometry(translation_distance(pa, pb), angle)
+        return Odometry(d, angle)  # raises: the distance overflowed
     # A finite distance is >= 0 and the angle is in [0, 180], so the
     # constructor's check cannot fail.
     u = _new(Odometry)
@@ -274,9 +272,10 @@ def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
 # Array forms of the formulas above, one row per pose, for code that
 # handles whole tracks: (N, 3) positions, (N, 4) quaternions (w, x, y,
 # z), (N, 7) tracks of both.  Each row equals, bit for bit, what the
-# per-object formula gives: same operations in the same order, and angles
-# through math.acos, which np.arccos differs from in the last bit on some
-# inputs.
+# per-object formula gives: elementwise float64 operations round as
+# Python floats do, so each applies the float formula to the columns or
+# repeats its operations in order, with angles through math.acos, which
+# np.arccos differs from in the last bit on some inputs.
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,14 +306,7 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
 def _hamilton_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_hamilton of each row pair of two quaternion arrays, not
     normalized; either may also be one quaternion of shape (4,)."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    return np.column_stack((
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ))
+    return np.column_stack(_hamilton(a.T, b.T))
 
 
 def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
@@ -332,15 +324,7 @@ def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
 
 def _rotate_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """rotate(q, p) of each row pair; q may also be one quaternion (4,)."""
-    qw, qx, qy, qz = q.T
-    px, py, pz = p.T
-    cx = qy * pz - qz * py
-    cy = qz * px - qx * pz
-    cz = qx * py - qy * px
-    dx = qy * cz - qz * cy
-    dy = qz * cx - qx * cz
-    dz = qx * cy - qy * cx
-    return np.column_stack((px + 2.0 * (qw * cx + dx), py + 2.0 * (qw * cy + dy), pz + 2.0 * (qw * cz + dz)))
+    return np.column_stack(_rotate(q.T, p.T))
 
 
 def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
@@ -403,7 +387,11 @@ class _FrameSequence(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return type(self)(*(getattr(self, name)[i] for name in self.__slots__))
+            # Slices of checked fields skip the constructor and its checks.
+            part = _new(type(self))
+            for name in self.__slots__:
+                setattr(part, name, getattr(self, name)[i])
+            return part
         i = range(len(self))[i]
         return next(iter(self[i : i + 1]))
 
@@ -418,6 +406,30 @@ class _FrameSequence(Sequence):
         return f"<{type(self).__name__} of {len(self)} frames>"
 
 
+# Below COORD_LIMIT every squared coordinate difference is finite, so no
+# motion, reference or mapped position formed from checked rows overflows.
+COORD_LIMIT = 1e150
+UNIT_NORM_TOL = 1e-9
+
+
+def _pose_fault(rows: np.ndarray, unit_tol: float) -> tuple[int, str] | None:
+    """(index, fault) of the first row of an (N, 7) pose block with a
+    coordinate not finite or of magnitude COORD_LIMIT or more, or a
+    quaternion norm further than unit_tol from 1; None if there is none."""
+    q = rows[:, 3:]
+    # A non-finite or huge component makes a norm NaN or inf, which fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
+        ok = (np.abs(rows[:, :3]) < COORD_LIMIT).all(axis=1) & (np.abs(norm - 1.0) <= unit_tol)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    for name, v in zip("xyz", rows[i, :3].tolist()):
+        if not abs(v) < COORD_LIMIT:
+            return i, f"{name} must be finite and below {COORD_LIMIT:g} m in magnitude, got {v!r}"
+    return i, f"quaternion norm {norm.item(i)!r} is further than {unit_tol:g} from 1"
+
+
 def _frozen(values, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """A read-only copy of values, which must have the given shape."""
     a = np.array(values, dtype=dtype)
@@ -429,8 +441,11 @@ def _frozen(values, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
 class PoseTrack(_FrameSequence):
     """A sequence of poses in array form: one (N, 7) track, rows x, y,
-    z, qw, qx, qy, qz as a Pose holds them, finite, with normalized and
-    sign-canonical quaternions.
+    z, qw, qx, qy, qz as a Pose holds them, with normalized and
+    sign-canonical quaternions.  The constructor stores the rows as
+    given; it raises ValueError, naming the row as its frame, at a field
+    not finite, a coordinate of magnitude COORD_LIMIT (1e150 m) or more,
+    or a quaternion norm further than UNIT_NORM_TOL (1e-9) from 1.
 
     It is a read-only sequence of Pose.  Indexing builds one Pose and
     iteration builds them all; it equals a list of equal poses."""
@@ -439,6 +454,8 @@ class PoseTrack(_FrameSequence):
 
     def __init__(self, track) -> None:
         self.track = _frozen(track, (len(track), 7))
+        if (fault := _pose_fault(self.track, UNIT_NORM_TOL)) is not None:
+            raise ValueError("frame %d: %s" % fault)
 
     def __iter__(self) -> Iterator[Pose]:
         return iter(_poses(self.track))

@@ -26,7 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Pose, _FrameSequence, _frozen, _normalize, _normalize_rows, _poses
+from .geometry import (
+    COORD_LIMIT, UNIT_NORM_TOL, Pose, _FrameSequence, _frozen, _normalize, _normalize_rows, _pose_fault, _poses,
+)
 from .metrics import track_array
 
 SEQUENCE_COLUMNS = (
@@ -86,7 +88,10 @@ class Recording(_FrameSequence):
     """A sequence of frames in array form: frame indices, timestamps and
     one (N, 7) track per stream, rows x, y, z, qw, qx, qy, qz as a Pose
     holds them.  A frame without a stream has a row of NaN there; Pose
-    fields are always finite, so NaN means absent and nothing else.
+    fields are always finite, so NaN means absent and nothing else.  The
+    constructor stores the rows as given, and raises ValueError, naming
+    the frame, at a timestamp not finite or a row that is neither all NaN
+    nor one PoseTrack would take.
 
     It is a read-only sequence of PoseSample.  Indexing builds a fresh
     sample, so changing one changes nothing here, and iteration builds
@@ -101,6 +106,14 @@ class Recording(_FrameSequence):
         self.gt = _frozen(gt, (n, 7))
         self.vio = _frozen(vio, (n, 7))
         self.apr = _frozen(apr, (n, 7))
+        if not np.isfinite(self.timestamps).all():
+            i = np.argmin(np.isfinite(self.timestamps))
+            raise ValueError(f"frame {self.frames[i]}: timestamp must be finite, got {self.timestamps.item(i)!r}")
+        for name in STREAMS:
+            track = getattr(self, name)
+            present = np.flatnonzero(~np.isnan(track).all(axis=1))
+            if (fault := _pose_fault(track[present], UNIT_NORM_TOL)) is not None:
+                raise ValueError(f"frame {self.frames[present[fault[0]]]}: {name} {fault[1]}")
 
     @classmethod
     def of(cls, samples: Sequence[PoseSample]) -> "Recording":
@@ -134,8 +147,9 @@ def parse_sequence(path: str | Path) -> Recording:
     """Read a sequence CSV into a Recording, one frame per data row.
 
     Raises SequenceFormatError, pointing at the offending line, for a
-    wrong header, malformed fields, quaternions further than 1e-3 from
-    unit norm, missing vio poses, or non-increasing timestamps.
+    wrong header, malformed or non-finite fields, pose coordinates of
+    magnitude COORD_LIMIT (1e150 m) or more, quaternions further than
+    1e-3 from unit norm, missing vio poses, or non-increasing timestamps.
 
     The rows are read in chunks of about 64 KiB, each converted to one
     float array and checked in bulk.  A chunk that fails any check goes
@@ -224,9 +238,7 @@ def _read_chunk(rows: list[str], frames: list[int], blocks: list[np.ndarray]) ->
     empty = np.isnan(groups).sum(axis=2)
     if np.isnan(ts).any() or (empty % 7).any() or empty[:, 1].any():
         return False
-    q = groups[:, :, 3:]
-    norm = np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1] + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3])
-    if (np.abs(norm - 1.0) > QUAT_NORM_SLACK).any():
+    if _pose_fault(groups[empty == 0], QUAT_NORM_SLACK) is not None:
         return False
     last = _last_timestamp(blocks)
     if not (ts[1:] > ts[:-1]).all() or (last is not None and not ts[0] > last):
@@ -331,6 +343,11 @@ def _parse_pose_group(
             line=line_no,
         )
     vals = [_parse_float(f, name, line_no) for f in stripped]
+    for axis, text, v in zip("xyz", stripped, vals):
+        if abs(v) >= COORD_LIMIT:
+            raise SequenceFormatError(
+                f"{name} {axis} must be below {COORD_LIMIT:g} m in magnitude: {text!r}", line=line_no
+            )
     x, y, z, qw, qx, qy, qz = vals
     norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if abs(norm - 1.0) > QUAT_NORM_SLACK:

@@ -69,6 +69,19 @@ def matrix_rotation_angle_deg(ra: np.ndarray, rb: np.ndarray) -> float:
     return math.degrees(math.acos(min(1.0, max(-1.0, c))))
 
 
+def rotation_matrix(q) -> np.ndarray:
+    """The rotation matrix of a quaternion (w, x, y, z), entry by entry
+    from the textbook formula.  q need not have unit norm: the products
+    are scaled by 2 / |q|^2."""
+    w, x, y, z = (float(c) for c in q)
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    return np.array([
+        [1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)],
+        [s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x)],
+        [s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)],
+    ])
+
+
 def quat_angle_stable_deg(qa: np.ndarray, qb: np.ndarray) -> float:
     """Rotation angle between two unit quaternions (wxyz), stable near 0.
 
@@ -236,13 +249,14 @@ def step_run_sequence(samples, cfg):
 
 def row_parse_sequence(path):
     """``posefuse.io.parse_sequence`` as it was written before chunked
-    parsing: one ``csv.reader`` row at a time, each field converted and
-    checked on its own.  It builds the package's pose and sample types,
-    so its results compare with the parser's directly."""
+    parsing, with the coordinate bound added since: one ``csv.reader``
+    row at a time, each field converted and checked on its own.  It
+    builds the package's pose and sample types, so its results compare
+    with the parser's directly."""
     import csv
     from pathlib import Path
 
-    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+    from posefuse.geometry import COORD_LIMIT, Pose, UnitQuaternion, Vec3
     from posefuse.io import QUAT_NORM_SLACK, SEQUENCE_COLUMNS, PoseSample, SequenceFormatError
 
     def parse_int(text, name, line_no):
@@ -270,6 +284,11 @@ def row_parse_sequence(path):
                 line=line_no,
             )
         x, y, z, qw, qx, qy, qz = [parse_float(f, name, line_no) for f in stripped]
+        for axis, text, v in zip("xyz", stripped, (x, y, z)):
+            if abs(v) >= COORD_LIMIT:
+                raise SequenceFormatError(
+                    f"{name} {axis} must be below {COORD_LIMIT:g} m in magnitude: {text!r}", line=line_no
+                )
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         if abs(norm - 1.0) > QUAT_NORM_SLACK:
             raise SequenceFormatError(

@@ -357,10 +357,9 @@ class TestFileRuns:
         err = capsys.readouterr().err
         assert "posefuse: error: line 2:" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_overflow_is_named(self, tmp_path, capsys):
-        # A gt coordinate of 1e300 parses, but its error against the
-        # fused pose overflows to inf, which the summary refuses.
+        # A gt coordinate of 1e300 would overflow its error against the
+        # fused pose; the parser refuses it at its line.
         rows = []
         for i in range(20):
             gt = f"{'1e300' if i == 5 else 0.1 * i},0,0,1,0,0,0"
@@ -371,7 +370,7 @@ class TestFileRuns:
         rc = main(["--input", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "posefuse: error: pos_err must be finite and >= 0, got inf\n"
+        assert err == "posefuse: error: line 7: gt x must be below 1e+150 m in magnitude: '1e300'\n"
 
     def test_empty_sequence_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -26,6 +26,7 @@ from posefuse.fusion import (
     weiszfeld_median,
 )
 from posefuse.geometry import (
+    COORD_LIMIT,
     Odometry,
     Pose,
     UnitQuaternion,
@@ -761,16 +762,12 @@ class TestBatchMatchesStep:
             setattr(samples[k], stream, None)
             assert assert_batch_matches_step(samples, CFG)[0] is ValueError
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_coordinates(self):
-        # Near 1e154 a squared motion overflows, near 1e308 a vio pose
-        # mapped to the world does too.  step raises at the first such
-        # value it computes, with its own message; run_sequence must
-        # raise the same, and must not raise for a value step never
-        # computes, such as the motion into the frame that opens a window
-        # after a period.
+        # Below COORD_LIMIT no motion, reference or mapped pose overflows,
+        # so step and run_sequence agree bit for bit.  From it on
+        # run_sequence refuses the first such frame, naming it, before it
+        # fuses anything.
         cfg = FusionConfig(t_opt=3)
-        raised = fused_ok = 0
         for x in (1e140, 1e160, 1.7e308):
             for k in range(30):
                 for stream in ("apr", "vio"):
@@ -780,11 +777,12 @@ class TestBatchMatchesStep:
                             pose = getattr(s, stream)
                             p = pose.position
                             setattr(s, stream, Pose(Vec3(x, p.y, p.z), pose.orientation))
-                        if assert_batch_matches_step(samples, cfg)[0] is ValueError:
-                            raised += 1
-                        elif x > 1e150:
-                            fused_ok += 1
-        assert raised > 0 and fused_ok > 0
+                        if x < COORD_LIMIT:
+                            assert isinstance(assert_batch_matches_step(samples, cfg), list)
+                        else:
+                            refused = f"^frame {k}: {stream} x must be finite and below 1e\\+150 m"
+                            with pytest.raises(ValueError, match=refused):
+                                run_sequence(samples, cfg)
 
 
 # The apr model of the benchmark's clean recorded sequences, beside the
@@ -867,10 +865,11 @@ class TestRecordedSequences:
         assert outcome(run_sequence, samples, CFG) == expect
         assert outcome(run_sequence, Recording.of(samples), CFG) == expect
 
-    def test_nan_timestamp_passes_as_before(self):
+    def test_nan_timestamp_refused(self):
         samples = fused(n=20)
         samples[7].timestamp = math.nan
-        assert_batch_matches_step(samples, CFG)
+        with pytest.raises(ValueError, match="^frame 7: timestamp must be finite, got nan$"):
+            run_sequence(samples, CFG)
 
 
 def pose_hex(pose):

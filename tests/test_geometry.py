@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from posefuse.geometry import (
     _hamilton,
     _hamilton_rows,
     _poses,
+    _rotate,
     _rotate_rows,
     axis_angle_quaternion,
     compose,
@@ -29,7 +31,13 @@ from posefuse.geometry import (
     translation_distance,
 )
 from helpers import random_pose, random_quaternion, random_vec3
-from oracles import matrix_rotation_angle_deg, object_apply_pose, object_odometry, quat_angle_stable_deg
+from oracles import (
+    matrix_rotation_angle_deg,
+    object_apply_pose,
+    object_odometry,
+    quat_angle_stable_deg,
+    rotation_matrix,
+)
 
 QZ90 = UnitQuaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
 
@@ -340,6 +348,39 @@ class TestRowPrimitives:
             _axis_angle_rows(np.array([[1.0, 0.0, 0.0], [0.0, -0.0, 0.0]]), np.array([1.0, 2.0]))
 
 
+def unit_rows(rng, n):
+    """Unit quaternion rows, most of n, with signed zeros scattered
+    through every column."""
+    q = signed_zero_rows(rng, n, 4)
+    norm = np.sqrt((q * q).sum(axis=1))
+    return q[norm > 0.1] / norm[norm > 0.1, None]
+
+
+class TestFormulasAgainstMatrices:
+    """_rotate and _hamilton, which the row forms apply to columns,
+    against rotation matrices written out by hand (tests/oracles.py):
+    q v q* is R(q) v, and R(a b) is R(a) R(b).  The float.hex tests above
+    check the columns; these check the formulas."""
+
+    def test_rotate(self, rng):
+        q = unit_rows(rng, 400)
+        v = signed_zero_rows(rng, len(q), 3) * 10.0
+        expect = np.array([rotation_matrix(a) @ b for a, b in zip(q, v)])
+        got = np.array([_rotate(a, b) for a, b in zip(q.tolist(), v.tolist())])
+        assert np.abs(got - expect).max() < 1e-12
+        assert np.abs(_rotate_rows(q, v) - expect).max() < 1e-12
+
+    def test_hamilton(self, rng):
+        a, b = unit_rows(rng, 400), unit_rows(rng, 400)
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+        expect = np.array([rotation_matrix(x) @ rotation_matrix(y) for x, y in zip(a, b)])
+        products = np.array([_hamilton(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        for ab in (products, _hamilton_rows(a, b)):
+            got = np.array([rotation_matrix(r) for r in ab])
+            assert np.abs(got - expect).max() < 1e-12
+
+
 def edge_poses(rng, n, scale=10.0):
     """n poses with +0.0 and -0.0 scattered through every field and a
     half turn (w == 0, of either sign) on every fifth."""
@@ -367,7 +408,7 @@ def outcome(fn, *args):
 class TestFloatForms:
     """odometry and RigidTransform.apply_pose compute in plain floats and
     build one value object; they equal the object forms they replaced
-    (tests/oracles.py) by float.hex, and raise what those raise."""
+    (tests/oracles.py) by float.hex, and raise where those raise."""
 
     def test_odometry_matches_object_form(self, rng):
         poses = edge_poses(rng, 10_000)
@@ -395,6 +436,9 @@ class TestFloatForms:
     def test_overflow_raises_as_object_form(self, rng):
         # Near 1e154 a squared distance overflows, near 1e308 a
         # difference or a mapped coordinate does; some pairs stay finite.
+        # The float forms raise where the object forms raise, each with
+        # the message of the one constructor that refuses its floats:
+        # Odometry's for the distance, Vec3's for a mapped position.
         raised = {"odometry": set(), "apply_pose": set()}
         for scale in (1e150, 1e153, 1e154, 1e155, 1e306, 1e307, 1.7e308):
             poses = edge_poses(rng, 200, scale=1.0)
@@ -404,7 +448,7 @@ class TestFloatForms:
                 if isinstance(expect, Odometry):
                     assert hexes((got.dist, got.angle)) == hexes((expect.dist, expect.angle))
                 else:
-                    assert got == expect
+                    assert got == (ValueError, "odometry distance must be finite and >= 0, got inf")
                     raised["odometry"].add(expect[1].split(" must")[0])
             for a, b in zip(big, big[::-1]):
                 t = RigidTransform(b.orientation, b.position)
@@ -412,8 +456,10 @@ class TestFloatForms:
                 if isinstance(expect, Pose):
                     assert pose_hexes(got) == pose_hexes(expect)
                 else:
-                    assert got == expect
-                    raised["apply_pose"].add(expect[1].split(" must")[0])
+                    assert got[0] is ValueError
+                    assert re.fullmatch(r"Vec3\.[xyz] must be finite, got (inf|-inf|nan)", got[1])
+                    raised["apply_pose"].add(got[1].split(" must")[0])
+        # The object form of odometry also raised from a Vec3 difference.
         assert raised == {
             "odometry": {"odometry distance", "Vec3.x", "Vec3.y", "Vec3.z"},
             "apply_pose": {"Vec3.x", "Vec3.y", "Vec3.z"},
