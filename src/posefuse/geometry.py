@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import starmap
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,17 +101,28 @@ class UnitQuaternion:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 
 
-# Float-tuple forms of the quaternion formulas, (w, x, y, z).  The
-# classes and functions of this module are built on them.  So is
-# RigidTransform.apply_pose: fusion.step maps a pose through it on every
-# tracked or optimized frame, so, like odometry, it computes in plain
-# floats and builds only its result object.  So is the synthetic stream
-# generator, which chains many rotations per frame.
+# Float forms of the pose formulas, quaternions as (w, x, y, z).  The
+# classes and functions of this module, fusion.step's per-frame path
+# (odometry, RigidTransform.apply_pose) and the synthetic generators are
+# built on them, and the array forms below apply them to columns.
+
+
+def _dot4(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
+    """Dot product of two 4-vectors, of floats or of columns (*a.T, *b.T)."""
+    return aw * bw + ax * bx + ay * by + az * bz
+
+
+def _squared_distance(ax: float, ay: float, az: float, bx: float, by: float, bz: float) -> float:
+    """|b - a|^2 of two points, of floats or of columns (*a.T, *b.T)."""
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    return dx * dx + dy * dy + dz * dz
 
 
 def _normalize(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
     """Unit norm, then the sign rule collapsing the double cover: w >= 0,
-    ties broken by the first nonzero vector component."""
+    ties broken by the first nonzero vector component.  step maps frames
+    through it, so its norm skips the call to _dot4; its sign rule
+    branches, so _normalize_rows is a second form anyway."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-12:
@@ -231,10 +243,10 @@ def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
     """Magnitude of the relative rotation between two orientations, in
     [0, 180] degrees.  Symmetric in its arguments and blind to the
     quaternion double cover."""
-    # The scalar part of inverse(a) * b is the 4-vector dot product.
-    c = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-    # |c| can exceed 1 by float noise, clamp before acos.
-    c = min(1.0, abs(c))
+    # The scalar part of inverse(a) * b is the 4-vector dot product, here
+    # without _dot4's call cost (~1% of step's ordinary frame, which comes
+    # here twice).  |c| can exceed 1 by float noise, so clamp before acos.
+    c = min(1.0, abs(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z))
     return math.degrees(2.0 * math.acos(c))
 
 
@@ -246,8 +258,7 @@ def translation_distance(a: Vec3, b: Vec3) -> float:
 def odometry(a: Pose, b: Pose) -> Odometry:
     """Scalar motion magnitudes between two poses."""
     pa, pb = a.position, b.position
-    dx, dy, dz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    d = math.sqrt(_squared_distance(pa.x, pa.y, pa.z, pb.x, pb.y, pb.z))
     angle = rotation_angle_deg(a.orientation, b.orientation)
     if not isfinite(d):
         return Odometry(d, angle)  # raises: the distance overflowed
@@ -269,34 +280,33 @@ def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
     return UnitQuaternion(*_axis_angle((axis.x, axis.y, axis.z), angle_deg))
 
 
-# Array forms of the formulas above, one row per pose, for code that
-# handles whole tracks: (N, 3) positions, (N, 4) quaternions (w, x, y,
-# z), (N, 7) tracks of both.  Each row equals, bit for bit, what the
-# per-object formula gives: elementwise float64 operations round as
-# Python floats do, so each applies the float formula to the columns or
-# repeats its operations in order, with angles through math.acos, which
-# np.arccos differs from in the last bit on some inputs.
+# Array forms of the formulas above, one row per pose: (N, 3) positions,
+# (N, 4) quaternions (w, x, y, z), (N, 7) tracks of both.  Elementwise
+# float64 operations round as Python floats do, so each applies the
+# float formula to the columns and each row equals it bit for bit;
+# angles go through math.acos, which np.arccos differs from in the last
+# bit on some inputs.  A row form with its own body says why.
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """translation_distance(a, b) of each row pair of two position
-    arrays."""
-    d = b - a
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+class _Motions(NamedTuple):
+    """odometry of many pose pairs: distances (m) and angles (deg)."""
+
+    dist: np.ndarray
+    angle: np.ndarray
 
 
-def _angles_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rotation_angle_deg(a, b) of each row pair of two quaternion
-    arrays."""
-    c = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
-    c = np.minimum(1.0, np.abs(c))
-    return np.degrees(2.0 * np.fromiter(map(math.acos, c.tolist()), float))
+def _motions(a: np.ndarray, b: np.ndarray) -> _Motions:
+    """odometry(a, b) of each row pair of two (N, 7) tracks.  Only acos
+    runs per row: odometry of each pair of 5000 poses takes ~12x longer."""
+    c = np.minimum(1.0, np.abs(_dot4(*a[:, 3:].T, *b[:, 3:].T))).tolist()
+    angle = np.degrees(2.0 * np.fromiter(map(math.acos, c), float))
+    return _Motions(np.sqrt(_squared_distance(*a[:, :3].T, *b[:, :3].T)), angle)
 
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
-    """_normalize of each row of a quaternion array, in place; the rows
-    must not be near zero."""
-    q /= np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])[:, None]
+    """_normalize of each row of a quaternion array, in place, with its
+    sign rule as a mask; the rows must not be near zero."""
+    q /= np.sqrt(_dot4(*q.T, *q.T))[:, None]
     # The sign rule: the first nonzero component is positive.
     lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
     q[lead < 0.0] *= -1.0
@@ -312,7 +322,9 @@ def _hamilton_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
     """_axis_angle of each row of an (N, 3) axis array with its angle,
     not normalized.  The trig comes from math, as in _axis_angle: numpy's
-    vectorized sin and cos may differ from it in the last bit."""
+    vectorized sin and cos may differ from it in the last bit.  A map of
+    _axis_angle over the rows took 3x as long (205 us at 200 rows, ~3% of
+    a synthetic sequence, which calls it three times), so it has a body."""
     ax, ay, az = axes.T
     n = np.sqrt(ax * ax + ay * ay + az * az)
     if (n < 1e-12).any():
@@ -416,10 +428,9 @@ def _pose_fault(rows: np.ndarray, unit_tol: float) -> tuple[int, str] | None:
     """(index, fault) of the first row of an (N, 7) pose block with a
     coordinate not finite or of magnitude COORD_LIMIT or more, or a
     quaternion norm further than unit_tol from 1; None if there is none."""
-    q = rows[:, 3:]
     # A non-finite or huge component makes a norm NaN or inf, which fails.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
+        norm = np.sqrt(_dot4(*rows[:, 3:].T, *rows[:, 3:].T))
         ok = (np.abs(rows[:, :3]) < COORD_LIMIT).all(axis=1) & (np.abs(norm - 1.0) <= unit_tol)
     if ok.all():
         return None

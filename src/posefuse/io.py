@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    COORD_LIMIT, UNIT_NORM_TOL, Pose, _FrameSequence, _frozen, _normalize, _normalize_rows, _pose_fault, _poses,
+    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _normalize, _normalize_rows, _pose_fault, _poses,
 )
 from .metrics import track_array
 
@@ -349,7 +349,7 @@ def _parse_pose_group(
                 f"{name} {axis} must be below {COORD_LIMIT:g} m in magnitude: {text!r}", line=line_no
             )
     x, y, z, qw, qx, qy, qz = vals
-    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    norm = math.sqrt(_dot4(qw, qx, qy, qz, qw, qx, qy, qz))
     if abs(norm - 1.0) > QUAT_NORM_SLACK:
         raise SequenceFormatError(
             f"{name} quaternion norm {norm:.6f} is further than "

@@ -8,8 +8,9 @@ tracks, which cancels any shared rigid offset.  Tracks living in their
 own coordinate frame (odometry) are first registered to ground truth
 with a rigid fit over the opening window of the sequence.
 
-Each row's errors equal, bit for bit, what translation_distance,
-rotation_angle_deg and odometry in geometry give for the same poses.
+Both kinds of error rest on geometry's _motions, the row form of
+odometry: each row's errors equal, bit for bit, what odometry in
+geometry gives for the same poses.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
-    _angles_deg,
     _apply_rigid,
-    _distances,
+    _motions,
 )
 
 # Precision levels: a record counts toward a level when BOTH its
@@ -109,7 +109,7 @@ def absolute_pose_error(est: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np
     estimated track against the index-aligned ground-truth track."""
     if est.shape != gt.shape:
         raise ValueError(f"tracks differ in shape: {est.shape} vs {gt.shape}")
-    return _distances(gt[:, :3], est[:, :3]), _angles_deg(gt[:, 3:], est[:, 3:])
+    return _motions(gt, est)
 
 
 def relative_errors(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
@@ -123,12 +123,8 @@ def relative_errors(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
         )
     if len(track_a) < 2:
         raise ValueError("relative errors need at least two poses per track")
-
-    def steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _distances(t[:-1, :3], t[1:, :3]), _angles_deg(t[:-1, 3:], t[1:, 3:])
-
-    (dist_a, angle_a), (dist_b, angle_b) = steps(track_a), steps(track_b)
-    return np.column_stack((np.abs(dist_a - dist_b), np.abs(angle_a - angle_b)))
+    a, b = _motions(track_a[:-1], track_a[1:]), _motions(track_b[:-1], track_b[1:])
+    return np.column_stack((np.abs(a.dist - b.dist), np.abs(a.angle - b.angle)))
 
 
 def empirical_cdf(errors: Sequence[float], d: float) -> float:

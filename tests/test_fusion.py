@@ -548,6 +548,21 @@ class TestStep:
         for i in range(11, 16):
             assert translation_distance(outs[i].pose.position, samples[i].gt.position) < 1e-9
 
+    @pytest.mark.parametrize("x", [1e155, 1.7e308])
+    @pytest.mark.parametrize("stream", ["apr", "vio"])
+    @pytest.mark.parametrize("k", [5, 12])
+    def test_overflow_names_the_frame(self, x, stream, k):
+        # On the clean stream frame 5 is checked against the reference
+        # and frame 12 against frame 11.  From 1e154 m on the distance
+        # overflows there, mid-stream, and the error names the frame.
+        samples = clean_samples(20)
+        pose = getattr(samples[k], stream)
+        setattr(samples[k], stream, Pose(Vec3(x, pose.position.y, pose.position.z), pose.orientation))
+        state = FusionState()
+        with pytest.raises(ValueError, match=f"^frame {k}: odometry distance must be finite and >= 0, got inf$"):
+            for s in samples:
+                state, _ = step(state, s.apr, s.vio, CFG)
+
 
 class TestFusionOutput:
     """FusionOutput stores its fields through the slot descriptors and
@@ -1111,10 +1126,13 @@ class TestStackedReferences:
                     assert tuple(v.hex() for v in got[a].tolist()) == expect
 
 
-class TestReferenceMaps:
-    """run_sequence builds the vio-to-world map of every reference in row
-    form.  Each row must equal reference_transform of its pair by
-    float.hex."""
+class TestReferenceMap:
+    """_reference_map builds the vio-to-world map of every reference: on
+    floats in step (through reference_transform), on columns in
+    run_sequence.  Its column call equals its float calls by float.hex
+    (the plumbing), and its formula is checked against the independent
+    rigid map of tests/oracles.py: the map G carries vio_ref onto
+    apr_ref."""
 
     @staticmethod
     def reference_rows(rng, n):
@@ -1130,16 +1148,33 @@ class TestReferenceMaps:
         rows[:, 3:] = _normalize_rows(rows[:, 3:].copy())
         return rows
 
-    def test_rows_match_reference_transform(self, rng):
+    def test_maps_vio_reference_onto_apr_reference(self, rng):
         apr_ref, vio_ref = self.reference_rows(rng, 600), self.reference_rows(rng, 600)
         # A half turn against the identity, and a pair with equal rotations.
         apr_ref[0, 3:], vio_ref[0, 3:] = (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)
         vio_ref[1, 3:] = apr_ref[1, 3:]
         assert (apr_ref[:, 3] == 0.0).sum() > 100 and np.signbit(apr_ref[apr_ref == 0.0]).any()
-        q_g, t = posefuse.fusion._reference_maps(apr_ref, vio_ref)
-        for a, v, q_row, t_row in zip(_poses(apr_ref), _poses(vio_ref), q_g.tolist(), t.tolist()):
+        for k, (a, v) in enumerate(zip(apr_ref.tolist(), vio_ref.tolist())):
+            t, q_g = posefuse.fusion._reference_map(a, v)
+            position, orientation = rigid_map_pose(q_g, t, v[:3], v[3:])
+            assert np.abs(position - a[:3]).max() < 1e-12
+            assert chordal_distance(orientation, a[3:]) < 1e-12
+            if k == 1:
+                assert chordal_distance(q_g, (1.0, 0.0, 0.0, 0.0)) < 1e-12
+
+    def test_columns_match_floats(self, rng):
+        apr_ref, vio_ref = self.reference_rows(rng, 600), self.reference_rows(rng, 600)
+        apr_ref[0, 3:], vio_ref[0, 3:] = (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)
+        vio_ref[1, 3:] = apr_ref[1, 3:]
+        # As run_sequence calls it.
+        t, q_g = posefuse.fusion._reference_map(
+            apr_ref.T, vio_ref.T, lambda q: _normalize_rows(np.column_stack(q)).T
+        )
+        got = [[x.hex() for x in r] for r in np.column_stack((*t, *q_g)).tolist()]
+        rows = map(posefuse.fusion._reference_map, apr_ref.tolist(), vio_ref.tolist())
+        assert got == [[x.hex() for x in (*t, *q)] for t, q in rows]
+        # reference_transform is one float call, every bit kept.
+        for a, v, row in zip(_poses(apr_ref[:50]), _poses(vio_ref[:50]), got):
             g = reference_transform(ReferencePair(a, v))
-            expect_q = (g.rotation.w, g.rotation.x, g.rotation.y, g.rotation.z)
-            expect_t = (g.translation.x, g.translation.y, g.translation.z)
-            assert [x.hex() for x in q_row] == [x.hex() for x in expect_q]
-            assert [x.hex() for x in t_row] == [x.hex() for x in expect_t]
+            t, q = g.translation, g.rotation
+            assert [x.hex() for x in (t.x, t.y, t.z, q.w, q.x, q.y, q.z)] == row

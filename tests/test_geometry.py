@@ -19,6 +19,8 @@ from posefuse.geometry import (
     _axis_angle_rows,
     _hamilton,
     _hamilton_rows,
+    _Motions,
+    _motions,
     _poses,
     _rotate,
     _rotate_rows,
@@ -30,6 +32,8 @@ from posefuse.geometry import (
     rotation_angle_deg,
     translation_distance,
 )
+from posefuse.fusion import FusionConfig, relative_pose_check
+from posefuse.metrics import track_array
 from helpers import random_pose, random_quaternion, random_vec3
 from oracles import (
     matrix_rotation_angle_deg,
@@ -464,6 +468,60 @@ class TestFloatForms:
             "odometry": {"odometry distance", "Vec3.x", "Vec3.y", "Vec3.z"},
             "apply_pose": {"Vec3.x", "Vec3.y", "Vec3.z"},
         }
+
+
+# The resolution of an angle through acos: a dot product off by up to
+# 1e-15 (four rounded products of unit quaternions) moves acos by at most
+# acos(1 - 1e-15), which is largest near zero angle.
+ACOS_RESOLUTION_DEG = math.degrees(2.0 * math.acos(1.0 - 1e-15))
+
+
+class TestMotions:
+    """_motions, the row form of odometry: its rows equal odometry of
+    each pair by float.hex (the column plumbing), and its distances and
+    angles match independent oracles (the formula)."""
+
+    def test_rows_match_odometry(self, rng):
+        poses = edge_poses(rng, 4000)
+        others = poses[3:] + poses[:3]
+        # Coincident poses: the same object, and an equal copy.
+        others[::9] = poses[::9]
+        others[1::9] = [Pose(Vec3(p.position.x, p.position.y, p.position.z), p.orientation) for p in poses[1::9]]
+        got = _motions(track_array(poses), track_array(others))
+        assert type(got) is _Motions
+        expect = [odometry(a, b) for a, b in zip(poses, others)]
+        assert [hexes(r) for r in zip(got.dist.tolist(), got.angle.tolist())] == [
+            hexes((u.dist, u.angle)) for u in expect
+        ]
+
+    def test_against_oracles(self, rng):
+        a = track_array(edge_poses(rng, 2000))
+        b = track_array(edge_poses(rng, 2000))
+        # Near-identical orientations probe acos close to 1.
+        b[::4, 3:] = a[::4, 3:] + rng.normal(scale=1e-9, size=(500, 4))
+        b[::4, 3:] /= np.linalg.norm(b[::4, 3:], axis=1)[:, None]
+        got = _motions(a, b)
+        assert np.abs(got.dist - np.linalg.norm(b[:, :3] - a[:, :3], axis=1)).max() < 1e-12
+        expect = np.array([quat_angle_stable_deg(p, q) for p, q in zip(a[:, 3:], b[:, 3:])])
+        assert np.abs(got.angle - expect).max() <= ACOS_RESOLUTION_DEG
+
+    def test_gate_on_arrays_matches_float_calls(self, rng):
+        cfg = FusionConfig()
+        n = 3000
+        # Motions on a grid of tenths, so many differences sit at or
+        # next to the thresholds, and random ones around them.
+        dist = np.concatenate((rng.integers(0, 30, (n, 2)) / 10.0, rng.uniform(0.0, 3.0, (n, 2))))
+        angle = np.concatenate((rng.integers(0, 300, (n, 2)) / 10.0, rng.uniform(0.0, 30.0, (n, 2))))
+        u_apr, u_vio = _Motions(dist[:, 0], angle[:, 0]), _Motions(dist[:, 1], angle[:, 1])
+        got = relative_pose_check(u_apr, u_vio, cfg)
+        assert got.dtype == bool
+        expect = [
+            relative_pose_check(Odometry(da, aa), Odometry(dv, av), cfg)
+            for da, dv, aa, av in zip(*dist.T.tolist(), *angle.T.tolist())
+        ]
+        assert {type(e) for e in expect} == {bool}
+        assert got.tolist() == expect
+        assert 0 < got.sum() < len(got)
 
 
 class TestValueTypes:
