@@ -228,10 +228,10 @@ def reference_transform(ref: ReferencePair) -> RigidTransform:
 def _reference_map(apr, vio, normalize=_normalize):
     """(t, q_g) of the vio-to-world map of a reference pair, the one place
     its formula lives: G * vio_ref = apr_ref for camera-to-world poses, so
-    q_g = compose(apr_ref, inverse(vio_ref)) and t = p_apr_ref -
-    rotate(q_g, p_vio_ref).  apr and vio are track rows of floats, or of
-    columns (refs.T) with a normalize for columns, 10x faster than a map
-    over the rows (0.13 against 1.3 ms at 448 rows)."""
+    q_g = q_apr_ref * q_vio_ref^-1 and t = p_apr_ref - R(q_g) p_vio_ref.
+    apr and vio are track rows of floats, or of columns (refs.T) with a
+    normalize for columns, 10x faster than a map over the rows (0.13
+    against 1.3 ms at 448 rows)."""
     vx, vy, vz, vw, ux, uy, uz = vio
     q_g = normalize(_hamilton(apr[3:], normalize((vw, -ux, -uy, -uz))))
     rx, ry, rz = _rotate(q_g, (vx, vy, vz))
@@ -256,7 +256,9 @@ def step(
     Mutates and returns the state.  The output list holds the provisional
     output for this frame and, when an alignment window just completed,
     keyframe re-emissions for the window frames (those supersede earlier
-    provisional labels of the same frames).  A ValueError names the frame.
+    provisional labels of the same frames).  A ValueError names the frame;
+    the frame uses up its index and leaves the rest of the state as it
+    was, so the caller may go on feeding frames.
     """
     outputs: list[FusionOutput] = []
     idx = state.frame_index
@@ -288,26 +290,28 @@ def step(
         else:
             outputs.append(FusionOutput(idx, apr, Label.PENDING))
 
-        state.window.append((idx, apr, vio))
-        if len(state.window) >= 2:
-            _, apr_prev, vio_prev = state.window[-2]
+        # The pair check and the reference come before the window takes
+        # the frame, so a frame that raises leaves the window as it was.
+        window = state.window
+        if window:
+            _, apr_prev, vio_prev = window[-1]
             pair_ok = relative_pose_check(
                 odometry(apr_prev, apr), odometry(vio_prev, vio), cfg
             )
             if not pair_ok:
                 # Restart the window at the newest frame, it may open the
                 # next consistent run.
-                del state.window[:-1]
-            elif len(state.window) == cfg.n_pairs + 1:
-                for kf_idx, kf_apr, _ in state.window:
+                window.clear()
+            elif len(window) == cfg.n_pairs:
+                full = [*window, (idx, apr, vio)]
+                state.reference = compute_reference([w[1] for w in full], [w[2] for w in full])
+                for kf_idx, kf_apr, _ in full:
                     outputs.append(FusionOutput(kf_idx, kf_apr, Label.KEYFRAME))
-                state.reference = compute_reference(
-                    [w[1] for w in state.window],
-                    [w[2] for w in state.window],
-                )
-                state.window.clear()
+                window.clear()
                 state.stage = Stage.OPTIMIZING
                 state.opt_count = 0
+                return state, outputs
+        window.append((idx, apr, vio))
         return state, outputs
     except ValueError as exc:
         raise ValueError(f"frame {idx}: {exc}") from exc

@@ -3,7 +3,7 @@
 Conventions, fixed once here so every module agrees:
 
 * Quaternions are Hamilton, scalar-first (w, x, y, z), unit norm.
-  Composition matches matrix composition: R(compose(a, b)) = R(a) @ R(b).
+  Their product matches matrix composition: R(a * b) = R(a) @ R(b).
 * The double cover is collapsed on construction: w >= 0, with ties on
   w == 0 broken so the first nonzero of (x, y, z) is >= 0.  Two
   quaternions describing the same rotation therefore compare equal
@@ -22,10 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# The value classes are frozen: their constructors, which validate and
-# convert each field once, store fields past the frozen __setattr__.
-_set = object.__setattr__
-
 
 @dataclass(frozen=True, slots=True)
 class Vec3:
@@ -41,23 +37,9 @@ class Vec3:
             for name, v in (("x", x), ("y", y), ("z", z)):
                 if not isfinite(v):
                     raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        _vx(self, x)
+        _vy(self, y)
+        _vz(self, z)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -66,10 +48,6 @@ class Vec3:
     def from_array(cls, a: Iterable[float]) -> "Vec3":
         ax, ay, az = a
         return cls(float(ax), float(ay), float(az))
-
-    @classmethod
-    def zero(cls) -> "Vec3":
-        return cls(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,14 +66,10 @@ class UnitQuaternion:
         if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
             raise ValueError(f"quaternion components must be finite, got {[w, x, y, z]}")
         w, x, y, z = _normalize((w, x, y, z))
-        _set(self, "w", w)
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
+        _qw(self, w)
+        _qx(self, x)
+        _qy(self, y)
+        _qz(self, z)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
@@ -199,19 +173,16 @@ class Odometry:
             raise ValueError(f"odometry distance must be finite and >= 0, got {dist!r}")
         if not (isfinite(angle) and 0.0 <= angle <= 180.0):
             raise ValueError(f"odometry angle must be in [0, 180] degrees, got {angle!r}")
-        _set(self, "dist", dist)
-        _set(self, "angle", angle)
+        _od(self, dist)
+        _oa(self, angle)
 
 
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
-    """Rotation followed by translation, x' = rotate(rotation, x) + t."""
+    """Rotation followed by translation, x' = R(rotation) x + translation."""
 
     rotation: UnitQuaternion
     translation: Vec3
-
-    def apply_point(self, p: Vec3) -> Vec3:
-        return rotate(self.rotation, p) + self.translation
 
     def apply_pose(self, pose: Pose) -> Pose:
         # Orientations pick up the transform rotation on the left, the
@@ -224,35 +195,16 @@ class RigidTransform:
             Vec3(x, y, z)  # raises, naming the first field that overflowed
         return _pose(x, y, z, *_normalize(_hamilton(q, (o.w, o.x, o.y, o.z))))
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(UnitQuaternion.identity(), Vec3.zero())
-
-
-def compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    """Hamilton product a * b, renormalized and sign-canonicalized."""
-    return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
-
-
-def inverse(q: UnitQuaternion) -> UnitQuaternion:
-    """Conjugate, which is the inverse for unit quaternions."""
-    return UnitQuaternion(q.w, -q.x, -q.y, -q.z)
-
 
 def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
     """Magnitude of the relative rotation between two orientations, in
     [0, 180] degrees.  Symmetric in its arguments and blind to the
     quaternion double cover."""
-    # The scalar part of inverse(a) * b is the 4-vector dot product, here
+    # The scalar part of a^-1 * b is the 4-vector dot product, here
     # without _dot4's call cost (~1% of step's ordinary frame, which comes
     # here twice).  |c| can exceed 1 by float noise, so clamp before acos.
     c = min(1.0, abs(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z))
     return math.degrees(2.0 * math.acos(c))
-
-
-def translation_distance(a: Vec3, b: Vec3) -> float:
-    """Euclidean distance in meters."""
-    return (b - a).norm()
 
 
 def odometry(a: Pose, b: Pose) -> Odometry:
@@ -268,16 +220,6 @@ def odometry(a: Pose, b: Pose) -> Odometry:
     _od(u, d)
     _oa(u, angle)
     return u
-
-
-def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
-    """Rotate a vector by a unit quaternion, q v q*."""
-    return Vec3(*_rotate((q.w, q.x, q.y, q.z), (v.x, v.y, v.z)))
-
-
-def axis_angle_quaternion(axis: Vec3, angle_deg: float) -> UnitQuaternion:
-    """Quaternion for a rotation of angle_deg about axis."""
-    return UnitQuaternion(*_axis_angle((axis.x, axis.y, axis.z), angle_deg))
 
 
 # Array forms of the formulas above, one row per pose: (N, 3) positions,
@@ -335,21 +277,22 @@ def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
 
 
 def _rotate_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """rotate(q, p) of each row pair; q may also be one quaternion (4,)."""
+    """_rotate(q, p) of each row pair; q may also be one quaternion (4,)."""
     return np.column_stack(_rotate(q.T, p.T))
 
 
 def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
-    """A track under the rigid map with rotation g and translation t:
-    positions go through RigidTransform.apply_point, orientations
-    through compose(g, q).  g and t give one map, shapes (4,) and (3,),
-    or one map per row, (N, 4) and (N, 3)."""
+    """A track under the rigid map with rotation g and translation t,
+    RigidTransform.apply_pose of each row: positions rotated by g, then
+    shifted by t, orientations g * q normalized.  g and t give one map,
+    shapes (4,) and (3,), or one map per row, (N, 4) and (N, 3)."""
     pos = _rotate_rows(g, track[:, :3]) + t
     return np.column_stack((pos, _normalize_rows(_hamilton_rows(g, track[:, 3:]))))
 
 
-# The slot descriptors of the frozen value classes; setting a field
-# through one costs less than _set, which looks the slot up by name.
+# The slot descriptors of the frozen value classes.  The constructors,
+# which validate and convert each field once, and the builders below
+# store fields through them, past the frozen __setattr__.
 _new = object.__new__
 _vx, _vy, _vz = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
 _qw, _qx, _qy, _qz = (

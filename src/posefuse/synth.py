@@ -186,8 +186,8 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> PoseTra
     terms[2::3] = 0.0 + model.step_pos_sigma * steps[:, :3]
     terms[3::3] = [c * model.drift_bias_pos for c in bias_dir]
     positions = np.add.accumulate(terms)[::3]
-    # The true relative rotations, with the conjugate normalized as
-    # inverse() normalized it.
+    # The true relative rotations q_{i-1}^-1 * q_i.  The conjugate is
+    # normalized before the product, an order the stream digests pin.
     conj = _normalize_rows(g[:-1, 3:] * [1.0, -1.0, -1.0, -1.0])
     d_rot = _normalize_rows(_hamilton_rows(conj, g[1:, 3:])).tolist()
     if noisy_rot:

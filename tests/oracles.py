@@ -175,41 +175,45 @@ def sequential_vio(gt, model, rng):
     ``posefuse.synth.simulate_vio`` ran before it took each step's draws
     from one block.
 
-    Unlike the rest of this module it builds on the package's rotation
-    functions, on purpose: it pins the order in which draws are taken and
-    used (a rejected rotation axis is redrawn before its angle), while
-    the stream digests in ``test_synth.py`` pin the arithmetic.
+    Unlike the rest of this module it builds on the package's float
+    rotation formulas (``_hamilton``, ``_axis_angle``) and the
+    ``UnitQuaternion`` constructor, on purpose: it pins the order in
+    which draws are taken and used (a rejected rotation axis is redrawn
+    before its angle), while the stream digests in ``test_synth.py`` pin
+    the arithmetic.  Each product and rotation is normalized by the
+    constructor before it is used.
     """
-    from posefuse.geometry import Pose, Vec3, axis_angle_quaternion, compose, inverse
+    from posefuse.geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton
 
     def random_unit():
         while True:
             v = rng.normal(0.0, 1.0, 3)
             n = float(np.linalg.norm(v))
             if n > 1e-6:
-                return Vec3(v[0] / n, v[1] / n, v[2] / n)
+                return float(v[0] / n), float(v[1] / n), float(v[2] / n)
+
+    def times(a, b):
+        return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
     bias_dir = random_unit()
     bias_axis = random_unit()
     out = [gt[0]]
     for i in range(1, len(gt)):
-        d_pos = gt[i].position - gt[i - 1].position
-        d_rot = compose(inverse(gt[i - 1].orientation), gt[i].orientation)
-        noise = rng.normal(0.0, model.step_pos_sigma, 3)
-        pos = (
-            out[-1].position
-            + d_pos
-            + Vec3(noise[0], noise[1], noise[2])
-            + bias_dir * model.drift_bias_pos
-        )
-        ori = compose(out[-1].orientation, d_rot)
+        a, b, prev = gt[i - 1].position, gt[i].position, out[-1].position
+        q = gt[i - 1].orientation
+        d_rot = times(UnitQuaternion(q.w, -q.x, -q.y, -q.z), gt[i].orientation)
+        noise = rng.normal(0.0, model.step_pos_sigma, 3).tolist()
+        # ((previous + true step) + noise) + bias, summed in that order.
+        pos = Vec3(*(
+            ((p + (bc - ac)) + n) + u * model.drift_bias_pos
+            for p, ac, bc, n, u in zip((prev.x, prev.y, prev.z), (a.x, a.y, a.z), (b.x, b.y, b.z), noise, bias_dir)
+        ))
+        ori = times(out[-1].orientation, d_rot)
         if model.step_rot_sigma > 0.0:
-            ori = compose(
-                ori,
-                axis_angle_quaternion(random_unit(), float(rng.normal(0.0, model.step_rot_sigma))),
-            )
+            axis = random_unit()
+            ori = times(ori, UnitQuaternion(*_axis_angle(axis, float(rng.normal(0.0, model.step_rot_sigma)))))
         if model.drift_bias_rot > 0.0:
-            ori = compose(ori, axis_angle_quaternion(bias_axis, model.drift_bias_rot))
+            ori = times(ori, UnitQuaternion(*_axis_angle(bias_axis, model.drift_bias_rot)))
         out.append(Pose(pos, ori))
     return out
 
@@ -435,46 +439,41 @@ def scalar_reference(poses):
 
 def object_odometry(a, b):
     """``posefuse.geometry.odometry`` as it was before it computed in
-    plain floats: the distance through ``Vec3`` subtraction and the
+    plain floats: the distance through a ``Vec3`` difference and the
     ``Odometry`` constructor, whose checks word the overflow errors."""
-    from posefuse.geometry import Odometry, rotation_angle_deg, translation_distance
+    from posefuse.geometry import Odometry, Vec3, rotation_angle_deg
 
+    pa, pb = a.position, b.position
+    d = Vec3(pb.x - pa.x, pb.y - pa.y, pb.z - pa.z)
     return Odometry(
-        translation_distance(a.position, b.position),
+        math.sqrt(d.x * d.x + d.y * d.y + d.z * d.z),
         rotation_angle_deg(a.orientation, b.orientation),
     )
 
 
 def object_apply_pose(transform, pose):
     """``posefuse.geometry.RigidTransform.apply_pose`` as it was before
-    it computed in plain floats: ``rotate`` as it was then and
-    ``compose`` with its Hamilton product written out, every
-    intermediate through the ``Vec3`` and ``UnitQuaternion``
-    constructors."""
+    it computed in plain floats: the rotated position, the shifted
+    position and the Hamilton product of the orientations, each written
+    out and each through the ``Vec3`` or ``UnitQuaternion``
+    constructor."""
     from posefuse.geometry import Pose, UnitQuaternion, Vec3
 
-    def rotate(q, v):
-        # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part.
-        ux, uy, uz = q.x, q.y, q.z
-        cx = uy * v.z - uz * v.y
-        cy = uz * v.x - ux * v.z
-        cz = ux * v.y - uy * v.x
-        dx = uy * cz - uz * cy
-        dy = uz * cx - ux * cz
-        dz = ux * cy - uy * cx
-        return Vec3(
-            v.x + 2.0 * (q.w * cx + dx),
-            v.y + 2.0 * (q.w * cy + dy),
-            v.z + 2.0 * (q.w * cz + dz),
-        )
-
-    def compose(a, b):
-        return UnitQuaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    return Pose(rotate(transform.rotation, pose.position) + transform.translation,
-                compose(transform.rotation, pose.orientation))
+    q, v, t, o = transform.rotation, pose.position, transform.translation, pose.orientation
+    # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part of q.
+    cx = q.y * v.z - q.z * v.y
+    cy = q.z * v.x - q.x * v.z
+    cz = q.x * v.y - q.y * v.x
+    dx = q.y * cz - q.z * cy
+    dy = q.z * cx - q.x * cz
+    dz = q.x * cy - q.y * cx
+    r = Vec3(v.x + 2.0 * (q.w * cx + dx), v.y + 2.0 * (q.w * cy + dy), v.z + 2.0 * (q.w * cz + dz))
+    return Pose(
+        Vec3(r.x + t.x, r.y + t.y, r.z + t.z),
+        UnitQuaternion(
+            q.w * o.w - q.x * o.x - q.y * o.y - q.z * o.z,
+            q.w * o.x + q.x * o.w + q.y * o.z - q.z * o.y,
+            q.w * o.y - q.x * o.z + q.y * o.w + q.z * o.x,
+            q.w * o.z + q.x * o.y - q.y * o.x + q.z * o.w,
+        ),
+    )

@@ -58,11 +58,8 @@ from posefuse.geometry import (
     Pose,
     UnitQuaternion,
     Vec3,
-    axis_angle_quaternion,
-    compose,
     odometry,
     rotation_angle_deg,
-    translation_distance,
 )
 from posefuse.metrics import (
     empirical_cdf,
@@ -79,17 +76,17 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import random_pose, random_quaternion
-from oracles import grid_median_objective, quat_angle_stable_deg, slerp_midpoint
+from helpers import point_distance, quat_product, random_pose, random_quaternion, rotation_about
+from oracles import grid_median_objective, quat_angle_stable_deg, rotation_matrix, slerp_midpoint
 
 VIO_SEED_OFFSET = 1_000_003
 APR_SEED_OFFSET = 2_000_003
 GOLDEN = Path(__file__).parent / "data" / "golden_summary.json"
-Z = Vec3(0.0, 0.0, 1.0)
+Z = (0.0, 0.0, 1.0)
 
 
 def median_objective(points, candidate):
-    return sum(translation_distance(p, candidate) for p in points)
+    return sum(point_distance(p, candidate) for p in points)
 
 
 def seeded(criterion: int) -> np.random.Generator:
@@ -115,16 +112,16 @@ def mc():
         for s, v, a in zip(samples, vio, apr):
             s.vio, s.apr = v, a
         outputs = run_sequence(samples, cfg)
-        fp = [translation_distance(o.pose.position, g.position) for o, g in zip(outputs, gt)]
+        fp = [point_distance(o.pose.position, g.position) for o, g in zip(outputs, gt)]
         fo = [rotation_angle_deg(o.pose.orientation, g.orientation) for o, g in zip(outputs, gt)]
-        rp = [translation_distance(a.position, g.position) for a, g in zip(apr, gt)]
+        rp = [point_distance(a.position, g.position) for a, g in zip(apr, gt)]
         ro = [rotation_angle_deg(a.orientation, g.orientation) for a, g in zip(apr, gt)]
         fused_pos.extend(fp)
         fused_ori.extend(fo)
         raw_pos.extend(rp)
         raw_ori.extend(ro)
         labels.extend(o.label.value for o in outputs)
-        terminal_vio.append(translation_distance(vio[-1].position, gt[-1].position))
+        terminal_vio.append(point_distance(vio[-1].position, gt[-1].position))
         fused_slopes.append(float(np.polyfit(np.arange(200), fp, 1)[0]))
     return {
         "fused_pos": np.asarray(fused_pos),
@@ -155,7 +152,7 @@ def test_criterion_01_reference_fixed_point():
     for _ in range(1000):
         ref = ReferencePair(apr_ref=random_pose(rng), vio_ref=random_pose(rng))
         out = optimize_pose(ref.vio_ref, ref)
-        worst_pos = max(worst_pos, translation_distance(out.position, ref.apr_ref.position))
+        worst_pos = max(worst_pos, point_distance(out.position, ref.apr_ref.position))
         worst_ang = max(
             worst_ang,
             quat_angle_stable_deg(out.orientation.as_array(), ref.apr_ref.orientation.as_array()),
@@ -174,8 +171,8 @@ def test_criterion_02_rigid_invariance():
         ref = ReferencePair(apr_ref=random_pose(rng), vio_ref=random_pose(rng))
         a, b = random_pose(rng), random_pose(rng)
         oa, ob = optimize_pose(a, ref), optimize_pose(b, ref)
-        d_in = translation_distance(a.position, b.position)
-        d_out = translation_distance(oa.position, ob.position)
+        d_in = point_distance(a.position, b.position)
+        d_out = point_distance(oa.position, ob.position)
         ang_in = rotation_angle_deg(a.orientation, b.orientation)
         ang_out = rotation_angle_deg(oa.orientation, ob.orientation)
         worst_pos = max(worst_pos, abs(d_in - d_out))
@@ -187,21 +184,17 @@ def test_criterion_02_rigid_invariance():
 
 def test_criterion_03_checker_truth_table():
     cfg = FusionConfig()
-    gt0 = Pose(Vec3.zero(), UnitQuaternion.identity())
-    gt1 = Pose(Vec3(1.0, 0.0, 0.0), axis_angle_quaternion(Z, 5.0))
+    gt0 = Pose(Vec3(0.0, 0.0, 0.0), UnitQuaternion(1.0, 0.0, 0.0, 0.0))
+    gt1 = Pose(Vec3(1.0, 0.0, 0.0), rotation_about(Z, 5.0))
     u_vio = odometry(gt0, gt1)  # vio assumed accurate
 
     def near(gt, dx, rot_deg):
-        return Pose(
-            gt.position + Vec3(dx, 0.0, 0.0),
-            compose(gt.orientation, axis_angle_quaternion(Z, rot_deg)),
-        )
+        p = gt.position
+        return Pose(Vec3(p.x + dx, p.y, p.z), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def far(gt, dz, rot_deg=15.0):
-        return Pose(
-            gt.position + Vec3(0.0, 0.0, dz),
-            compose(gt.orientation, axis_angle_quaternion(Z, rot_deg)),
-        )
+        p = gt.position
+        return Pose(Vec3(p.x, p.y, p.z + dz), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def check(apr0, apr1):
         return relative_pose_check(odometry(apr0, apr1), u_vio, cfg)
@@ -214,7 +207,7 @@ def test_criterion_03_checker_truth_table():
     assert case1 is True
     assert case2 is False
     assert case3 is True  # shared offset cancels in the comparison
-    assert translation_distance(far(gt0, 5.0).position, gt0.position) > cfg.d_th
+    assert point_distance(far(gt0, 5.0).position, gt0.position) > cfg.d_th
     assert case4 is False
 
 
@@ -357,16 +350,14 @@ def test_criterion_09_metrics_conformance(tmp_path):
     assert buckets(0.25, 2.0).high == 1.0  # inclusive
 
     rng = np.random.Generator(np.random.PCG64(11))
-    rot = axis_angle_quaternion(Z, 30.0)
-    src = [Vec3(*rng.normal(0.0, 5.0, 3)) for _ in range(10)]
-    from posefuse.geometry import RigidTransform
-
-    true = RigidTransform(rot, Vec3(0.5, -1.0, 2.0))
-    dst = [true.apply_point(p) for p in src]
-    fit = kabsch_align(
-        np.array([p.as_array() for p in src]), np.array([p.as_array() for p in dst])
-    )
-    residual = max(translation_distance(fit.apply_point(s), d) for s, d in zip(src, dst))
+    # A 30 deg turn about z, then a shift, written out as a matrix.
+    c, s = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
+    true_r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    src = rng.normal(0.0, 5.0, (10, 3))
+    dst = src @ true_r.T + [0.5, -1.0, 2.0]
+    fit = kabsch_align(src, dst)
+    moved = src @ rotation_matrix(fit.rotation.as_array()).T + fit.translation.as_array()
+    residual = float(np.linalg.norm(moved - dst, axis=1).max())
     assert residual < 1e-6
 
     assert main(["--synth", "1", "--frames", "60", "--seed", "7", "--out", str(tmp_path)]) == 0

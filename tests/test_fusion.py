@@ -33,11 +33,8 @@ from posefuse.geometry import (
     Vec3,
     _normalize_rows,
     _poses,
-    axis_angle_quaternion,
-    compose,
     odometry,
     rotation_angle_deg,
-    translation_distance,
 )
 from posefuse.io import PoseSample, Recording, parse_sequence, write_sequence
 from posefuse.metrics import track_array
@@ -49,7 +46,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import random_pose, random_quaternion
+from helpers import point_distance, quat_product, random_pose, random_quaternion, rotation_about
 from oracles import (
     chordal_distance,
     grid_median_objective,
@@ -63,11 +60,12 @@ from oracles import (
 )
 
 CFG = FusionConfig()
-Z = Vec3(0.0, 0.0, 1.0)
+Z = (0.0, 0.0, 1.0)
+IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 
 
 def identity_pose(x=0.0, y=0.0, z=0.0):
-    return Pose(Vec3(x, y, z), UnitQuaternion.identity())
+    return Pose(Vec3(x, y, z), IDENTITY)
 
 
 def clean_samples(n, step_len=1.0):
@@ -119,7 +117,7 @@ class TestCheckerCases:
     """
 
     gt0 = identity_pose(0.0)
-    gt1 = Pose(Vec3(1.0, 0.0, 0.0), axis_angle_quaternion(Z, 5.0))
+    gt1 = Pose(Vec3(1.0, 0.0, 0.0), rotation_about(Z, 5.0))
 
     def check(self, apr0, apr1):
         u_apr = odometry(apr0, apr1)
@@ -127,16 +125,12 @@ class TestCheckerCases:
         return relative_pose_check(u_apr, u_vio, CFG)
 
     def near(self, gt, dx, rot_deg):
-        return Pose(
-            gt.position + Vec3(dx, 0.0, 0.0),
-            compose(gt.orientation, axis_angle_quaternion(Z, rot_deg)),
-        )
+        p = gt.position
+        return Pose(Vec3(p.x + dx, p.y, p.z), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def far(self, gt, dz, rot_deg=15.0):
-        return Pose(
-            gt.position + Vec3(0.0, 0.0, dz),
-            compose(gt.orientation, axis_angle_quaternion(Z, rot_deg)),
-        )
+        p = gt.position
+        return Pose(Vec3(p.x, p.y, p.z + dz), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def test_case_1_both_accurate_passes(self):
         assert self.check(self.near(self.gt0, 0.1, 1.0), self.near(self.gt1, -0.1, -1.0))
@@ -147,7 +141,7 @@ class TestCheckerCases:
     def test_case_3_shared_offset_false_positive(self):
         # Both wrong the same way: passes, and that is the documented gap.
         assert self.check(self.far(self.gt0, 5.0), self.far(self.gt1, 5.0))
-        assert translation_distance(self.far(self.gt0, 5.0).position, self.gt0.position) > CFG.d_th
+        assert point_distance(self.far(self.gt0, 5.0).position, self.gt0.position) > CFG.d_th
 
     def test_case_4_both_inaccurate_differently_fails(self):
         assert not self.check(self.far(self.gt0, 5.0), self.far(self.gt1, -5.0, -15.0))
@@ -164,7 +158,7 @@ class TestWeiszfeldMedian:
     def test_square_symmetry(self):
         pts = [Vec3(1, 1, 0), Vec3(1, -1, 0), Vec3(-1, 1, 0), Vec3(-1, -1, 0)]
         m = weiszfeld_median(pts)
-        assert m.norm() < 1e-9
+        assert math.hypot(m.x, m.y, m.z) < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -175,7 +169,7 @@ class TestWeiszfeldMedian:
             n = int(rng.integers(1, 6))
             pts = [Vec3(*rng.uniform(0.0, 2.0, size=3)) for _ in range(n)]
             m = weiszfeld_median(pts)
-            ours = sum(translation_distance(m, p) for p in pts)
+            ours = sum(point_distance(m, p) for p in pts)
             arr = np.array([[p.x, p.y, p.z] for p in pts])
             assert ours <= grid_median_objective(arr) + 1e-6
 
@@ -242,7 +236,7 @@ class TestMedianOnTiedLine:
     def objective_gap(ts, origin, direction):
         pts = [Vec3(*(origin + t * direction)) for t in ts]
         m = weiszfeld_median(pts)
-        ours = sum(translation_distance(m, p) for p in pts)
+        ours = sum(point_distance(m, p) for p in pts)
         return ours - line_median_objective(ts) * float(np.linalg.norm(direction))
 
     def test_centroid_on_non_optimal_input(self):
@@ -277,11 +271,9 @@ class TestAverageQuaternions:
         assert quat_angle_stable_deg(got.as_array(), q.as_array()) < 1e-9
 
     def test_half_turn_between_identity_and_z90(self):
-        avg = average_quaternions(
-            [UnitQuaternion.identity(), axis_angle_quaternion(Z, 90.0)]
-        )
-        expect = axis_angle_quaternion(Z, 45.0)
-        np.testing.assert_allclose(avg.as_array(), expect.as_array(), atol=1e-9)
+        avg = average_quaternions([IDENTITY, rotation_about(Z, 90.0)])
+        expect = [math.cos(math.pi / 8), 0.0, 0.0, math.sin(math.pi / 8)]
+        np.testing.assert_allclose(avg.as_array(), expect, atol=1e-9)
 
     def test_pairs_match_slerp_midpoint(self, rng):
         for _ in range(300):
@@ -308,9 +300,9 @@ class TestAverageQuaternions:
                 return sum(float(np.dot(q.as_array(), p.as_array())) ** 2 for p in quats)
 
             base = objective(avg)
-            for axis in (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)):
+            for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 for sign in (1.0, -1.0):
-                    tweaked = compose(avg, axis_angle_quaternion(axis, sign * 0.05))
+                    tweaked = quat_product(avg, rotation_about(axis, sign * 0.05))
                     assert objective(tweaked) <= base + 1e-9
 
     def test_empty_rejected(self):
@@ -322,7 +314,7 @@ class TestComputeReference:
     def test_identical_poses_pass_through(self, rng):
         p = random_pose(rng)
         ref = compute_reference([p, p, p], [p, p, p])
-        assert translation_distance(ref.apr_ref.position, p.position) < 1e-9
+        assert point_distance(ref.apr_ref.position, p.position) < 1e-9
         assert quat_angle_stable_deg(
             ref.apr_ref.orientation.as_array(), p.orientation.as_array()
         ) < 1e-9
@@ -331,7 +323,7 @@ class TestComputeReference:
         poses = [identity_pose(0.0), identity_pose(1.0), identity_pose(10.0)]
         ref = compute_reference(poses, poses)
         assert ref.apr_ref.position == Vec3(1, 0, 0)
-        assert ref.vio_ref.orientation == UnitQuaternion.identity()
+        assert ref.vio_ref.orientation == IDENTITY
 
     def test_components_are_optimal(self, rng):
         aprs = [random_pose(rng, scale=2.0) for _ in range(3)]
@@ -341,12 +333,12 @@ class TestComputeReference:
         pos = ref.apr_ref.position
 
         def pos_obj(v):
-            return sum(translation_distance(v, p.position) for p in aprs)
+            return sum(math.dist(v, (p.position.x, p.position.y, p.position.z)) for p in aprs)
 
-        base = pos_obj(pos)
-        for d in (Vec3(1e-4, 0, 0), Vec3(0, 1e-4, 0), Vec3(0, 0, 1e-4)):
-            assert pos_obj(pos + d) >= base - 1e-9
-            assert pos_obj(pos - d) >= base - 1e-9
+        base = pos_obj((pos.x, pos.y, pos.z))
+        for d in ((1e-4, 0, 0), (0, 1e-4, 0), (0, 0, 1e-4)):
+            assert pos_obj((pos.x + d[0], pos.y + d[1], pos.z + d[2])) >= base - 1e-9
+            assert pos_obj((pos.x - d[0], pos.y - d[1], pos.z - d[2])) >= base - 1e-9
 
     def test_length_mismatch_rejected(self, rng):
         p = random_pose(rng)
@@ -358,7 +350,7 @@ class TestComputeReference:
         # The apr window is one point, its own median.  Kuhn's test does
         # not settle the vio triangle, and the centroid the iteration
         # starts from overflows, so the vio median is not finite.
-        poses = [Pose(Vec3(1.7e308, y, z), UnitQuaternion.identity()) for y, z in ((0, 0), (1, 0), (0, 1))]
+        poses = [Pose(Vec3(1.7e308, y, z), IDENTITY) for y, z in ((0, 0), (1, 0), (0, 1))]
         with pytest.raises(ValueError, match="Vec3.x must be finite"):
             compute_reference(poses[:1] * 3, poses)
 
@@ -368,28 +360,25 @@ class TestOptimizePose:
         for _ in range(100):
             ref = ReferencePair(random_pose(rng), random_pose(rng))
             out = optimize_pose(ref.vio_ref, ref)
-            assert translation_distance(out.position, ref.apr_ref.position) < 1e-9
+            assert point_distance(out.position, ref.apr_ref.position) < 1e-9
             assert quat_angle_stable_deg(
                 out.orientation.as_array(), ref.apr_ref.orientation.as_array()
             ) < 1e-6
 
     def test_pure_translation_offset(self):
         ref = ReferencePair(identity_pose(10.0), identity_pose(0.0))
-        out = optimize_pose(Pose(Vec3(1, 2, 3), UnitQuaternion.identity()), ref)
+        out = optimize_pose(Pose(Vec3(1, 2, 3), IDENTITY), ref)
         assert out.position == Vec3(11.0, 2.0, 3.0)
-        assert out.orientation == UnitQuaternion.identity()
+        assert out.orientation == IDENTITY
 
     def test_quarter_turn_reference(self):
-        ref = ReferencePair(
-            Pose(Vec3.zero(), UnitQuaternion.identity()),
-            Pose(Vec3.zero(), axis_angle_quaternion(Z, 90.0)),
-        )
-        out = optimize_pose(Pose(Vec3(1, 0, 0), UnitQuaternion.identity()), ref)
+        ref = ReferencePair(identity_pose(), Pose(Vec3(0, 0, 0), rotation_about(Z, 90.0)))
+        out = optimize_pose(identity_pose(1.0), ref)
         # The vio frame is the world turned +90 deg about z, so the map
         # back to the world turns -90 deg: x goes to -y.
         np.testing.assert_allclose(out.position.as_array(), [0, -1, 0], atol=1e-12)
-        expect = axis_angle_quaternion(Z, -90.0)
-        np.testing.assert_allclose(out.orientation.as_array(), expect.as_array(), atol=1e-12)
+        expect = [math.sqrt(0.5), 0.0, 0.0, -math.sqrt(0.5)]
+        np.testing.assert_allclose(out.orientation.as_array(), expect, atol=1e-12)
 
     def test_map_built_once_per_reference(self, rng, monkeypatch):
         built = []
@@ -410,8 +399,8 @@ class TestOptimizePose:
             ref = ReferencePair(random_pose(rng), random_pose(rng))
             a, b = random_pose(rng), random_pose(rng)
             oa, ob = optimize_pose(a, ref), optimize_pose(b, ref)
-            assert translation_distance(oa.position, ob.position) == pytest.approx(
-                translation_distance(a.position, b.position), abs=1e-9
+            assert point_distance(oa.position, ob.position) == pytest.approx(
+                point_distance(a.position, b.position), abs=1e-9
             )
             assert rotation_angle_deg(oa.orientation, ob.orientation) == pytest.approx(
                 rotation_angle_deg(a.orientation, b.orientation), abs=1e-6
@@ -431,9 +420,9 @@ def mapped(g, pose):
 
 def yaw_then_roll():
     """30 deg yaw followed by 20 deg roll, t = (3, -2, 1)."""
-    yaw = axis_angle_quaternion(Z, 30.0)
-    roll = axis_angle_quaternion(Vec3(1.0, 0.0, 0.0), 20.0)
-    return compose(roll, yaw).as_array(), np.array([3.0, -2.0, 1.0])
+    yaw = rotation_about(Z, 30.0)
+    roll = rotation_about((1.0, 0.0, 0.0), 20.0)
+    return quat_product(roll, yaw).as_array(), np.array([3.0, -2.0, 1.0])
 
 
 class TestFrameInvariance:
@@ -456,7 +445,7 @@ class TestFrameInvariance:
     def assert_outputs_match(got, expect):
         assert [o.label for o in got] == [o.label for o in expect]
         for g, e in zip(got, expect):
-            assert translation_distance(g.pose.position, e.pose.position) < 1e-8
+            assert point_distance(g.pose.position, e.pose.position) < 1e-8
             assert chordal_distance(g.pose.orientation.as_array(), e.pose.orientation.as_array()) < 1e-8
 
     def test_rigidly_moved_vio_maps_back_onto_gt(self, rng):
@@ -467,7 +456,7 @@ class TestFrameInvariance:
             for _ in range(5):
                 gt = random_pose(rng)
                 out = optimize_pose(mapped(g, gt), ref)
-                assert translation_distance(out.position, gt.position) < 1e-9
+                assert point_distance(out.position, gt.position) < 1e-9
                 assert chordal_distance(out.orientation.as_array(), gt.orientation.as_array()) < 1e-9
 
     def test_vio_frame_does_not_move_output(self, rng):
@@ -502,20 +491,20 @@ class TestStep:
 
     def test_outlier_slides_window(self):
         samples = clean_samples(5)
-        samples[1].apr = Pose(Vec3(1.0, 0.0, 5.0), UnitQuaternion.identity())
+        samples[1].apr = identity_pose(1.0, 0.0, 5.0)
         outs = run_sequence(samples, CFG)
         labels = [o.label for o in outs]
         assert labels == [Label.PENDING, Label.PENDING] + [Label.KEYFRAME] * 3
 
     def test_optimized_output_tracks_gt_when_vio_clean(self):
         samples = clean_samples(6)
-        bad = Pose(Vec3(4.0, 0.0, 3.0), UnitQuaternion.identity())  # 5 m from gt
+        bad = identity_pose(4.0, 0.0, 3.0)  # 5 m from gt
         samples[4].apr = bad
         outs = run_sequence(samples, CFG)
         assert outs[4].label is Label.OPTIMIZED
         # Reference was exact (clean window), vio is drift-free, so the
         # corrected pose lands back on gt.
-        assert translation_distance(outs[4].pose.position, samples[4].gt.position) < 1e-9
+        assert point_distance(outs[4].pose.position, samples[4].gt.position) < 1e-9
 
     def test_streaming_emits_provisional_then_final(self):
         state = FusionState()
@@ -538,15 +527,13 @@ class TestStep:
         # window never completes: frames keep the tracked label.
         samples = clean_samples(16)
         for i in range(11, 16):
-            samples[i].apr = Pose(
-                Vec3(float(i), 0.0, 5.0 + 3.0 * (i % 2)), UnitQuaternion.identity()
-            )
+            samples[i].apr = identity_pose(float(i), 0.0, 5.0 + 3.0 * (i % 2))
         outs = run_sequence(samples, CFG)
         labels = [o.label for o in outs]
         assert labels[:11] == [Label.KEYFRAME] * 3 + [Label.RELIABLE] * 8
         assert labels[11:] == [Label.TRACKED] * 5
         for i in range(11, 16):
-            assert translation_distance(outs[i].pose.position, samples[i].gt.position) < 1e-9
+            assert point_distance(outs[i].pose.position, samples[i].gt.position) < 1e-9
 
     @pytest.mark.parametrize("x", [1e155, 1.7e308])
     @pytest.mark.parametrize("stream", ["apr", "vio"])
@@ -562,6 +549,37 @@ class TestStep:
         with pytest.raises(ValueError, match=f"^frame {k}: odometry distance must be finite and >= 0, got inf$"):
             for s in samples:
                 state, _ = step(state, s.apr, s.vio, CFG)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_raising_frame_changes_nothing_else(self, seed):
+        # A bad frame slipped in before frame k raises, uses up index k
+        # and leaves the state as it was: every later frame gets the
+        # output it gets in the stream without the bad frame, one index on.
+        samples = fused(seed, n=60)
+
+        def feed(state, part):
+            outs = []
+            for s in part:
+                state, got = step(state, s.apr, s.vio, CFG)
+                outs += got
+            return state, outs
+
+        _, expect = feed(FusionState(), samples)
+        raised = 0
+        for k in range(len(samples)):
+            state, outs = feed(FusionState(), samples[:k])
+            bad = Pose(Vec3(1e155, 0.0, 0.0), samples[k].apr.orientation)
+            try:
+                step(state, bad, samples[k].vio, CFG)
+            except ValueError as exc:
+                assert str(exc) == f"frame {k}: odometry distance must be finite and >= 0, got inf"
+            else:
+                continue  # the frame opened a window, where nothing checks it
+            raised += 1
+            state, later = feed(state, samples[k:])
+            got = [(o.frame_index - (o.frame_index > k), o.pose, o.label) for o in outs + later]
+            assert got == [(o.frame_index, o.pose, o.label) for o in expect]
+        assert raised > 40
 
 
 class TestFusionOutput:
@@ -690,7 +708,7 @@ class TestStateMachineInvariants:
             for s, o in zip(samples, run_sequence(samples, CFG)):
                 if o.label is Label.KEYFRAME:
                     kf_total += 1
-                    if translation_distance(s.apr.position, s.gt.position) > CFG.d_th / 2:
+                    if point_distance(s.apr.position, s.gt.position) > CFG.d_th / 2:
                         kf_bad += 1
         assert 60 * 200 >= 10_000  # enough simulated frames to judge
         assert kf_total > 1_000

@@ -21,28 +21,25 @@ from posefuse.geometry import (
     _hamilton_rows,
     _Motions,
     _motions,
-    _poses,
     _rotate,
     _rotate_rows,
-    axis_angle_quaternion,
-    compose,
-    inverse,
     odometry,
-    rotate,
     rotation_angle_deg,
-    translation_distance,
 )
 from posefuse.fusion import FusionConfig, relative_pose_check
 from posefuse.metrics import track_array
-from helpers import random_pose, random_quaternion, random_vec3
+from helpers import point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about
 from oracles import (
+    chordal_distance,
     matrix_rotation_angle_deg,
     object_apply_pose,
     object_odometry,
     quat_angle_stable_deg,
+    rigid_map_pose,
     rotation_matrix,
 )
 
+IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 QZ90 = UnitQuaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
 
 finite_components = st.floats(
@@ -57,6 +54,14 @@ def scipy_rotation(q: UnitQuaternion) -> Rotation:
     return Rotation.from_quat([q.x, q.y, q.z, q.w])  # scipy is scalar-last
 
 
+def wxyz(q: UnitQuaternion) -> tuple[float, float, float, float]:
+    return q.w, q.x, q.y, q.z
+
+
+def xyz(v: Vec3) -> tuple[float, float, float]:
+    return v.x, v.y, v.z
+
+
 class TestVec3:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -64,16 +69,11 @@ class TestVec3:
         with pytest.raises(ValueError, match="finite"):
             Vec3(float("inf"), 0.0, 0.0)
 
-    def test_arithmetic(self):
-        v = Vec3(1.0, 2.0, 3.0) + Vec3(0.5, 0.5, 0.5) - Vec3(1.5, 2.5, 3.5)
-        assert v == Vec3(0.0, 0.0, 0.0)
-        assert (2.0 * Vec3(1.0, 0.0, -1.0)).norm() == pytest.approx(2.0 * math.sqrt(2))
-
 
 class TestUnitQuaternion:
     def test_constructor_normalizes(self):
         q = UnitQuaternion(2.0, 0.0, 0.0, 0.0)
-        assert q == UnitQuaternion.identity()
+        assert wxyz(q) == (1.0, 0.0, 0.0, 0.0)
 
     def test_rejects_near_zero_norm(self):
         with pytest.raises(ValueError, match="norm"):
@@ -98,24 +98,26 @@ class TestUnitQuaternion:
 
 
 class TestCompose:
+    """Composition of rotations, the Hamilton product a * b normalized
+    as RigidTransform.apply_pose forms it, against scipy's rotations."""
+
     def test_identity_neutral(self, rng):
         q = random_quaternion(rng)
-        assert rotation_angle_deg(compose(UnitQuaternion.identity(), q), q) < 1e-9
+        assert quat_angle_stable_deg(quat_product(IDENTITY, q).as_array(), q.as_array()) < 1e-9
 
     def test_quarter_turns_sum(self):
-        q = compose(QZ90, QZ90)
+        q = quat_product(QZ90, QZ90)
         np.testing.assert_allclose(q.as_array(), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_inverse_gives_identity(self, rng):
         q = random_quaternion(rng)
-        np.testing.assert_allclose(
-            compose(q, inverse(q)).as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-12
-        )
+        conjugate = UnitQuaternion(q.w, -q.x, -q.y, -q.z)
+        np.testing.assert_allclose(quat_product(q, conjugate).as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_matrix_composition(self, rng):
         for _ in range(100):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            lhs = scipy_rotation(compose(a, b)).as_matrix()
+            lhs = scipy_rotation(quat_product(a, b)).as_matrix()
             rhs = scipy_rotation(a).as_matrix() @ scipy_rotation(b).as_matrix()
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -125,30 +127,16 @@ class TestCompose:
         # Compare as rotations via the chord-based angle: componentwise
         # equality breaks at the w == 0 canonicalization boundary, and
         # the arccos form cannot resolve angles this small.
-        lhs = compose(compose(a, b), c)
-        rhs = compose(a, compose(b, c))
+        lhs = quat_product(quat_product(a, b), c)
+        rhs = quat_product(a, quat_product(b, c))
         assert quat_angle_stable_deg(lhs.as_array(), rhs.as_array()) < 1e-6
 
     def test_matches_scipy(self, rng):
         for _ in range(50):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            ours = scipy_rotation(compose(a, b)).as_matrix()
+            ours = scipy_rotation(quat_product(a, b)).as_matrix()
             theirs = (scipy_rotation(a) * scipy_rotation(b)).as_matrix()
             np.testing.assert_allclose(ours, theirs, atol=1e-12)
-
-
-class TestInverse:
-    def test_identity(self):
-        assert inverse(UnitQuaternion.identity()) == UnitQuaternion.identity()
-
-    def test_conjugate_components(self):
-        q = inverse(QZ90)
-        assert q.w == pytest.approx(QZ90.w)
-        assert q.z == pytest.approx(-QZ90.z)
-
-    def test_involution(self, rng):
-        q = random_quaternion(rng)
-        np.testing.assert_allclose(inverse(inverse(q)).as_array(), q.as_array(), atol=1e-15)
 
 
 class TestRotationAngle:
@@ -159,7 +147,7 @@ class TestRotationAngle:
         assert rotation_angle_deg(q, q) == pytest.approx(0.0, abs=1e-5)
 
     def test_quarter_turn(self):
-        assert rotation_angle_deg(UnitQuaternion.identity(), QZ90) == pytest.approx(90.0)
+        assert rotation_angle_deg(IDENTITY, QZ90) == pytest.approx(90.0)
 
     def test_double_cover(self, rng):
         q = random_quaternion(rng)
@@ -173,9 +161,8 @@ class TestRotationAngle:
 
     def test_range_and_no_nan(self, rng):
         # Near-identical arguments push |dot| above 1 by rounding.
-        axis = Vec3(1.0, 2.0, 3.0)
-        a = axis_angle_quaternion(axis, 10.0)
-        b = compose(a, axis_angle_quaternion(Vec3(1.0, 0.0, 0.0), 1e-14))
+        a = rotation_about((1.0, 2.0, 3.0), 10.0)
+        b = quat_product(a, rotation_about((1.0, 0.0, 0.0), 1e-14))
         ang = rotation_angle_deg(a, b)
         assert math.isfinite(ang) and 0.0 <= ang <= 180.0
         for _ in range(200):
@@ -197,15 +184,21 @@ class TestRotationAngle:
             assert rotation_angle_deg(a, b) == pytest.approx(expect, abs=1e-6)
 
 
+def at(x, y, z):
+    return Pose(Vec3(x, y, z), IDENTITY)
+
+
 class TestTranslationDistance:
+    """The distance odometry measures between two positions."""
+
     def test_three_four_five(self):
-        assert translation_distance(Vec3(0, 0, 0), Vec3(3, 4, 0)) == 5.0
+        assert odometry(at(0, 0, 0), at(3, 4, 0)).dist == 5.0
 
     def test_zero(self):
-        assert translation_distance(Vec3(1, 1, 1), Vec3(1, 1, 1)) == 0.0
+        assert odometry(at(1, 1, 1), at(1, 1, 1)).dist == 0.0
 
     def test_axis_offset(self):
-        assert translation_distance(Vec3(0, 0, 0), Vec3(0, 0, 2)) == 2.0
+        assert odometry(at(0, 0, 0), at(0, 0, 2)).dist == 2.0
 
 
 class TestOdometry:
@@ -215,7 +208,7 @@ class TestOdometry:
         assert (u.dist, u.angle) == (0.0, 0.0)
 
     def test_worked_pair(self):
-        a = Pose(Vec3(0, 0, 0), UnitQuaternion.identity())
+        a = at(0, 0, 0)
         b = Pose(Vec3(3, 4, 0), QZ90)
         u = odometry(a, b)
         assert u.dist == pytest.approx(5.0)
@@ -233,14 +226,16 @@ class TestOdometry:
 
 
 class TestRotate:
+    """_rotate, q v q*, against scipy's rotations."""
+
     def test_z_quarter_turn_maps_x_to_y(self):
-        np.testing.assert_allclose(rotate(QZ90, Vec3(1, 0, 0)).as_array(), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(_rotate(wxyz(QZ90), (1, 0, 0)), [0, 1, 0], atol=1e-12)
 
     def test_matches_matrix_apply(self, rng):
         for _ in range(100):
             q, v = random_quaternion(rng), random_vec3(rng)
             np.testing.assert_allclose(
-                rotate(q, v).as_array(),
+                _rotate(wxyz(q), xyz(v)),
                 scipy_rotation(q).apply(v.as_array()),
                 atol=1e-9,
             )
@@ -254,52 +249,63 @@ class TestRotate:
             raw = np.array([w, x, y, z]) / n
             v = random_vec3(rng)
             r_raw = Rotation.from_quat([raw[1], raw[2], raw[3], raw[0]])
-            np.testing.assert_allclose(rotate(q, v).as_array(), r_raw.apply(v.as_array()), atol=1e-12)
+            np.testing.assert_allclose(_rotate(wxyz(q), xyz(v)), r_raw.apply(v.as_array()), atol=1e-12)
 
 
 class TestAxisAngle:
+    """_axis_angle, through the UnitQuaternion constructor."""
+
     def test_ninety_about_z(self):
-        q = axis_angle_quaternion(Vec3(0, 0, 2.0), 90.0)  # axis length irrelevant
+        q = rotation_about((0, 0, 2.0), 90.0)  # axis length irrelevant
         np.testing.assert_allclose(q.as_array(), QZ90.as_array(), atol=1e-12)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
-            axis_angle_quaternion(Vec3(0, 0, 0), 10.0)
+            _axis_angle((0, 0, 0), 10.0)
 
     def test_angle_recovered(self, rng):
         for _ in range(50):
             axis = random_vec3(rng)
-            if axis.norm() < 1e-6:
+            if math.hypot(*xyz(axis)) < 1e-6:
                 continue
             ang = float(rng.uniform(0.0, 179.0))
-            q = axis_angle_quaternion(axis, ang)
-            assert rotation_angle_deg(UnitQuaternion.identity(), q) == pytest.approx(ang, abs=1e-9)
+            q = rotation_about(xyz(axis), ang)
+            assert quat_angle_stable_deg(wxyz(IDENTITY), wxyz(q)) == pytest.approx(ang, abs=1e-9)
+            assert scipy_rotation(q).as_rotvec() == pytest.approx(
+                np.radians(ang) * axis.as_array() / np.linalg.norm(axis.as_array()), abs=1e-12
+            )
 
 
 class TestRigidTransform:
+    """RigidTransform.apply_pose against rigid_map_pose, the map through
+    scipy's rotations (tests/oracles.py)."""
+
     def test_identity(self, rng):
         p = random_pose(rng)
-        out = RigidTransform.identity().apply_pose(p)
-        assert translation_distance(out.position, p.position) < 1e-12
-        assert rotation_angle_deg(out.orientation, p.orientation) < 1e-9
+        out = RigidTransform(IDENTITY, Vec3(0.0, 0.0, 0.0)).apply_pose(p)
+        assert point_distance(out.position, p.position) < 1e-12
+        assert chordal_distance(wxyz(out.orientation), wxyz(p.orientation)) < 1e-12
 
     def test_point_and_pose_agree(self, rng):
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
-        p = random_pose(rng)
-        assert t.apply_pose(p).position == t.apply_point(p.position)
+        # The position of a mapped pose is its point under the map.
+        for _ in range(50):
+            t = RigidTransform(random_quaternion(rng), random_vec3(rng))
+            p = random_pose(rng)
+            expect, _ = rigid_map_pose(wxyz(t.rotation), xyz(t.translation), xyz(p.position), wxyz(p.orientation))
+            assert math.dist(xyz(t.apply_pose(p).position), expect) < 1e-12
 
     def test_orientation_left_composed(self, rng):
         q = random_quaternion(rng)
-        t = RigidTransform(q, Vec3.zero())
+        t = RigidTransform(q, Vec3(0.0, 0.0, 0.0))
         p = random_pose(rng)
-        expect = compose(q, p.orientation)
-        assert rotation_angle_deg(t.apply_pose(p).orientation, expect) < 1e-9
+        _, expect = rigid_map_pose(wxyz(q), (0.0, 0.0, 0.0), xyz(p.position), wxyz(p.orientation))
+        assert chordal_distance(wxyz(t.apply_pose(p).orientation), expect) < 1e-12
 
     def test_preserves_distances(self, rng):
         t = RigidTransform(random_quaternion(rng), random_vec3(rng))
-        a, b = random_vec3(rng), random_vec3(rng)
-        assert translation_distance(t.apply_point(a), t.apply_point(b)) == pytest.approx(
-            translation_distance(a, b), abs=1e-9
+        a, b = random_pose(rng), random_pose(rng)
+        assert point_distance(t.apply_pose(a).position, t.apply_pose(b).position) == pytest.approx(
+            point_distance(a.position, b.position), abs=1e-9
         )
 
 
@@ -339,13 +345,11 @@ class TestRowPrimitives:
 
     def test_rotate_rows(self, rng):
         q, pts = signed_zero_rows(rng, 400, 4), signed_zero_rows(rng, 400, 3)
-        # Poses built from the raw rows, so rotate reads the same bits.
-        poses = _poses(np.column_stack((pts, q)))
-        expect = [rotate(pose.orientation, pose.position) for pose in poses]
-        assert [hexes(r) for r in _rotate_rows(q, pts).tolist()] == [hexes((v.x, v.y, v.z)) for v in expect]
+        got = _rotate_rows(q, pts).tolist()
+        assert [hexes(r) for r in got] == [hexes(_rotate(a, v)) for a, v in zip(q.tolist(), pts.tolist())]
         # One quaternion against every row.
-        expect = [rotate(poses[7].orientation, pose.position) for pose in poses]
-        assert [hexes(r) for r in _rotate_rows(q[7], pts).tolist()] == [hexes((v.x, v.y, v.z)) for v in expect]
+        got = _rotate_rows(q[7], pts).tolist()
+        assert [hexes(r) for r in got] == [hexes(_rotate(q[7].tolist(), v)) for v in pts.tolist()]
 
     def test_axis_angle_rows_rejects_a_zero_axis(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -431,7 +435,7 @@ class TestFloatForms:
         rotations = [p.orientation for p in edge_poses(rng, 10_000)]
         translations = [p.position for p in edge_poses(rng, 10_000, scale=100.0)]
         maps = [RigidTransform(q, t) for q, t in zip(rotations, translations)]
-        maps[::7] = [RigidTransform.identity()] * len(maps[::7])
+        maps[::7] = [RigidTransform(IDENTITY, Vec3(0.0, 0.0, 0.0))] * len(maps[::7])
         for t, p in zip(maps, poses):
             out = t.apply_pose(p)
             assert (type(out), type(out.position), type(out.orientation)) == (Pose, Vec3, UnitQuaternion)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.geometry import Pose, UnitQuaternion, Vec3, rotation_angle_deg, translation_distance
+from posefuse.geometry import Pose, UnitQuaternion, Vec3, rotation_angle_deg
 from posefuse.io import (
     SEQUENCE_COLUMNS,
     PoseSample,
@@ -26,7 +26,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import random_pose
+from helpers import point_distance, random_pose
 from oracles import row_parse_sequence
 from posefuse import cli
 
@@ -56,8 +56,8 @@ class TestParse:
         assert s.frame_index == 0
         assert s.timestamp == 0.0
         assert s.gt is None and s.apr is None
-        assert s.vio.position == Vec3.zero()
-        assert s.vio.orientation == UnitQuaternion.identity()
+        assert s.vio.position.as_array().tolist() == [0.0, 0.0, 0.0]
+        assert s.vio.orientation.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_header_only_is_empty(self, tmp_path):
         assert parse_sequence(write_text(tmp_path, HEADER + "\n")) == []
@@ -172,7 +172,7 @@ class TestRoundTrip:
             assert a.timestamp == pytest.approx(b.timestamp, rel=1e-11)
             for stream in ("gt", "vio", "apr"):
                 pa, pb = getattr(a, stream), getattr(b, stream)
-                assert translation_distance(pa.position, pb.position) < 1e-9
+                assert point_distance(pa.position, pb.position) < 1e-9
                 assert rotation_angle_deg(pa.orientation, pb.orientation) < 1e-5
 
     def test_absent_streams_stay_absent(self, tmp_path, rng):

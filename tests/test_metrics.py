@@ -9,11 +9,8 @@ from posefuse.geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
-    axis_angle_quaternion,
-    compose,
     odometry,
     rotation_angle_deg,
-    translation_distance,
 )
 from posefuse.metrics import (
     CDF_ORI_THRESHOLDS,
@@ -30,11 +27,12 @@ from posefuse.metrics import (
     summarize_errors,
     track_array,
 )
-from helpers import random_pose, random_quaternion, random_vec3
-from oracles import sort_median
+from helpers import quat_product, random_pose, random_quaternion, random_vec3, rotation_about
+from oracles import rigid_map_pose, rotation_matrix, sort_median
 
-X = Vec3(1.0, 0.0, 0.0)
-Z = Vec3(0.0, 0.0, 1.0)
+X = (1.0, 0.0, 0.0)
+Z = (0.0, 0.0, 1.0)
+IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 
 
 def one(pose):
@@ -43,6 +41,12 @@ def one(pose):
 
 def points(vecs):
     return np.array([v.as_array() for v in vecs])
+
+
+def moved_points(fit, pts):
+    """(N, 3) points under a fitted transform, through the rotation
+    matrix written out in tests/oracles.py."""
+    return pts @ rotation_matrix(fit.rotation.as_array()).T + fit.translation.as_array()
 
 
 def errors(n, rng, pos_hi, ori_hi):
@@ -54,7 +58,7 @@ def curved_track(n, ori_step=3.0):
     poses = []
     for i in range(n):
         pos = Vec3(float(i), math.sin(0.3 * i), 0.2 * math.cos(0.5 * i))
-        ori = axis_angle_quaternion(Z, ori_step * i)
+        ori = rotation_about(Z, ori_step * i)
         poses.append(Pose(pos, ori))
     return poses
 
@@ -68,10 +72,8 @@ class TestAbsolutePoseError:
 
     def test_constructed_offsets(self, rng):
         gt = random_pose(rng)
-        est = Pose(
-            gt.position + Vec3(0.0, 0.0, 0.25),
-            compose(axis_angle_quaternion(X, 2.0), gt.orientation),
-        )
+        p = gt.position
+        est = Pose(Vec3(p.x, p.y, p.z + 0.25), quat_product(rotation_about(X, 2.0), gt.orientation))
         pos, ori = absolute_pose_error(one(est), one(gt))
         assert pos[0] == pytest.approx(0.25, abs=1e-12)
         assert ori[0] == pytest.approx(2.0, abs=1e-9)
@@ -96,11 +98,12 @@ class TestMatchesScalarPrimitives:
         est = [random_pose(rng) for _ in range(300)]
         gt = [random_pose(rng) for _ in range(300)]
         # Near-identical orientations probe acos close to 1.
-        est[:100] = [Pose(e.position, compose(axis_angle_quaternion(X, float(a)), g.orientation))
+        est[:100] = [Pose(e.position, quat_product(rotation_about(X, float(a)), g.orientation))
                      for e, g, a in zip(est, gt, rng.uniform(0.0, 1e-3, 100))]
         pos, ori = absolute_pose_error(track_array(est), track_array(gt))
-        assert pos.tolist() == [translation_distance(g.position, e.position) for e, g in zip(est, gt)]
-        assert ori.tolist() == [rotation_angle_deg(g.orientation, e.orientation) for e, g in zip(est, gt)]
+        expect = [odometry(g, e) for e, g in zip(est, gt)]
+        assert pos.tolist() == [u.dist for u in expect]
+        assert ori.tolist() == [u.angle for u in expect]
 
     def test_relative_errors(self, rng):
         a = [random_pose(rng) for _ in range(300)]
@@ -135,8 +138,8 @@ class TestRelativeErrors:
             assert roe == pytest.approx(0.0, abs=1e-5)
 
     def test_step_length_difference(self):
-        a = [Pose(Vec3(i * 1.0, 0, 0), UnitQuaternion.identity()) for i in range(5)]
-        b = [Pose(Vec3(i * 1.1, 0, 0), UnitQuaternion.identity()) for i in range(5)]
+        a = [Pose(Vec3(i * 1.0, 0, 0), IDENTITY) for i in range(5)]
+        b = [Pose(Vec3(i * 1.1, 0, 0), IDENTITY) for i in range(5)]
         for rpe, roe in relative_errors(track_array(a), track_array(b)):
             assert rpe == pytest.approx(0.1, abs=1e-12)
             assert roe == 0.0
@@ -208,25 +211,23 @@ class TestKabschAlign:
         pts = points(random_vec3(rng) for _ in range(6))
         t = kabsch_align(pts, pts)
         # 1e-5 deg is the resolution of rotation_angle_deg near zero.
-        assert rotation_angle_deg(t.rotation, UnitQuaternion.identity()) < 1e-5
-        assert t.translation.norm() < 1e-9
+        assert rotation_angle_deg(t.rotation, IDENTITY) < 1e-5
+        assert np.linalg.norm(t.translation.as_array()) < 1e-9
 
     def test_pure_translation(self, rng):
         src = points(random_vec3(rng) for _ in range(6))
         dst = src + np.array([1.0, 2.0, 3.0])
         t = kabsch_align(src, dst)
-        assert rotation_angle_deg(t.rotation, UnitQuaternion.identity()) < 1e-5
+        assert rotation_angle_deg(t.rotation, IDENTITY) < 1e-5
         np.testing.assert_allclose(t.translation.as_array(), [1, 2, 3], atol=1e-9)
 
     def test_recovers_rotation_and_translation(self, rng):
-        rot = axis_angle_quaternion(Z, 30.0)
-        true = RigidTransform(rot, Vec3(0.5, -1.0, 2.0))
-        src = [random_vec3(rng, scale=5.0) for _ in range(10)]
-        dst = [true.apply_point(p) for p in src]
-        fit = kabsch_align(points(src), points(dst))
+        true = RigidTransform(rotation_about(Z, 30.0), Vec3(0.5, -1.0, 2.0))
+        src = points(random_vec3(rng, scale=5.0) for _ in range(10))
+        dst = moved_points(true, src)
+        fit = kabsch_align(src, dst)
         assert rotation_angle_deg(fit.rotation, true.rotation) < 1e-5
-        for s, d in zip(src, dst):
-            assert translation_distance(fit.apply_point(s), d) < 1e-6
+        assert np.linalg.norm(moved_points(fit, src) - dst, axis=1).max() < 1e-6
 
     def test_mirror_target_gets_best_proper_rotation(self, rng):
         # The unconstrained fit of a mirror image is a reflection; the
@@ -236,7 +237,7 @@ class TestKabschAlign:
             src = rng.normal(size=(8, 3)) * [3.0, 2.0, 1.0]
             dst = src * [1.0, 1.0, -1.0] + rng.normal(size=3)
             fit = kabsch_align(src, dst)
-            moved = np.array([fit.apply_point(Vec3.from_array(p)).as_array() for p in src])
+            moved = moved_points(fit, src)
             residual = math.sqrt(((moved - dst) ** 2).sum())
             _, rssd = Rotation.align_vectors(dst - dst.mean(axis=0), src - src.mean(axis=0))
             assert residual == pytest.approx(rssd, abs=1e-9)
@@ -254,13 +255,11 @@ class TestKabschAlign:
 
     def test_never_worse_than_identity(self, rng):
         for _ in range(20):
-            src = [random_vec3(rng) for _ in range(8)]
-            dst = [random_vec3(rng) for _ in range(8)]
-            fit = kabsch_align(points(src), points(dst))
-            fit_res = sum(
-                translation_distance(fit.apply_point(s), d) ** 2 for s, d in zip(src, dst)
-            )
-            id_res = sum(translation_distance(s, d) ** 2 for s, d in zip(src, dst))
+            src = points(random_vec3(rng) for _ in range(8))
+            dst = points(random_vec3(rng) for _ in range(8))
+            fit = kabsch_align(src, dst)
+            fit_res = ((moved_points(fit, src) - dst) ** 2).sum()
+            id_res = ((src - dst) ** 2).sum()
             assert fit_res <= id_res + 1e-9
 
 
@@ -309,10 +308,11 @@ class TestApplyAlignment:
         aligned = apply_alignment(track_array(poses), t)
         assert aligned.shape == (5, 7)
         for orig, row in zip(poses, aligned):
-            out = Pose(Vec3(*row[:3]), UnitQuaternion(*row[3:]))
-            expect = compose(q, orig.orientation)
-            assert rotation_angle_deg(out.orientation, expect) < 1e-6
-            assert translation_distance(out.position, t.apply_point(orig.position)) < 1e-12
+            pos, quat = rigid_map_pose(
+                q.as_array(), t.translation.as_array(), orig.position.as_array(), orig.orientation.as_array()
+            )
+            assert rotation_angle_deg(UnitQuaternion(*row[3:]), UnitQuaternion(*quat)) < 1e-6
+            assert math.dist(row[:3], pos) < 1e-12
 
 
 class TestSummarizeErrors:
@@ -403,7 +403,8 @@ class TestAlignAndEvaluate:
         est = []
         for i, p in enumerate(gt):
             drift = 0.01 * max(0, i - (window - 1))
-            est.append(Pose(p.position + Vec3(0.0, drift, 0.0), p.orientation))
+            pos = p.position
+            est.append(Pose(Vec3(pos.x, pos.y + drift, pos.z), p.orientation))
         rep = align_and_evaluate(track_array(est), track_array(gt), float(window), ts)
         expected = [0.01 * max(0, i - (window - 1)) for i in range(n)]
         assert rep.median_pos == pytest.approx(sort_median(expected), abs=1e-6)

@@ -1,7 +1,9 @@
 """The package's export list: a name dropped from the package but left
 in __all__ (or misspelt there) breaks star imports without failing any
-other test.  And its imports: a name a module imports but never uses is
-a leftover of a refactor, which no other test notices."""
+other test.  Its imports: a name a module imports but never uses is a
+leftover of a refactor, which no other test notices.  And geometry's
+public names: one the package neither calls nor exports is a second
+spelling of a formula, kept alive only by its tests."""
 
 import ast
 from pathlib import Path
@@ -47,3 +49,52 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {m.name: sorted(unused_imports(m.read_text(encoding="utf-8"))) for m in modules} == {
         m.name: [] for m in modules
     }
+
+
+def names_read(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded anywhere under node, leaving out the subtree skip."""
+    if node is skip:
+        return set()
+    read = {node.id} if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else set()
+    for child in ast.iter_child_nodes(node):
+        read |= names_read(child, skip)
+    return read
+
+
+def unread_public_names(source: str, others: list[str], exported: set[str]) -> set[str]:
+    """Public names that the module source defines at its top level (by
+    def, class or assignment) and that neither its own code outside the
+    definition nor the other modules read, nor the export list holds."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    read_elsewhere = set().union(*(names_read(ast.parse(other)) for other in others))
+    return {
+        name for name, node in defined.items()
+        if not name.startswith("_")
+        and name not in exported | read_elsewhere | names_read(tree, skip=node)
+    }
+
+
+def test_unread_public_names_are_caught():
+    source = (
+        "LIMIT = 1.0\n"
+        "def odometry(a, b):\n    return a < LIMIT\n"
+        "def distance_twin(a, b):\n    return distance_twin(b, a)\n"
+        "class Pose:\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    assert unread_public_names(source, ["odometry(1, 2)\n"], set()) == {"distance_twin", "Pose"}
+    assert unread_public_names(source, [], {"odometry", "Pose"}) == {"distance_twin"}
+
+
+def test_every_public_geometry_name_is_used_or_exported():
+    package = Path(posefuse.__file__).parent
+    geometry = package / "geometry.py"
+    others = [m.read_text(encoding="utf-8") for m in sorted(package.glob("*.py")) if m != geometry]
+    assert unread_public_names(geometry.read_text(encoding="utf-8"), others, set(posefuse.__all__)) == set()

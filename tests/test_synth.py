@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sequential_vio
+from helpers import point_distance
+from oracles import rotation_matrix, sequential_vio
 from posefuse import synth
-from posefuse.geometry import (
-    PoseTrack,
-    UnitQuaternion,
-    Vec3,
-    rotate,
-    rotation_angle_deg,
-    translation_distance,
-)
+from posefuse.geometry import PoseTrack, rotation_angle_deg
 from posefuse.metrics import relative_errors, track_array
 from posefuse.synth import (
     AprNoiseModel,
@@ -89,7 +83,7 @@ class TestGenerateGt:
             assert s.gt.position.x == pytest.approx(1.2 * i, abs=1e-12)
             assert s.gt.position.y == 0.0
             assert s.gt.position.z == 0.0
-            assert s.gt.orientation == UnitQuaternion.identity()
+            assert s.gt.orientation.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_minimum_length(self):
         assert len(generate_gt(TrajectoryConfig(n_frames=2))) == 2
@@ -103,23 +97,21 @@ class TestGenerateGt:
     def test_starts_at_origin_and_stays_planar(self):
         samples = generate_gt(TrajectoryConfig(n_frames=50, seed=3))
         first = samples[0].gt
-        assert first.position == Vec3.zero()
-        assert first.orientation == UnitQuaternion.identity()
+        assert first.position.as_array().tolist() == [0.0, 0.0, 0.0]
+        assert first.orientation.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
         for s in samples:
             assert s.gt.position.z == 0.0
 
     def test_orientation_faces_direction_of_travel(self):
         samples = generate_gt(TrajectoryConfig(n_frames=50, seed=5))
-        forward = Vec3(1.0, 0.0, 0.0)
         for prev, cur in zip(samples, samples[1:]):
-            step = cur.gt.position - prev.gt.position
-            if step.norm() < 1e-9:
+            step = cur.gt.position.as_array() - prev.gt.position.as_array()
+            length = float(np.linalg.norm(step))
+            if length < 1e-9:
                 continue
-            heading = rotate(cur.gt.orientation, forward)
-            dot = (
-                heading.x * step.x + heading.y * step.y + heading.z * step.z
-            ) / step.norm()
-            assert dot == pytest.approx(1.0, abs=1e-9)
+            # The body's forward axis, x, in the world frame.
+            heading = rotation_matrix(cur.gt.orientation.as_array())[:, 0]
+            assert float(heading @ step) / length == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSimulateVio:
@@ -136,7 +128,7 @@ class TestSimulateVio:
         model = VioNoiseModel(0.0, 0.0, 0.0, 0.0)
         vio = simulate_vio(gt, model, 7)
         for v, g in zip(vio, gt):
-            assert translation_distance(v.position, g.position) < 1e-9
+            assert point_distance(v.position, g.position) < 1e-9
             assert rotation_angle_deg(v.orientation, g.orientation) < 1e-5
 
     def test_first_pose_matches_gt(self):
@@ -165,7 +157,7 @@ class TestSimulateVio:
         for seed in range(10):
             gt = gt_poses(TrajectoryConfig(n_frames=200, seed=seed))
             vio = simulate_vio(gt, VioNoiseModel(), seed + VIO_SEED_OFFSET)
-            terminal = translation_distance(vio[-1].position, gt[-1].position)
+            terminal = point_distance(vio[-1].position, gt[-1].position)
             assert 1.0 < terminal < 3.0
 
 
@@ -197,7 +189,7 @@ class TestSimulateApr:
         )
         apr = simulate_apr(gt, model, 21)
         for a, g in zip(apr, gt):
-            err = translation_distance(a.position, g.position)
+            err = point_distance(a.position, g.position)
             assert 0.0 < err <= 1e-3 + 1e-12
 
     def test_outlier_fraction_concentrates(self):
@@ -207,7 +199,7 @@ class TestSimulateApr:
         cfg = TrajectoryConfig(n_frames=10_000, seed=123)
         gt = gt_poses(cfg)
         apr = simulate_apr(gt, AprNoiseModel(), 123 + APR_SEED_OFFSET)
-        errs = [translation_distance(a.position, g.position) for a, g in zip(apr, gt)]
+        errs = [point_distance(a.position, g.position) for a, g in zip(apr, gt)]
         fraction = sum(1 for e in errs if e > 1.75) / len(errs)
         assert 0.14 <= fraction <= 0.16
 
@@ -278,10 +270,10 @@ class TestErrorTrends:
             vio = simulate_vio(gt, VioNoiseModel(), seed + VIO_SEED_OFFSET)
             apr = simulate_apr(gt, AprNoiseModel(), seed + APR_SEED_OFFSET)
             vio_curves.append(
-                [translation_distance(v.position, g.position) for v, g in zip(vio, gt)]
+                [point_distance(v.position, g.position) for v, g in zip(vio, gt)]
             )
             apr_curves.append(
-                [translation_distance(a.position, g.position) for a, g in zip(apr, gt)]
+                [point_distance(a.position, g.position) for a, g in zip(apr, gt)]
             )
         x = np.arange(n)
         vio_slope = float(np.polyfit(x, np.mean(vio_curves, axis=0), 1)[0])
