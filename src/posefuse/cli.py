@@ -73,7 +73,7 @@ class RunManifest:
     out_dir: Path
     inputs: tuple[Path, ...] = ()
     synth_count: int = 0
-    frames: int = 200
+    frames: int = TrajectoryConfig.n_frames
     vio_noise: VioNoiseModel = field(default_factory=VioNoiseModel)
     apr_noise: AprNoiseModel = field(default_factory=AprNoiseModel)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -81,7 +81,7 @@ class RunManifest:
     mode: str = "auto"
     formats: tuple[str, ...] = _FORMATS
     save_sequences: bool = False
-    seed: int = 0
+    seed: int = TrajectoryConfig.seed
 
     @property
     def trajectory(self) -> TrajectoryConfig:
@@ -321,27 +321,27 @@ def build_manifest(argv: Sequence[str]) -> RunManifest:
     )
     parser.add_argument("--input", action="append", type=Path, default=[],
                         metavar="FILE", help="sequence CSV, repeatable")
-    parser.add_argument("--synth", type=int, default=0, metavar="K",
+    parser.add_argument("--synth", type=int, default=RunManifest.synth_count, metavar="K",
                         help="generate K synthetic sequences instead of reading files")
-    parser.add_argument("--frames", type=int, default=200,
-                        help="frames per synthetic sequence (default 200)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for synthetic generation (default 0)")
-    parser.add_argument("--dth", type=float, default=0.4, metavar="M",
-                        help="translation agreement gate, meters (default 0.4)")
-    parser.add_argument("--oth", type=float, default=4.0, metavar="DEG",
-                        help="rotation agreement gate, degrees (default 4)")
-    parser.add_argument("-N", dest="n_pairs", type=int, default=2,
-                        help="consecutive agreeing pairs required for a reference (default 2)")
-    parser.add_argument("-T", dest="t_opt", type=int, default=8,
-                        help="frames per optimization period (default 8)")
+    parser.add_argument("--frames", type=int, default=RunManifest.frames,
+                        help="frames per synthetic sequence (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=RunManifest.seed,
+                        help="base seed for synthetic generation (default %(default)s)")
+    parser.add_argument("--dth", type=float, default=FusionConfig.d_th, metavar="M",
+                        help="translation agreement gate, meters (default %(default)s)")
+    parser.add_argument("--oth", type=float, default=FusionConfig.o_th, metavar="DEG",
+                        help="rotation agreement gate, degrees (default %(default)s)")
+    parser.add_argument("-N", dest="n_pairs", type=int, default=FusionConfig.n_pairs,
+                        help="consecutive agreeing pairs required for a reference (default %(default)s)")
+    parser.add_argument("-T", dest="t_opt", type=int, default=FusionConfig.t_opt,
+                        help="frames per optimization period (default %(default)s)")
     parser.add_argument("--align-window-seconds", type=float,
-                        default=DEFAULT_ALIGN_WINDOW_SECONDS, metavar="S",
-                        help="opening window for the vio-to-gt rigid fit (default 30)")
-    parser.add_argument("--mode", choices=_MODES, default="auto",
-                        help="force fusion or vio-only evaluation (default auto)")
-    parser.add_argument("--formats", default="csv,json",
-                        help="comma list of report formats to write (default csv,json)")
+                        default=RunManifest.align_window_seconds, metavar="S",
+                        help="opening window for the vio-to-gt rigid fit (default %(default)s)")
+    parser.add_argument("--mode", choices=_MODES, default=RunManifest.mode,
+                        help="force fusion or vio-only evaluation (default %(default)s)")
+    parser.add_argument("--formats", default=",".join(RunManifest.formats),
+                        help="comma list of report formats to write (default %(default)s)")
     parser.add_argument("--save-sequence", action="store_true",
                         help="also write generated synthetic sequences as CSV")
     parser.add_argument("--out", type=Path, required=True, metavar="DIR",

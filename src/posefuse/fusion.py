@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    COORD_LIMIT,
     Odometry,
     Pose,
     RigidTransform,
@@ -55,6 +56,7 @@ from .geometry import (
     _normalize,
     _normalize_rows,
     _pose,
+    _pose_fault,
     _poses,
     _rotate,
     odometry,
@@ -219,8 +221,8 @@ def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePa
 
 def reference_transform(ref: ReferencePair) -> RigidTransform:
     """The vio-to-world map of a reference pair, from _reference_map.  Vec3
-    refuses a translation that overflowed, as step's windows are unbounded;
-    the rotation is normalized already and skips the constructor."""
+    refuses a translation that overflowed, as a pair built by hand can
+    give; the rotation is normalized already and skips the constructor."""
     t, q_g = _reference_map(*track_array([ref.apr_ref, ref.vio_ref]).tolist())
     return RigidTransform(_pose(*t, *q_g).orientation, Vec3(*t))
 
@@ -256,65 +258,69 @@ def step(
     Mutates and returns the state.  The output list holds the provisional
     output for this frame and, when an alignment window just completed,
     keyframe re-emissions for the window frames (those supersede earlier
-    provisional labels of the same frames).  A ValueError names the frame;
-    the frame uses up its index and leaves the rest of the state as it
-    was, so the caller may go on feeding frames.
+    provisional labels of the same frames).  Raises ValueError, naming
+    the frame, at a position coordinate of magnitude COORD_LIMIT (1e150 m)
+    or more, vio's before apr's, as run_sequence does; the frame uses up
+    its index and leaves the rest of the state as it was, so the caller
+    may go on feeding frames.
     """
     outputs: list[FusionOutput] = []
     idx = state.frame_index
     state.frame_index = idx + 1
+    # Below the bound no motion, reference or mapped pose overflows, so
+    # nothing after this check raises.
+    pv, pa = vio.position, apr.position
+    if not (abs(pv.x) < COORD_LIMIT and abs(pv.y) < COORD_LIMIT and abs(pv.z) < COORD_LIMIT
+            and abs(pa.x) < COORD_LIMIT and abs(pa.y) < COORD_LIMIT and abs(pa.z) < COORD_LIMIT):
+        i, fault = _pose_fault(track_array([vio, apr]), np.inf)
+        raise ValueError(f"frame {idx}: {('vio', 'apr')[i]} {fault}")
 
-    try:
-        if state.stage is Stage.OPTIMIZING:
-            assert state.reference is not None
-            u_apr = odometry(apr, state.reference.apr_ref)
-            u_vio = odometry(vio, state.reference.vio_ref)
-            if relative_pose_check(u_apr, u_vio, cfg):
-                outputs.append(FusionOutput(idx, apr, Label.RELIABLE))
-            else:
-                outputs.append(
-                    FusionOutput(idx, optimize_pose(vio, state.reference), Label.OPTIMIZED)
-                )
-            state.opt_count += 1
-            if state.opt_count >= cfg.t_opt:
-                state.stage = Stage.ALIGNING
-                state.window.clear()
-                state.opt_count = 0
-            return state, outputs
-
-        # Alignment: provisional output first, so every frame emits something.
-        if state.reference is not None:
-            outputs.append(
-                FusionOutput(idx, optimize_pose(vio, state.reference), Label.TRACKED)
-            )
+    if state.stage is Stage.OPTIMIZING:
+        assert state.reference is not None
+        u_apr = odometry(apr, state.reference.apr_ref)
+        u_vio = odometry(vio, state.reference.vio_ref)
+        if relative_pose_check(u_apr, u_vio, cfg):
+            outputs.append(FusionOutput(idx, apr, Label.RELIABLE))
         else:
-            outputs.append(FusionOutput(idx, apr, Label.PENDING))
-
-        # The pair check and the reference come before the window takes
-        # the frame, so a frame that raises leaves the window as it was.
-        window = state.window
-        if window:
-            _, apr_prev, vio_prev = window[-1]
-            pair_ok = relative_pose_check(
-                odometry(apr_prev, apr), odometry(vio_prev, vio), cfg
+            outputs.append(
+                FusionOutput(idx, optimize_pose(vio, state.reference), Label.OPTIMIZED)
             )
-            if not pair_ok:
-                # Restart the window at the newest frame, it may open the
-                # next consistent run.
-                window.clear()
-            elif len(window) == cfg.n_pairs:
-                full = [*window, (idx, apr, vio)]
-                state.reference = compute_reference([w[1] for w in full], [w[2] for w in full])
-                for kf_idx, kf_apr, _ in full:
-                    outputs.append(FusionOutput(kf_idx, kf_apr, Label.KEYFRAME))
-                window.clear()
-                state.stage = Stage.OPTIMIZING
-                state.opt_count = 0
-                return state, outputs
-        window.append((idx, apr, vio))
+        state.opt_count += 1
+        if state.opt_count >= cfg.t_opt:
+            state.stage = Stage.ALIGNING
+            state.window.clear()
+            state.opt_count = 0
         return state, outputs
-    except ValueError as exc:
-        raise ValueError(f"frame {idx}: {exc}") from exc
+
+    # Alignment: provisional output first, so every frame emits something.
+    if state.reference is not None:
+        outputs.append(
+            FusionOutput(idx, optimize_pose(vio, state.reference), Label.TRACKED)
+        )
+    else:
+        outputs.append(FusionOutput(idx, apr, Label.PENDING))
+
+    window = state.window
+    if window:
+        _, apr_prev, vio_prev = window[-1]
+        pair_ok = relative_pose_check(
+            odometry(apr_prev, apr), odometry(vio_prev, vio), cfg
+        )
+        if not pair_ok:
+            # Restart the window at the newest frame, it may open the
+            # next consistent run.
+            window.clear()
+        elif len(window) == cfg.n_pairs:
+            full = [*window, (idx, apr, vio)]
+            state.reference = compute_reference([w[1] for w in full], [w[2] for w in full])
+            for kf_idx, kf_apr, _ in full:
+                outputs.append(FusionOutput(kf_idx, kf_apr, Label.KEYFRAME))
+            window.clear()
+            state.stage = Stage.OPTIMIZING
+            state.opt_count = 0
+            return state, outputs
+    window.append((idx, apr, vio))
+    return state, outputs
 
 
 class FusedTrack(_FrameSequence):

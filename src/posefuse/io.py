@@ -7,11 +7,11 @@ is absent for the sequence.  Timestamps are seconds and must be strictly
 increasing.
 
 parse_sequence returns a Recording: the frames in array form, one
-(N, 7) track per stream, which is what fusion and the reports compute
-on.  A Recording is also a read-only sequence of PoseSample, whose Pose
-objects are built only when a caller indexes or iterates it.
-Recording.of turns any sequence of samples into one, and write_sequence
-formats from that form.
+(N, 7) track per stream, converted from text by one function,
+_read_chunk, a chunk of rows at a time.  A Recording is a read-only
+sequence of PoseSample, whose Pose objects are built only when a caller
+indexes or iterates it.  Recording.of turns any sequence of samples into
+one, and write_sequence formats from that form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _normalize, _normalize_rows, _pose_fault, _poses,
+    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _normalize_rows, _pose_fault, _poses,
 )
 from .metrics import track_array
 
@@ -147,82 +147,83 @@ def parse_sequence(path: str | Path) -> Recording:
     """Read a sequence CSV into a Recording, one frame per data row.
 
     Raises SequenceFormatError, pointing at the offending line, for a
-    wrong header, malformed or non-finite fields, pose coordinates of
-    magnitude COORD_LIMIT (1e150 m) or more, quaternions further than
-    1e-3 from unit norm, missing vio poses, or non-increasing timestamps.
+    wrong header, malformed or non-finite fields, a field longer than
+    csv.field_size_limit(), pose coordinates of magnitude COORD_LIMIT
+    (1e150 m) or more, quaternions further than 1e-3 from unit norm,
+    missing vio poses, or non-increasing timestamps.
 
-    The rows are read in chunks of about 64 KiB, each converted to one
-    float array and checked in bulk.  A chunk that fails any check goes
-    through the row scanner instead, which words the error of its first
-    bad row; so does the rest of a file from the first chunk holding a
-    quote character, since csv quoting can join lines into one row.
-    Both write the rows they read into blocks of the recording's
-    arrays, and no Pose is built until the recording is indexed or
-    iterated.
+    The rows come in chunks (see _chunks), the header first.
+    _read_chunk converts and checks each chunk in bulk; _check_rows words
+    the error of the first bad row of a chunk it refuses, or tidies the
+    rows for it to convert again.  No Pose is built until the recording
+    is indexed or iterated.
     """
     frames: list[int] = []
     blocks: list[np.ndarray] = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
+        chunks = _chunks(fh)
+        first = next(chunks, None)
+        if first is None:
             raise SequenceFormatError("empty file, expected a header row", line=1)
-        if '"' in first:
-            rows = csv.reader(itertools.chain([first], fh))
-            _check_header(next(rows))
-            _scan_rows(rows, 2, frames, blocks)
-            return _recording(frames, blocks)
-        _check_header(next(csv.reader([first])))
-        line_no = 2
-        while lines := fh.readlines(_CHUNK_CHARS):
-            if '"' in "".join(lines):
-                _scan_rows(csv.reader(itertools.chain(lines, fh)), line_no, frames, blocks)
-                break
-            if not _read_chunk([line.rstrip("\r\n") for line in lines], frames, blocks):
-                _scan_rows(csv.reader(lines), line_no, frames, blocks)
-            line_no += len(lines)
-    return _recording(frames, blocks)
-
-
-# parse_sequence collects its rows in blocks, one row per frame: the
-# timestamp, then the seven columns of each of gt, vio and apr, _ABSENT
-# where the group is empty.
-_ABSENT = (math.nan,) * 7
-
-
-def _recording(frames: list[int], blocks: list[np.ndarray]) -> Recording:
+        if tuple(h.strip() for h in first[0]) != SEQUENCE_COLUMNS:
+            raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
+        line_no, last = 2, -math.inf  # last: the timestamp of the last row read
+        for rows in itertools.chain([first[1:]], chunks):
+            if not _read_chunk(rows, last, frames, blocks):
+                _read_chunk(_check_rows(rows, line_no, last), last, frames, blocks)
+            line_no += len(rows)
+            last = blocks[-1].item(-1, 0) if blocks else last
     values = np.concatenate(blocks) if blocks else np.empty((0, 22))
     return Recording(frames, values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
 
 
-def _last_timestamp(blocks: list[np.ndarray]) -> float | None:
-    """The timestamp of the last row read; no block is empty."""
-    return float(blocks[-1][-1, 0]) if blocks else None
+def _chunks(fh) -> Iterator[list[list[str]]]:
+    """The rows of an open sequence file as lists of fields, about
+    _CHUNK_CHARS characters of whole lines at a time: lines split on
+    commas up to the first chunk holding a quote character, then rows of
+    csv.reader, which can join quoted lines, as many at a time as that
+    chunk has lines.  A csv error raises SequenceFormatError naming its
+    line, once the rows before it are yielded."""
+    line_no = 0
+    while lines := fh.readlines(_CHUNK_CHARS):
+        if '"' in "".join(lines):
+            break
+        line_no += len(lines)
+        yield [line.rstrip("\r\n").split(",") for line in lines]
+    reader = csv.reader(itertools.chain(lines, fh))
+    rows: list[list[str]] = []
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == len(lines):
+                yield rows
+                rows = []
+    except csv.Error as exc:
+        if rows:
+            yield rows
+        raise SequenceFormatError(str(exc), line=line_no + reader.line_num) from None
+    if rows:
+        yield rows
 
 
-def _check_header(header: list[str]) -> None:
-    if tuple(h.strip() for h in header) != SEQUENCE_COLUMNS:
-        raise SequenceFormatError(
-            f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1
-        )
-
-
-def _read_chunk(rows: list[str], frames: list[int], blocks: list[np.ndarray]) -> bool:
-    """Append the frames and the block of a chunk of unquoted data rows
-    (line ends stripped) and return True when every row is well formed;
-    return False, appending nothing, when any check fails.
-
-    Fields convert with int and float, as the row scanner converts them,
-    and quaternions are normalized as UnitQuaternion normalizes them, so
-    the rows equal the scanner's bit for bit."""
-    rows = [row for row in rows if row]
+def _read_chunk(rows: list[list[str]], last: float, frames: list[int], blocks: list[np.ndarray]) -> bool:
+    """Append the frames and the block of a chunk of data rows, lists of
+    fields, and return True if every row is well formed and the first
+    timestamp follows last; else return False, appending nothing.  A
+    block row is the timestamp, then the seven columns of each of gt, vio
+    and apr, NaN where the group is empty.  Fields convert with int and
+    float; quaternions are normalized as UnitQuaternion normalizes them."""
+    rows = [row for row in rows if any(row)]
     if not rows:
         return True
     n_cols = len(SEQUENCE_COLUMNS)
-    if any(row.count(",") != n_cols - 1 for row in rows):
+    if any(len(row) != n_cols for row in rows):
         return False
-    if max(map(len, rows)) > csv.field_size_limit():
+    fields = list(itertools.chain.from_iterable(rows))
+    # Most chunks are shorter than the limit, which spares the field scan.
+    limit = csv.field_size_limit()
+    if len("".join(fields)) > limit and max(map(len, fields)) > limit:
         return False
-    fields = ",".join(rows).split(",")
     try:
         chunk_frames = list(map(int, fields[::n_cols]))
         # Absent pose groups leave empty fields, read as NaN here; a NaN
@@ -240,8 +241,7 @@ def _read_chunk(rows: list[str], frames: list[int], blocks: list[np.ndarray]) ->
         return False
     if _pose_fault(groups[empty == 0], QUAT_NORM_SLACK) is not None:
         return False
-    last = _last_timestamp(blocks)
-    if not (ts[1:] > ts[:-1]).all() or (last is not None and not ts[0] > last):
+    if not (ts[0] > last and (ts[1:] > ts[:-1]).all()):
         return False
     # The quaternion columns of each group, normalized in place; rows of
     # an absent group stay NaN.
@@ -252,39 +252,35 @@ def _read_chunk(rows: list[str], frames: list[int], blocks: list[np.ndarray]) ->
     return True
 
 
-def _scan_rows(
-    rows: Iterable[list[str]], line_no: int, frames: list[int], blocks: list[np.ndarray]
-) -> None:
-    """Append the frames and the block of csv rows, the first on line
-    line_no, read one row at a time; raise SequenceFormatError at the
-    first bad row."""
-    prev_ts = _last_timestamp(blocks)
-    scanned = []
+def _check_rows(rows: list[list[str]], line_no: int, last: float) -> list[list[str]]:
+    """The rows of a chunk, the first on line line_no, with the padding
+    of their fields stripped and blank rows dropped; raise
+    SequenceFormatError at the first bad row, worded from its fields as
+    the file spells them.  last is the timestamp before the chunk."""
+    limit, n_cols = csv.field_size_limit(), len(SEQUENCE_COLUMNS)
+    checked = []
     for line_no, row in enumerate(rows, start=line_no):
-        if not row or all(f.strip() == "" for f in row):
+        if max(map(len, row), default=0) > limit:
+            raise SequenceFormatError(f"field larger than field limit ({limit})", line=line_no)
+        stripped = [f.strip() for f in row]
+        if not any(stripped):
             continue
-        if len(row) != len(SEQUENCE_COLUMNS):
-            raise SequenceFormatError(
-                f"expected {len(SEQUENCE_COLUMNS)} fields, got {len(row)}",
-                line=line_no,
-            )
-        frame = _parse_int(row[0], "frame", line_no)
+        if len(row) != n_cols:
+            raise SequenceFormatError(f"expected {n_cols} fields, got {len(row)}", line=line_no)
+        try:
+            int(stripped[0])
+        except ValueError:
+            raise SequenceFormatError(f"frame is not an integer: {row[0]!r}", line=line_no)
         ts = _parse_float(row[1], "timestamp", line_no)
-        gt = _parse_pose_group(row[2:9], "gt", line_no)
-        vio = _parse_pose_group(row[9:16], "vio", line_no)
-        apr = _parse_pose_group(row[16:23], "apr", line_no)
-        if vio is None:
+        for name, start in zip(STREAMS, (2, 9, 16)):
+            _check_pose_group(stripped[start : start + 7], name, line_no)
+        if not any(stripped[9:16]):
             raise SequenceFormatError("vio pose is required on every row", line=line_no)
-        if prev_ts is not None and ts <= prev_ts:
-            raise SequenceFormatError(
-                f"timestamps must be strictly increasing, {ts!r} follows {prev_ts!r}",
-                line=line_no,
-            )
-        prev_ts = ts
-        frames.append(frame)
-        scanned.append((ts, *(gt or _ABSENT), *vio, *(apr or _ABSENT)))
-    if scanned:
-        blocks.append(np.array(scanned, dtype=float))
+        if ts <= last:
+            raise SequenceFormatError(f"timestamps must be strictly increasing, {ts!r} follows {last!r}", line=line_no)
+        last = ts
+        checked.append(stripped)
+    return checked
 
 
 def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
@@ -312,13 +308,6 @@ def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
 
-def _parse_int(text: str, name: str, line_no: int) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise SequenceFormatError(f"{name} is not an integer: {text!r}", line=line_no)
-
-
 def _parse_float(text: str, name: str, line_no: int) -> float:
     try:
         v = float(text.strip())
@@ -329,33 +318,23 @@ def _parse_float(text: str, name: str, line_no: int) -> float:
     return v
 
 
-def _parse_pose_group(
-    fields: Sequence[str], name: str, line_no: int
-) -> Optional[tuple[float, ...]]:
-    """The seven columns of a pose group as a Pose holds them, or None
-    when the group is empty."""
-    stripped = [f.strip() for f in fields]
-    if all(f == "" for f in stripped):
-        return None
-    if any(f == "" for f in stripped):
-        raise SequenceFormatError(
-            f"{name} pose group is partially filled, give all 7 fields or none",
-            line=line_no,
-        )
-    vals = [_parse_float(f, name, line_no) for f in stripped]
-    for axis, text, v in zip("xyz", stripped, vals):
+def _check_pose_group(fields: list[str], name: str, line_no: int) -> None:
+    """Raise SequenceFormatError at a pose group, seven stripped fields,
+    that is neither empty nor a pose."""
+    if not any(fields):
+        return
+    if not all(fields):
+        raise SequenceFormatError(f"{name} pose group is partially filled, give all 7 fields or none", line=line_no)
+    vals = [_parse_float(f, name, line_no) for f in fields]
+    for axis, text, v in zip("xyz", fields, vals):
         if abs(v) >= COORD_LIMIT:
             raise SequenceFormatError(
                 f"{name} {axis} must be below {COORD_LIMIT:g} m in magnitude: {text!r}", line=line_no
             )
-    x, y, z, qw, qx, qy, qz = vals
-    norm = math.sqrt(_dot4(qw, qx, qy, qz, qw, qx, qy, qz))
+    norm = math.sqrt(_dot4(*vals[3:], *vals[3:]))
     if abs(norm - 1.0) > QUAT_NORM_SLACK:
         raise SequenceFormatError(
             f"{name} quaternion norm {norm:.6f} is further than "
             f"{QUAT_NORM_SLACK} from 1, refusing to renormalize",
             line=line_no,
         )
-    # Within the slack band the deviation is print-precision noise,
-    # renormalized as UnitQuaternion renormalizes it.
-    return (x, y, z, *_normalize((qw, qx, qy, qz)))

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -356,6 +357,18 @@ class TestFileRuns:
         assert rc == 1
         err = capsys.readouterr().err
         assert "posefuse: error: line 2:" in err
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_field_over_csv_limit_names_line(self, tmp_path, capsys, quote):
+        # A vio x of 131073 zeros reads as 0.0, but csv refuses a field
+        # that long, quoted or not; so does the parser, naming the line.
+        x = quote + "0" * (csv.field_size_limit() + 1) + quote
+        path = tmp_path / "long.csv"
+        path.write_text(f"{HEADER}\n0,0.0,{EMPTY},{x},0,0,1,0,0,0,{EMPTY}\n", encoding="utf-8")
+        rc = main(["--input", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"posefuse: error: line 2: field larger than field limit ({csv.field_size_limit()})\n"
 
     def test_error_overflow_is_named(self, tmp_path, capsys):
         # A gt coordinate of 1e300 would overflow its error against the

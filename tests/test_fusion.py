@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 import typing
 
 import numpy as np
@@ -540,21 +541,23 @@ class TestStep:
     @pytest.mark.parametrize("k", [5, 12])
     def test_overflow_names_the_frame(self, x, stream, k):
         # On the clean stream frame 5 is checked against the reference
-        # and frame 12 against frame 11.  From 1e154 m on the distance
-        # overflows there, mid-stream, and the error names the frame.
+        # and frame 12 against frame 11.  A coordinate of 1e150 m or more
+        # is refused on its own frame, in run_sequence's words.
         samples = clean_samples(20)
         pose = getattr(samples[k], stream)
         setattr(samples[k], stream, Pose(Vec3(x, pose.position.y, pose.position.z), pose.orientation))
         state = FusionState()
-        with pytest.raises(ValueError, match=f"^frame {k}: odometry distance must be finite and >= 0, got inf$"):
+        refused = f"frame {k}: {stream} x must be finite and below 1e+150 m in magnitude, got {x!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             for s in samples:
                 state, _ = step(state, s.apr, s.vio, CFG)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_raising_frame_changes_nothing_else(self, seed):
-        # A bad frame slipped in before frame k raises, uses up index k
-        # and leaves the state as it was: every later frame gets the
-        # output it gets in the stream without the bad frame, one index on.
+        # A bad frame slipped in before frame k, in any stage and in any
+        # window position, raises, uses up index k and leaves the state
+        # as it was: every later frame gets the output it gets in the
+        # stream without the bad frame, one index on.
         samples = fused(seed, n=60)
 
         def feed(state, part):
@@ -565,21 +568,15 @@ class TestStep:
             return state, outs
 
         _, expect = feed(FusionState(), samples)
-        raised = 0
         for k in range(len(samples)):
             state, outs = feed(FusionState(), samples[:k])
             bad = Pose(Vec3(1e155, 0.0, 0.0), samples[k].apr.orientation)
-            try:
+            refused = f"frame {k}: apr x must be finite and below 1e+150 m in magnitude, got 1e+155"
+            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
                 step(state, bad, samples[k].vio, CFG)
-            except ValueError as exc:
-                assert str(exc) == f"frame {k}: odometry distance must be finite and >= 0, got inf"
-            else:
-                continue  # the frame opened a window, where nothing checks it
-            raised += 1
             state, later = feed(state, samples[k:])
             got = [(o.frame_index - (o.frame_index > k), o.pose, o.label) for o in outs + later]
             assert got == [(o.frame_index, o.pose, o.label) for o in expect]
-        assert raised > 40
 
 
 class TestFusionOutput:
@@ -799,7 +796,7 @@ class TestBatchMatchesStep:
         # Below COORD_LIMIT no motion, reference or mapped pose overflows,
         # so step and run_sequence agree bit for bit.  From it on
         # run_sequence refuses the first such frame, naming it, before it
-        # fuses anything.
+        # fuses anything, and step refuses the same frame in the same words.
         cfg = FusionConfig(t_opt=3)
         for x in (1e140, 1e160, 1.7e308):
             for k in range(30):
@@ -814,8 +811,13 @@ class TestBatchMatchesStep:
                             assert isinstance(assert_batch_matches_step(samples, cfg), list)
                         else:
                             refused = f"^frame {k}: {stream} x must be finite and below 1e\\+150 m"
-                            with pytest.raises(ValueError, match=refused):
+                            with pytest.raises(ValueError, match=refused) as batch:
                                 run_sequence(samples, cfg)
+                            state = FusionState()
+                            with pytest.raises(ValueError) as online:
+                                for s in samples:
+                                    state, _ = step(state, s.apr, s.vio, cfg)
+                            assert str(online.value) == str(batch.value)
 
 
 # The apr model of the benchmark's clean recorded sequences, beside the
