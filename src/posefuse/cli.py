@@ -74,8 +74,6 @@ class RunManifest:
     inputs: tuple[Path, ...] = ()
     synth_count: int = 0
     frames: int = TrajectoryConfig.n_frames
-    vio_noise: VioNoiseModel = field(default_factory=VioNoiseModel)
-    apr_noise: AprNoiseModel = field(default_factory=AprNoiseModel)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     align_window_seconds: float = DEFAULT_ALIGN_WINDOW_SECONDS
     mode: str = "auto"
@@ -142,8 +140,8 @@ def _sequences(manifest: RunManifest):
         traj = dataclasses.replace(manifest.trajectory, seed=seed)
         samples = generate_gt(traj)
         gt = PoseTrack(track_array([s.gt for s in samples]))
-        vio = simulate_vio(gt, manifest.vio_noise, seed + _VIO_SEED_OFFSET)
-        apr = simulate_apr(gt, manifest.apr_noise, seed + _APR_SEED_OFFSET)
+        vio = simulate_vio(gt, VioNoiseModel(), seed + _VIO_SEED_OFFSET)
+        apr = simulate_apr(gt, AprNoiseModel(), seed + _APR_SEED_OFFSET)
         rec = Recording(
             [s.frame_index for s in samples], [s.timestamp for s in samples],
             gt.track, vio.track, apr.track,
@@ -308,8 +306,6 @@ def _round_floats(obj):
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
     return obj
 
 

@@ -59,6 +59,7 @@ from .geometry import (
     _pose_fault,
     _poses,
     _rotate,
+    _top_quaternions,
     odometry,
 )
 from .io import PoseSample, Recording
@@ -567,7 +568,7 @@ def _average_quaternions(quats: np.ndarray) -> np.ndarray:
     acc = np.zeros((len(quats), 4, 4))
     for k in range(quats.shape[1]):
         acc += quats[:, k, :, None] * quats[:, k, None, :]
-    return _normalize_rows(np.linalg.eigh(acc)[1][:, :, -1].copy())
+    return _top_quaternions(acc)
 
 
 def _label_and_map(

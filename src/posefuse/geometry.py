@@ -255,6 +255,14 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _top_quaternions(m: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of the largest eigenvalue of each symmetric
+    4x4 matrix of a (W, 4, 4) stack, as normalized, sign-canonical rows.
+    Both the quaternion average and the rigid fit are this eigenvector of
+    a matrix they build."""
+    return _normalize_rows(np.linalg.eigh(m)[1][:, :, -1].copy())
+
+
 def _hamilton_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_hamilton of each row pair of two quaternion arrays, not
     normalized; either may also be one quaternion of shape (4,)."""

@@ -146,11 +146,11 @@ class Recording(_FrameSequence):
 def parse_sequence(path: str | Path) -> Recording:
     """Read a sequence CSV into a Recording, one frame per data row.
 
-    Raises SequenceFormatError, pointing at the offending line, for a
-    wrong header, malformed or non-finite fields, a field longer than
-    csv.field_size_limit(), pose coordinates of magnitude COORD_LIMIT
-    (1e150 m) or more, quaternions further than 1e-3 from unit norm,
-    missing vio poses, or non-increasing timestamps.
+    Raises SequenceFormatError, naming the line the offending row starts
+    on, for a wrong header, malformed or non-finite fields, a field
+    longer than csv.field_size_limit(), pose coordinates of magnitude
+    COORD_LIMIT (1e150 m) or more, quaternions further than 1e-3 from
+    unit norm, missing vio poses, or non-increasing timestamps.
 
     The rows come in chunks (see _chunks), the header first.
     _read_chunk converts and checks each chunk in bulk; _check_rows words
@@ -165,45 +165,49 @@ def parse_sequence(path: str | Path) -> Recording:
         first = next(chunks, None)
         if first is None:
             raise SequenceFormatError("empty file, expected a header row", line=1)
-        if tuple(h.strip() for h in first[0]) != SEQUENCE_COLUMNS:
+        if tuple(h.strip() for h in first[0][0]) != SEQUENCE_COLUMNS:
             raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
-        line_no, last = 2, -math.inf  # last: the timestamp of the last row read
-        for rows in itertools.chain([first[1:]], chunks):
+        last = -math.inf  # the timestamp of the last row read
+        for rows, starts in itertools.chain([(first[0][1:], first[1][1:])], chunks):
             if not _read_chunk(rows, last, frames, blocks):
-                _read_chunk(_check_rows(rows, line_no, last), last, frames, blocks)
-            line_no += len(rows)
+                _read_chunk(_check_rows(rows, starts, last), last, frames, blocks)
             last = blocks[-1].item(-1, 0) if blocks else last
     values = np.concatenate(blocks) if blocks else np.empty((0, 22))
     return Recording(frames, values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
 
 
-def _chunks(fh) -> Iterator[list[list[str]]]:
-    """The rows of an open sequence file as lists of fields, about
-    _CHUNK_CHARS characters of whole lines at a time: lines split on
-    commas up to the first chunk holding a quote character, then rows of
-    csv.reader, which can join quoted lines, as many at a time as that
-    chunk has lines.  A csv error raises SequenceFormatError naming its
-    line, once the rows before it are yielded."""
+def _chunks(fh) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
+    """The rows of an open sequence file as lists of fields, with the
+    line each row starts on, about _CHUNK_CHARS characters of whole lines
+    at a time: lines split on commas up to the first chunk holding a
+    quote character, then rows of csv.reader, which can join quoted
+    lines, as many at a time as that chunk has lines.  A csv error raises
+    SequenceFormatError naming its line, once the rows before it are
+    yielded."""
     line_no = 0
     while lines := fh.readlines(_CHUNK_CHARS):
         if '"' in "".join(lines):
             break
+        yield [line.rstrip("\r\n").split(",") for line in lines], range(line_no + 1, line_no + len(lines) + 1)
         line_no += len(lines)
-        yield [line.rstrip("\r\n").split(",") for line in lines]
     reader = csv.reader(itertools.chain(lines, fh))
     rows: list[list[str]] = []
+    starts: list[int] = []
+    start = line_no + 1  # the line the next row starts on
     try:
         for row in reader:
             rows.append(row)
+            starts.append(start)
+            start = line_no + reader.line_num + 1
             if len(rows) == len(lines):
-                yield rows
-                rows = []
+                yield rows, starts
+                rows, starts = [], []
     except csv.Error as exc:
         if rows:
-            yield rows
+            yield rows, starts
         raise SequenceFormatError(str(exc), line=line_no + reader.line_num) from None
     if rows:
-        yield rows
+        yield rows, starts
 
 
 def _read_chunk(rows: list[list[str]], last: float, frames: list[int], blocks: list[np.ndarray]) -> bool:
@@ -252,14 +256,14 @@ def _read_chunk(rows: list[list[str]], last: float, frames: list[int], blocks: l
     return True
 
 
-def _check_rows(rows: list[list[str]], line_no: int, last: float) -> list[list[str]]:
-    """The rows of a chunk, the first on line line_no, with the padding
-    of their fields stripped and blank rows dropped; raise
+def _check_rows(rows: list[list[str]], starts: Sequence[int], last: float) -> list[list[str]]:
+    """The rows of a chunk, each starting on its line in starts, with
+    the padding of their fields stripped and blank rows dropped; raise
     SequenceFormatError at the first bad row, worded from its fields as
     the file spells them.  last is the timestamp before the chunk."""
     limit, n_cols = csv.field_size_limit(), len(SEQUENCE_COLUMNS)
     checked = []
-    for line_no, row in enumerate(rows, start=line_no):
+    for line_no, row in zip(starts, rows):
         if max(map(len, row), default=0) > limit:
             raise SequenceFormatError(f"field larger than field limit ({limit})", line=line_no)
         stripped = [f.strip() for f in row]

@@ -6,7 +6,10 @@ Pose objects.  Absolute errors compare a track against ground truth row
 by row.  Relative errors compare the per-step motion magnitudes of two
 tracks, which cancels any shared rigid offset.  Tracks living in their
 own coordinate frame (odometry) are first registered to ground truth
-with a rigid fit over the opening window of the sequence.
+with a rigid fit over the opening window of the sequence, by Horn's
+quaternion method: the rotation is the top eigenvector of a 4x4 matrix
+built from the two point sets' cross-covariance, after a rank check
+that refuses coincident or collinear points.
 
 Both kinds of error rest on geometry's _motions, the row form of
 odometry: each row's errors equal, bit for bit, what odometry in
@@ -29,6 +32,8 @@ from .geometry import (
     Vec3,
     _apply_rigid,
     _motions,
+    _rotate,
+    _top_quaternions,
 )
 
 # Precision levels: a record counts toward a level when BOTH its
@@ -157,10 +162,14 @@ def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid fit (rotation + translation, no scale) taking
     (N, 3) source points onto (N, 3) target points.
 
-    Centers both sets, takes the SVD of the correlation matrix, and
-    flips the smallest singular direction when the raw solution would be
-    a reflection.  Rejects inputs whose geometry leaves the rotation
-    underdetermined (fewer than 3 points, or all points collinear).
+    Horn's closed form (JOSA A 1987): center both sets, build the
+    symmetric 4x4 matrix of their cross-covariance, and take the
+    rotation quaternion as its top eigenvector, the step the orientation
+    average also takes.  The best proper rotation comes out directly,
+    so a mirror image needs no fix.  Rejects inputs whose
+    geometry leaves the rotation underdetermined (fewer than 3 points,
+    or all points collinear: the covariance's second singular value is
+    zero next to its first).
     """
     if len(source) != len(target):
         raise ValueError(
@@ -173,47 +182,21 @@ def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     src_c = src.mean(axis=0)
     dst_c = dst.mean(axis=0)
     h = (src - src_c).T @ (dst - dst_c)
-    u, s, vt = np.linalg.svd(h)
-    scale = max(s[0], 1.0)
-    if s[1] <= 1e-9 * scale:
+    s = np.linalg.svd(h, compute_uv=False)
+    if s[1] <= 1e-9 * max(s[0], 1.0):
         raise ValueError(
             "rigid fit is rank deficient (points coincident or collinear), "
             "rotation is not determined"
         )
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(_matrix_quaternion(r), Vec3.from_array(dst_c - r @ src_c))
-
-
-def _matrix_quaternion(m: np.ndarray) -> UnitQuaternion:
-    """The quaternion of a proper rotation matrix, by Shepperd's method:
-    branch on the largest of the trace and the diagonal terms."""
-    t = np.trace(m)
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    return UnitQuaternion(w, x, y, z)
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = h.tolist()
+    horn = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ])
+    q = _top_quaternions(horn[None])[0].tolist()
+    return RigidTransform(UnitQuaternion(*q), Vec3.from_array(dst_c - _rotate(q, src_c.tolist())))
 
 
 def apply_alignment(track: np.ndarray, transform: RigidTransform) -> np.ndarray:

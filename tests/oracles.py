@@ -302,6 +302,14 @@ def row_parse_sequence(path):
             )
         return Pose(Vec3(x, y, z), UnitQuaternion(qw, qx, qy, qz))
 
+    def rows_by_line(reader):
+        # Each row with the physical line it starts on; a quoted field
+        # can carry a row over several lines.
+        start = reader.line_num + 1
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+
     samples = []
     prev_ts = None
     with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -314,7 +322,7 @@ def row_parse_sequence(path):
             raise SequenceFormatError(
                 f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1
             )
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows_by_line(reader):
             if not row or all(f.strip() == "" for f in row):
                 continue
             if len(row) != len(SEQUENCE_COLUMNS):

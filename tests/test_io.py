@@ -450,6 +450,45 @@ class TestParserFuzz:
             text = "\r\n".join([HEADER] + [",".join(f) for f in mutated]) + "\r\n"
             assert assert_parses_as_oracle(text)[2] == k + 2
 
+    def test_quoted_line_break_names_physical_lines(self, tmp_path):
+        # Frame 1's vio_qw is a quoted "1\n", so its row spans lines 3
+        # and 4, and frame 4, which repeats frame 3's timestamp, starts
+        # on line 7.
+        rows = [HEADER]
+        for k, ts in enumerate([0.0, 1.0, 2.0, 3.0, 3.0]):
+            qw = '"1\n"' if k == 1 else "1"
+            rows.append(f"{k},{ts},{EMPTY_GROUP},{k},0,0,{qw},0,0,0,{EMPTY_GROUP}")
+        text = "\n".join(rows) + "\n"
+        message = "line 7: timestamps must be strictly increasing, 3.0 follows 3.0"
+        assert assert_parses_as_oracle(text) == ("error", message, 7)
+        path = write_text(tmp_path, text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["--input", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert err.getvalue() == f"posefuse: error: {message}\n"
+        # A csv error after the joined lines names the reader's line.
+        rows[-1] = f'4,4.0,{EMPTY_GROUP},"{"0" * 131073}",0,0,1,0,0,0,{EMPTY_GROUP}'
+        with pytest.raises(SequenceFormatError, match=r"^line 7: field larger than field limit"):
+            parse_sequence(write_text(tmp_path, "\n".join(rows) + "\n"))
+
+    def test_padded_fields_and_blank_groups_parse_as_plain(self):
+        # Spaces around fields, whitespace-only gt groups and a
+        # whitespace-only row make the chunk conversion refuse the
+        # chunk; the row checks strip them and hand the rows back.
+        rng = np.random.default_rng(5)
+        rows = row_fields(rng, 59, {"gt": "some", "vio": "all", "apr": "some"}, "%r")
+        plain, padded = [HEADER], [HEADER]
+        for i, fields in enumerate(rows):
+            if i == 30:
+                plain.append("")
+                padded.append("   ")
+            plain.append(",".join(fields))
+            padded.append(",".join(" %s  " % f if f else " " * (i % 3 + 1) for f in fields))
+        with text_file("\n".join(plain) + "\n") as path:
+            expect = parse_outcome(parse_sequence, path)
+        assert len(expect) == 59
+        assert assert_parses_as_oracle("\n".join(padded) + "\n") == expect
+
     @settings(max_examples=60, deadline=None)
     @given(sequence_texts(min_rows=1, mutations=(None,)))
     def test_round_trip_within_print_precision(self, case):

@@ -16,7 +16,6 @@ from posefuse.metrics import (
     CDF_ORI_THRESHOLDS,
     CDF_POS_THRESHOLDS,
     PrecisionBuckets,
-    _matrix_quaternion,
     absolute_pose_error,
     align_and_evaluate,
     apply_alignment,
@@ -262,42 +261,48 @@ class TestKabschAlign:
             id_res = ((src - dst) ** 2).sum()
             assert fit_res <= id_res + 1e-9
 
-
-class TestMatrixQuaternion:
-    """The Shepperd extraction kabsch_align turns its matrix into a
-    quaternion with, against scipy's as_quat."""
-
     @staticmethod
-    def expect(r):
-        x, y, z, w = r.as_quat()
-        return UnitQuaternion(w, x, y, z).as_array()
+    def assert_matches_scipy_fit(src, dst):
+        """The fitted rotation is scipy's align_vectors fit of the
+        centered points, up to the double cover, and keeps the sign rule."""
+        fit = kabsch_align(src, dst)
+        best, _ = Rotation.align_vectors(dst - dst.mean(axis=0), src - src.mean(axis=0))
+        x, y, z, w = best.as_quat()
+        want = np.array([w, x, y, z])
+        got = fit.rotation.as_array()
+        assert got[0] >= 0.0
+        np.testing.assert_allclose(got, want * np.sign(got @ want), atol=1e-12)
+        np.testing.assert_allclose(
+            fit.translation.as_array(), dst.mean(axis=0) - best.apply(src.mean(axis=0)), atol=1e-12
+        )
+        return got
 
-    def test_each_branch(self):
-        # The identity takes the trace branch; a half turn about x, y or
-        # z makes that axis's diagonal term the largest.  Turns of 60
-        # and 160 deg about axes tilted off x, y and z take the same
-        # branches with nonzero off-diagonal terms.
+    def test_matches_scipy_on_identity_half_turns_and_tilted_turns(self, rng):
+        # A half turn about x, y or z has w = 0, where the sign rule
+        # falls to the vector part; turns of 60 and 160 deg about axes
+        # tilted off x, y and z mix every component.
         tilt = np.array([0.3, -0.2, 0.25])
-        for k, axis in enumerate(np.eye(3)):
+        rotations = [Rotation.identity()]
+        for axis in np.eye(3):
             tilted = (axis + tilt) / np.linalg.norm(axis + tilt)
-            trace_branch = (Rotation.identity(), Rotation.from_rotvec(math.radians(60.0) * tilted))
-            axis_branch = (Rotation.from_rotvec(math.pi * axis),
-                           Rotation.from_rotvec(math.radians(160.0) * tilted))
-            for r in trace_branch:
-                assert np.trace(r.as_matrix()) > 0.0
-            for r in axis_branch:
-                assert np.trace(r.as_matrix()) <= 0.0 and np.argmax(np.diag(r.as_matrix())) == k
-            for r in trace_branch + axis_branch:
-                got = _matrix_quaternion(r.as_matrix()).as_array()
-                np.testing.assert_allclose(got, self.expect(r), atol=1e-12)
+            rotations += [
+                Rotation.from_rotvec(math.pi * axis),
+                Rotation.from_rotvec(math.radians(60.0) * tilted),
+                Rotation.from_rotvec(math.radians(160.0) * tilted),
+            ]
+        for r in rotations:
+            src = rng.normal(size=(8, 3)) * [3.0, 2.0, 1.0]
+            got = self.assert_matches_scipy_fit(src, r.apply(src) + rng.normal(size=3))
+            x, y, z, w = r.as_quat()
+            assert abs(got @ [w, x, y, z]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_quaternion_round_trip(self, rng):
-        for _ in range(200):
+    def test_matches_scipy_on_noisy_random_rotations(self, rng):
+        for _ in range(100):
             q = random_quaternion(rng)
             r = Rotation.from_quat([q.x, q.y, q.z, q.w])
-            got = _matrix_quaternion(r.as_matrix()).as_array()
-            np.testing.assert_allclose(got, self.expect(r), atol=1e-12)
-            np.testing.assert_allclose(got, q.as_array(), atol=1e-12)
+            src = rng.normal(size=(8, 3)) * [3.0, 2.0, 1.0]
+            dst = r.apply(src) + rng.normal(size=3) + rng.normal(scale=0.3, size=(8, 3))
+            self.assert_matches_scipy_fit(src, dst)
 
 
 class TestApplyAlignment:
