@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from posefuse import cli
 from posefuse.cli import RunManifest, build_manifest, main, run_pipeline_command
 from posefuse.io import SEQUENCE_COLUMNS, parse_sequence, write_sequence
 from posefuse.metrics import CDF_ORI_THRESHOLDS, CDF_POS_THRESHOLDS
@@ -173,15 +174,29 @@ class TestSynthRuns:
         assert "rpe_median_m" in summary["vio"]
 
     @pytest.mark.parametrize("seed", [0, 17])
-    def test_saved_sequence_matches_public_generators(self, tmp_path, seed):
+    @pytest.mark.parametrize(
+        "vio_model, apr_model",
+        [
+            (VioNoiseModel(), AprNoiseModel()),
+            (VioNoiseModel(step_rot_sigma=0.0), AprNoiseModel()),
+            (VioNoiseModel(), AprNoiseModel(outlier_prob=1.0)),
+        ],
+        ids=["defaults", "no_step_rotation", "all_outliers"],
+    )
+    def test_saved_sequence_matches_public_generators(self, tmp_path, monkeypatch, seed, vio_model, apr_model):
         # The CLI builds its recording from the generators' arrays; the
         # file must hold what the public functions give, sample by sample.
+        # The CLI runs the default noise models; the others are put in
+        # place of the model classes `_sequences` calls, so the stream
+        # without step rotation and the all-outlier stream are saved too.
+        monkeypatch.setattr(cli, "VioNoiseModel", lambda: vio_model)
+        monkeypatch.setattr(cli, "AprNoiseModel", lambda: apr_model)
         manifest = RunManifest(out_dir=tmp_path / "cli", synth_count=1, save_sequences=True, seed=seed)
         assert run_pipeline_command(manifest) == 0
         samples = generate_gt(TrajectoryConfig(seed=seed))
         gt = [s.gt for s in samples]
-        vio = simulate_vio(gt, VioNoiseModel(), seed + 1_000_003)
-        apr = simulate_apr(gt, AprNoiseModel(), seed + 2_000_003)
+        vio = simulate_vio(gt, vio_model, seed + 1_000_003)
+        apr = simulate_apr(gt, apr_model, seed + 2_000_003)
         for s, v, a in zip(samples, vio, apr):
             s.vio, s.apr = v, a
         write_sequence(tmp_path / "api.csv", samples)
