@@ -53,14 +53,18 @@ _FMT = "%.12g"
 # The labels in the order of a FusedTrack's label codes.
 _LABELS = tuple(Label)
 
-# Label groups reported in the summary, in report order.  Keyframes and
-# reliable frames both carry checker-approved apr poses, so they form
-# one group; optimized frames carry corrected poses.
-_GROUPS: tuple[tuple[str, tuple[Label, ...]], ...] = (
-    ("keyframes", (Label.KEYFRAME, Label.RELIABLE)),
-    ("optimized", (Label.OPTIMIZED,)),
-    ("keyframes_plus_optimized", (Label.KEYFRAME, Label.RELIABLE, Label.OPTIMIZED)),
-    ("all_frames", _LABELS),
+# Label groups reported in the summary, in report order, each with its
+# membership table, indexed by label code.  Keyframes and reliable
+# frames both carry checker-approved apr poses, so they form one group;
+# optimized frames carry corrected poses.
+_GROUPS: tuple[tuple[str, np.ndarray], ...] = tuple(
+    (name, np.array([label in members for label in _LABELS]))
+    for name, members in (
+        ("keyframes", (Label.KEYFRAME, Label.RELIABLE)),
+        ("optimized", (Label.OPTIMIZED,)),
+        ("keyframes_plus_optimized", (Label.KEYFRAME, Label.RELIABLE, Label.OPTIMIZED)),
+        ("all_frames", _LABELS),
+    )
 )
 
 
@@ -142,7 +146,8 @@ def _sequences(manifest: RunManifest):
         gt = PoseTrack(track_array([s.gt for s in samples]))
         vio = simulate_vio(gt, VioNoiseModel(), seed + _VIO_SEED_OFFSET)
         apr = simulate_apr(gt, AprNoiseModel(), seed + _APR_SEED_OFFSET)
-        rec = Recording(
+        # The PoseTrack constructors have checked every row.
+        rec = Recording._checked(
             [s.frame_index for s in samples], [s.timestamp for s in samples],
             gt.track, vio.track, apr.track,
         )
@@ -198,11 +203,10 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
             raw_pos, raw_ori = absolute_pose_error(rec.apr[has_gt], gt)
             scored_labels = result.labels[has_gt]
             groups: dict = {}
-            for group_name, members in _GROUPS:
-                codes = [_LABELS.index(label) for label in members]
-                count = int(np.count_nonzero(np.isin(result.labels, codes)))
+            for group_name, member in _GROUPS:
+                count = int(np.count_nonzero(member[result.labels]))
                 entry: dict = {"count": count, "fraction": count / len(rec)}
-                scored = np.isin(scored_labels, codes)
+                scored = member[scored_labels]
                 if scored.any():
                     fused = summarize_errors(pos_err[scored], ori_err[scored])
                     raw = summarize_errors(raw_pos[scored], raw_ori[scored])

@@ -45,7 +45,6 @@ from .geometry import (
     Odometry,
     Pose,
     RigidTransform,
-    UnitQuaternion,
     Vec3,
     _apply_rigid,
     _FrameSequence,
@@ -168,38 +167,6 @@ def relative_pose_check(u_apr: Odometry | _Motions, u_vio: Odometry | _Motions, 
 # The median iteration's stopping rule, read by _iterate_medians at call time.
 _MEDIAN_TOL = 1e-9
 _MEDIAN_MAX_ITER = 100
-
-
-def weiszfeld_median(points: Sequence[Vec3]) -> Vec3:
-    """Geometric median, the minimizer of the summed Euclidean distance:
-    _medians on a stack of one window.
-
-    Kuhn's optimality test (Kuhn 1973; Vardi & Zhang 2000) comes first:
-    input point p_k is the median, and is returned, when the unit vectors
-    from it to every other distinct input sum to a vector shorter than
-    p_k's multiplicity by more than a 1e-9 relative margin.  Ties (two
-    points, collinear sets) go on to the iteration: reweighted averaging
-    from the centroid, with a Newton candidate and over-relaxation that
-    are kept where they lower the objective, since the reweighted step
-    alone crawls when one cluster dominates the weights.  It stops when
-    the iterate moves less than _MEDIAN_TOL, after _MEDIAN_MAX_ITER
-    rounds, or when it lands within _MEDIAN_TOL of an input point, and
-    the result is the best of the final iterate and the input points."""
-    if len(points) == 0:
-        raise ValueError("weiszfeld_median needs at least one point")
-    return Vec3.from_array(_medians(np.array([[[p.x, p.y, p.z] for p in points]]))[0])
-
-
-def average_quaternions(quats: Sequence[UnitQuaternion]) -> UnitQuaternion:
-    """Rotation average via the largest eigenvector of the accumulated
-    outer-product matrix: _average_quaternions on a stack of one window.
-    An outer product is the same for either cover of a rotation, so either
-    cover of each input gives the same answer without sign alignment."""
-    if len(quats) == 0:
-        raise ValueError("average_quaternions needs at least one quaternion")
-    q = _average_quaternions(np.array([[[q.w, q.x, q.y, q.z] for q in quats]]))
-    # The row is normalized already; the constructor would normalize it again.
-    return _poses(np.column_stack((np.zeros((1, 3)), q)))[0].orientation
 
 
 def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePair:
@@ -456,10 +423,21 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _medians(pts: np.ndarray) -> np.ndarray:
-    """weiszfeld_median of every window of a (W, n, 3) stack of points,
-    n >= 1: Kuhn's test for every window, then the iteration for the
-    windows it does not settle.  A window of one point is its own
-    vertex."""
+    """The geometric median, the minimizer of the summed Euclidean
+    distance, of every window of a (W, n, 3) stack of points, n >= 1.
+
+    Kuhn's optimality test (Kuhn 1973; Vardi & Zhang 2000) comes first:
+    input point p_k is the median, and is returned, when the unit vectors
+    from it to every other distinct input sum to a vector shorter than
+    p_k's multiplicity by more than a 1e-9 relative margin.  A window of
+    one point is its own vertex.  Ties (two points, collinear sets) go on
+    to _iterate_medians: reweighted averaging from the centroid, with a
+    Newton candidate and over-relaxation that are kept where they lower
+    the objective, since the reweighted step alone crawls when one
+    cluster dominates the weights.  It stops when the iterate moves less
+    than _MEDIAN_TOL, after _MEDIAN_MAX_ITER rounds, or when it lands
+    within _MEDIAN_TOL of an input point, and the result is the best of
+    the final iterate and the input points."""
     # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w; coincident
     # points add a zero vector to the pull and one each to the multiplicity.
     diff = pts[:, None, :, :] - pts[:, :, None, :]
@@ -480,7 +458,7 @@ def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The iteration of weiszfeld_median, then its best-of-inputs pass,
+    """The iteration of _medians, then its best-of-inputs pass,
     for windows that Kuhn's test does not settle.  dist holds the
     pairwise distances Kuhn's test computed.  The live windows are
     compacted only in a round where some of them finish."""
@@ -561,10 +539,12 @@ def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _average_quaternions(quats: np.ndarray) -> np.ndarray:
-    """average_quaternions of every window of a (W, n, 4) stack, as
+    """The rotation average of every window of a (W, n, 4) stack, n >= 1:
+    the largest eigenvector of the accumulated outer-product matrix, as
     normalized, sign-canonical rows.  Negating a quaternion leaves every
     product of two of its components unchanged, bit for bit, so the sum
-    of outer products is already blind to the cover of each input."""
+    of outer products is already blind to the cover of each input, and
+    either cover gives the same answer without sign alignment."""
     acc = np.zeros((len(quats), 4, 4))
     for k in range(quats.shape[1]):
         acc += quats[:, k, :, None] * quats[:, k, None, :]

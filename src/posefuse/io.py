@@ -8,17 +8,23 @@ increasing.
 
 parse_sequence returns a Recording: the frames in array form, one
 (N, 7) track per stream, converted from text by one function,
-_read_chunk, a chunk of rows at a time.  A Recording is a read-only
-sequence of PoseSample, whose Pose objects are built only when a caller
-indexes or iterates it.  Recording.of turns any sequence of samples into
-one, and write_sequence formats from that form.
+_read_chunk, a chunk of rows at a time, with one call of numpy's C
+reader, which converts a field with the routine float() uses.  Rows
+that reader refuses are checked one at a time, to word an error or to
+spell the rows afresh for it.  Each row is checked once, so the parser
+builds its Recording without the constructor's checks.  A Recording
+is a read-only sequence of PoseSample, whose Pose objects are built only
+when a caller indexes or iterates it.  Recording.of turns any sequence
+of samples into one, and write_sequence formats from that form.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _normalize_rows, _pose_fault, _poses,
+    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _new, _normalize_rows, _pose_fault, _poses,
 )
 from .metrics import track_array
 
@@ -46,6 +52,11 @@ QUAT_NORM_SLACK = 1e-3
 # parse_sequence reads about this many characters of whole lines at a
 # time, which bounds its working memory.
 _CHUNK_CHARS = 1 << 16
+
+# A data row as _table reads it: the frame, then the timestamp and the
+# seven columns of each of gt, vio and apr.
+_ROW = np.dtype([("frame", np.int64), ("values", np.float64, (22,))])
+_FRAME_RANGE = range(-(1 << 63), 1 << 63)
 
 # write_sequence formats at most this many rows at a time, which bounds
 # the Python floats it holds at once.
@@ -100,12 +111,7 @@ class Recording(_FrameSequence):
     __slots__ = ("frames", "timestamps", "gt", "vio", "apr")
 
     def __init__(self, frames, timestamps, gt, vio, apr) -> None:
-        self.frames = tuple(frames)
-        n = len(self.frames)
-        self.timestamps = _frozen(timestamps, (n,))
-        self.gt = _frozen(gt, (n, 7))
-        self.vio = _frozen(vio, (n, 7))
-        self.apr = _frozen(apr, (n, 7))
+        self._store(frames, timestamps, gt, vio, apr)
         if not np.isfinite(self.timestamps).all():
             i = np.argmin(np.isfinite(self.timestamps))
             raise ValueError(f"frame {self.frames[i]}: timestamp must be finite, got {self.timestamps.item(i)!r}")
@@ -114,6 +120,24 @@ class Recording(_FrameSequence):
             present = np.flatnonzero(~np.isnan(track).all(axis=1))
             if (fault := _pose_fault(track[present], UNIT_NORM_TOL)) is not None:
                 raise ValueError(f"frame {self.frames[present[fault[0]]]}: {name} {fault[1]}")
+
+    @classmethod
+    def _checked(cls, frames, timestamps, gt, vio, apr) -> "Recording":
+        """The recording of fields whose rows are checked already, as
+        parse_sequence and the PoseTrack constructors check them: stored
+        as the constructor stores them, without its checks."""
+        rec = _new(cls)
+        rec._store(frames, timestamps, gt, vio, apr)
+        return rec
+
+    def _store(self, frames, timestamps, gt, vio, apr) -> None:
+        """Set the fields to read-only copies of the given ones."""
+        self.frames = tuple(frames)
+        n = len(self.frames)
+        self.timestamps = _frozen(timestamps, (n,))
+        self.gt = _frozen(gt, (n, 7))
+        self.vio = _frozen(vio, (n, 7))
+        self.apr = _frozen(apr, (n, 7))
 
     @classmethod
     def of(cls, samples: Sequence[PoseSample]) -> "Recording":
@@ -147,49 +171,61 @@ def parse_sequence(path: str | Path) -> Recording:
     """Read a sequence CSV into a Recording, one frame per data row.
 
     Raises SequenceFormatError, naming the line the offending row starts
-    on, for a wrong header, malformed or non-finite fields, a field
-    longer than csv.field_size_limit(), pose coordinates of magnitude
-    COORD_LIMIT (1e150 m) or more, quaternions further than 1e-3 from
-    unit norm, missing vio poses, or non-increasing timestamps.
+    on, for a wrong header, malformed or non-finite fields, a frame
+    outside the int64 range, a field longer than csv.field_size_limit(),
+    pose coordinates of magnitude COORD_LIMIT (1e150 m) or more,
+    quaternions further than 1e-3 from unit norm, missing vio poses, or
+    non-increasing timestamps.
 
-    The rows come in chunks (see _chunks), the header first.
+    The rows come in chunks (see _chunks), the header alone first.
     _read_chunk converts and checks each chunk in bulk; _check_rows words
-    the error of the first bad row of a chunk it refuses, or tidies the
-    rows for it to convert again.  No Pose is built until the recording
-    is indexed or iterated.
+    the error of the first bad row of a chunk it refuses, or spells the
+    rows for it to convert again.  The rows are checked once, so the
+    Recording is built without the constructor's checks.  No Pose is
+    built until the recording is indexed or iterated.
     """
     frames: list[int] = []
     blocks: list[np.ndarray] = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         chunks = _chunks(fh)
-        first = next(chunks, None)
-        if first is None:
+        header = next(chunks, None)
+        if header is None:
             raise SequenceFormatError("empty file, expected a header row", line=1)
-        if tuple(h.strip() for h in first[0][0]) != SEQUENCE_COLUMNS:
+        if tuple(h.strip() for h in _fields(header[0][0])) != SEQUENCE_COLUMNS:
             raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
         last = -math.inf  # the timestamp of the last row read
-        for rows, starts in itertools.chain([(first[0][1:], first[1][1:])], chunks):
-            if not _read_chunk(rows, last, frames, blocks):
+        for rows, starts, text in chunks:
+            if not _read_chunk(text, last, frames, blocks):
                 _read_chunk(_check_rows(rows, starts, last), last, frames, blocks)
             last = blocks[-1].item(-1, 0) if blocks else last
     values = np.concatenate(blocks) if blocks else np.empty((0, 22))
-    return Recording(frames, values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
+    # The quaternion columns of each group, normalized in place as
+    # UnitQuaternion normalizes them; rows of an absent group stay NaN.
+    for g in range(3):
+        _normalize_rows(values[:, 4 + 7 * g : 8 + 7 * g])
+    return Recording._checked(frames, values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
 
 
-def _chunks(fh) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
-    """The rows of an open sequence file as lists of fields, with the
-    line each row starts on, about _CHUNK_CHARS characters of whole lines
-    at a time: lines split on commas up to the first chunk holding a
-    quote character, then rows of csv.reader, which can join quoted
-    lines, as many at a time as that chunk has lines.  A csv error raises
-    SequenceFormatError naming its line, once the rows before it are
-    yielded."""
-    line_no = 0
-    while lines := fh.readlines(_CHUNK_CHARS):
-        if '"' in "".join(lines):
-            break
-        yield [line.rstrip("\r\n").split(",") for line in lines], range(line_no + 1, line_no + len(lines) + 1)
+def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[str]]]:
+    """The rows of an open sequence file in chunks, each with the line
+    each row starts on and the text _read_chunk converts: the header row
+    alone, then about _CHUNK_CHARS characters of whole lines at a time.
+    Up to the first chunk holding a quote character, a row is a line as
+    read and the text is the lines joined.  From there on, a row is a
+    list of fields from csv.reader, which can join quoted lines, as many
+    rows at a time as that chunk has lines, and the text is _joined's.
+    A csv error raises SequenceFormatError naming its line, once the rows
+    before it are yielded."""
+    header = fh.readline()
+    line_no, lines = 0, [header] if header else []
+    while lines and '"' not in (text := "".join(lines)):
+        yield lines, range(line_no + 1, line_no + len(lines) + 1), text
         line_no += len(lines)
+        lines = fh.readlines(_CHUNK_CHARS)
+    if line_no == 0:
+        # A quoted header: the chunks after it take their size from the
+        # lines that follow it.
+        lines += fh.readlines(_CHUNK_CHARS)
     reader = csv.reader(itertools.chain(lines, fh))
     rows: list[list[str]] = []
     starts: list[int] = []
@@ -199,47 +235,65 @@ def _chunks(fh) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
             rows.append(row)
             starts.append(start)
             start = line_no + reader.line_num + 1
-            if len(rows) == len(lines):
-                yield rows, starts
+            # The header row, on line 1, comes alone here too.
+            if len(rows) == len(lines) or starts[0] == 1:
+                yield rows, starts, _joined(rows)
                 rows, starts = [], []
     except csv.Error as exc:
         if rows:
-            yield rows, starts
+            yield rows, starts, _joined(rows)
         raise SequenceFormatError(str(exc), line=line_no + reader.line_num) from None
     if rows:
-        yield rows, starts
+        yield rows, starts, _joined(rows)
 
 
-def _read_chunk(rows: list[list[str]], last: float, frames: list[int], blocks: list[np.ndarray]) -> bool:
-    """Append the frames and the block of a chunk of data rows, lists of
-    fields, and return True if every row is well formed and the first
-    timestamp follows last; else return False, appending nothing.  A
-    block row is the timestamp, then the seven columns of each of gt, vio
-    and apr, NaN where the group is empty.  Fields convert with int and
-    float; quaternions are normalized as UnitQuaternion normalizes them."""
-    rows = [row for row in rows if any(row)]
-    if not rows:
+def _fields(row: str | list[str]) -> list[str]:
+    """The fields of a row of _chunks."""
+    return row.rstrip("\r\n").split(",") if isinstance(row, str) else row
+
+
+def _joined(rows: list[list[str]]) -> Optional[str]:
+    """The fields of each csv row joined with commas, a line per row; None
+    when a row has other than 23 fields, or a field holds a line break,
+    since the text would then read as other rows."""
+    text = "\n".join(map(",".join, rows))
+    if set(map(len, rows)) != {len(SEQUENCE_COLUMNS)} or text.count("\n") != len(rows) - 1 or "\r" in text:
+        return None
+    return text
+
+
+def _read_chunk(text: Optional[str], last: float, frames: list[int], blocks: list[np.ndarray]) -> bool:
+    """Append the frames and the block of a chunk of data rows, the text
+    of their lines, and return True if every row is well formed and the
+    first timestamp follows last; else return False, appending nothing.
+    A block row is the timestamp, then the seven columns of each of gt,
+    vio and apr, NaN where the group is empty, as _table converts them."""
+    if text is None or "n" in text or "N" in text:
+        # A field spelled nan or inf is left to the row checks to word.
+        return False
+    if not text:
         return True
-    n_cols = len(SEQUENCE_COLUMNS)
-    if any(len(row) != n_cols for row in rows):
-        return False
-    fields = list(itertools.chain.from_iterable(rows))
-    # Most chunks are shorter than the limit, which spares the field scan.
     limit = csv.field_size_limit()
-    if len("".join(fields)) > limit and max(map(len, fields)) > limit:
+    # Most chunks are shorter than the limit, which spares the line scan.
+    if len(text) > limit and max(map(len, text.splitlines())) > limit:
         return False
-    try:
-        chunk_frames = list(map(int, fields[::n_cols]))
-        # Absent pose groups leave empty fields, read as NaN here; a NaN
-        # beyond those is a field spelled NaN.
-        values = np.array([float(f) if f else math.nan for f in fields])
-    except ValueError:
+    table = _table(text)
+    if table is None and _EMPTY_GROUP in text:
+        # An absent pose group is seven empty fields, each after a comma
+        # of a run of seven, and the reader refuses empty fields.  It
+        # reads them as NaN once each comma of the run is followed by
+        # nan.  A nan that lands before a field that is not empty joins
+        # it into one the reader refuses, so NaN stands for an empty
+        # field and nothing else.
+        table = _table(text.replace(_EMPTY_GROUP, ",nan" * 7))
+    if table is None:
         return False
-    if np.count_nonzero(np.isnan(values)) != fields.count("") or np.isinf(values).any():
+    values = table["values"]
+    # Overflow reads as inf, as float reads it.
+    if np.isinf(values).any():
         return False
-    values = values.reshape(len(rows), n_cols)
-    ts = values[:, 1]
-    groups = values[:, 2:].reshape(len(rows), 3, 7)
+    ts = values[:, 0]
+    groups = values[:, 1:].reshape(len(values), 3, 7)
     empty = np.isnan(groups).sum(axis=2)
     if np.isnan(ts).any() or (empty % 7).any() or empty[:, 1].any():
         return False
@@ -247,23 +301,34 @@ def _read_chunk(rows: list[list[str]], last: float, frames: list[int], blocks: l
         return False
     if not (ts[0] > last and (ts[1:] > ts[:-1]).all()):
         return False
-    # The quaternion columns of each group, normalized in place; rows of
-    # an absent group stay NaN.
-    for g in range(3):
-        _normalize_rows(values[:, 5 + 7 * g : 9 + 7 * g])
-    frames.extend(chunk_frames)
-    blocks.append(values[:, 1:])
+    frames.extend(table["frame"].tolist())
+    blocks.append(values)
     return True
 
 
-def _check_rows(rows: list[list[str]], starts: Sequence[int], last: float) -> list[list[str]]:
-    """The rows of a chunk, each starting on its line in starts, with
-    the padding of their fields stripped and blank rows dropped; raise
+def _table(text: str) -> Optional[np.ndarray]:
+    """The lines of text as _ROW records, skipping empty lines, from one
+    call of numpy's C reader, which converts a field with the routine
+    float() uses; None where it refuses a field or a line, or warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                io.StringIO(text), dtype=_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+
+
+def _check_rows(rows: list, starts: Sequence[int], last: float) -> str:
+    """The text of the rows of a chunk, rows of _chunks each starting on
+    its line in starts, with each field spelled as _table reads it to the
+    bits int and float read the field, and blank rows dropped; raise
     SequenceFormatError at the first bad row, worded from its fields as
     the file spells them.  last is the timestamp before the chunk."""
     limit, n_cols = csv.field_size_limit(), len(SEQUENCE_COLUMNS)
-    checked = []
-    for line_no, row in zip(starts, rows):
+    lines = []
+    for line_no, row in zip(starts, map(_fields, rows)):
         if max(map(len, row), default=0) > limit:
             raise SequenceFormatError(f"field larger than field limit ({limit})", line=line_no)
         stripped = [f.strip() for f in row]
@@ -272,19 +337,22 @@ def _check_rows(rows: list[list[str]], starts: Sequence[int], last: float) -> li
         if len(row) != n_cols:
             raise SequenceFormatError(f"expected {n_cols} fields, got {len(row)}", line=line_no)
         try:
-            int(stripped[0])
+            frame = int(stripped[0])
         except ValueError:
             raise SequenceFormatError(f"frame is not an integer: {row[0]!r}", line=line_no)
+        if frame not in _FRAME_RANGE:
+            raise SequenceFormatError(f"frame is outside the int64 range: {row[0]!r}", line=line_no)
         ts = _parse_float(row[1], "timestamp", line_no)
+        line = [str(frame), repr(ts)]
         for name, start in zip(STREAMS, (2, 9, 16)):
-            _check_pose_group(stripped[start : start + 7], name, line_no)
+            line += _check_pose_group(stripped[start : start + 7], name, line_no)
         if not any(stripped[9:16]):
             raise SequenceFormatError("vio pose is required on every row", line=line_no)
         if ts <= last:
             raise SequenceFormatError(f"timestamps must be strictly increasing, {ts!r} follows {last!r}", line=line_no)
         last = ts
-        checked.append(stripped)
-    return checked
+        lines.append(",".join(line))
+    return "\n".join(lines)
 
 
 def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
@@ -322,11 +390,13 @@ def _parse_float(text: str, name: str, line_no: int) -> float:
     return v
 
 
-def _check_pose_group(fields: list[str], name: str, line_no: int) -> None:
-    """Raise SequenceFormatError at a pose group, seven stripped fields,
-    that is neither empty nor a pose."""
+def _check_pose_group(fields: list[str], name: str, line_no: int) -> list[str]:
+    """The fields of a pose group, seven stripped fields, spelled as
+    _table reads them to the bits float reads them: as they are for an
+    empty group.  Raise SequenceFormatError at a group that is neither
+    empty nor a pose."""
     if not any(fields):
-        return
+        return fields
     if not all(fields):
         raise SequenceFormatError(f"{name} pose group is partially filled, give all 7 fields or none", line=line_no)
     vals = [_parse_float(f, name, line_no) for f in fields]
@@ -342,3 +412,4 @@ def _check_pose_group(fields: list[str], name: str, line_no: int) -> None:
             f"{QUAT_NORM_SLACK} from 1, refusing to renormalize",
             line=line_no,
         )
+    return [repr(v) for v in vals]

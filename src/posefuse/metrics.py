@@ -132,13 +132,6 @@ def relative_errors(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
     return np.column_stack((np.abs(a.dist - b.dist), np.abs(a.angle - b.angle)))
 
 
-def empirical_cdf(errors: Sequence[float], d: float) -> float:
-    """Fraction of errors at or under d (inclusive)."""
-    if len(errors) == 0:
-        raise ValueError("empirical_cdf needs at least one error value")
-    return int(np.count_nonzero(np.asarray(errors, dtype=float) <= d)) / len(errors)
-
-
 def precision_buckets(pos: np.ndarray, ori: np.ndarray) -> PrecisionBuckets:
     """Fraction of records within each precision level (inclusive on
     both bounds), from index-aligned position and orientation errors."""
@@ -239,8 +232,8 @@ def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:
 
 
 def _sorted_summary(errors: np.ndarray, thresholds: tuple[float, ...]) -> tuple[float, tuple]:
-    """The median and the (d, empirical_cdf(errors, d)) samples of a
-    non-empty error array, from one sorted copy.  The median is the mean
+    """The median and the (d, fraction of errors at or under d) samples
+    of a non-empty error array, from one sorted copy.  The median is the mean
     of the middle one or two values, which is how np.median takes it;
     the count at or under d is where d would go after its equals."""
     s = np.sort(errors)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from posefuse.geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton
+from posefuse.fusion import _average_quaternions, _medians
+from posefuse.geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton, _poses
 
 
 def random_quaternion(rng: np.random.Generator) -> UnitQuaternion:
@@ -33,6 +34,19 @@ def point_distance(a: Vec3, b: Vec3) -> float:
 def rotation_about(axis: tuple[float, float, float], angle_deg: float) -> UnitQuaternion:
     """Rotation of angle_deg about axis."""
     return UnitQuaternion(*_axis_angle(axis, angle_deg))
+
+
+def median_of(points: list[Vec3]) -> Vec3:
+    """The geometric median of one window of points: _medians on a
+    stack of one."""
+    return Vec3.from_array(_medians(np.array([[[p.x, p.y, p.z] for p in points]]))[0])
+
+
+def average_of(quats: list[UnitQuaternion]) -> UnitQuaternion:
+    """The rotation average of one window of quaternions:
+    _average_quaternions on a stack of one, its row taken as it is."""
+    q = _average_quaternions(np.array([[q.as_array() for q in quats]]))
+    return _poses(np.column_stack((np.zeros((1, 3)), q)))[0].orientation
 
 
 def quat_product(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:

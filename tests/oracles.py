@@ -253,10 +253,10 @@ def step_run_sequence(samples, cfg):
 
 def row_parse_sequence(path):
     """``posefuse.io.parse_sequence`` as it was written before chunked
-    parsing, with the coordinate bound added since: one ``csv.reader``
-    row at a time, each field converted and checked on its own.  It
-    builds the package's pose and sample types, so its results compare
-    with the parser's directly."""
+    parsing, with the coordinate bound and the int64 frame range added
+    since: one ``csv.reader`` row at a time, each field converted and
+    checked on its own.  It builds the package's pose and sample types,
+    so its results compare with the parser's directly."""
     import csv
     from pathlib import Path
 
@@ -265,9 +265,12 @@ def row_parse_sequence(path):
 
     def parse_int(text, name, line_no):
         try:
-            return int(text.strip())
+            v = int(text.strip())
         except ValueError:
             raise SequenceFormatError(f"{name} is not an integer: {text!r}", line=line_no)
+        if not -(2**63) <= v < 2**63:
+            raise SequenceFormatError(f"{name} is outside the int64 range: {text!r}", line=line_no)
+        return v
 
     def parse_float(text, name, line_no):
         try:

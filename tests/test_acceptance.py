@@ -47,12 +47,10 @@ from posefuse.fusion import (
     FusionConfig,
     Label,
     ReferencePair,
-    average_quaternions,
     compute_reference,
     optimize_pose,
     relative_pose_check,
     run_sequence,
-    weiszfeld_median,
 )
 from posefuse.geometry import (
     Pose,
@@ -62,7 +60,7 @@ from posefuse.geometry import (
     rotation_angle_deg,
 )
 from posefuse.metrics import (
-    empirical_cdf,
+    _sorted_summary,
     kabsch_align,
     precision_buckets,
     relative_errors,
@@ -76,7 +74,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import point_distance, quat_product, random_pose, random_quaternion, rotation_about
+from helpers import average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about
 from oracles import grid_median_objective, quat_angle_stable_deg, rotation_matrix, slerp_midpoint
 
 VIO_SEED_OFFSET = 1_000_003
@@ -219,7 +217,7 @@ def test_criterion_04_median_against_grid():
         n = int(rng.integers(1, 6))
         coords = rng.uniform(0.0, 2.0, (n, 3))
         pts = [Vec3(*row) for row in coords]
-        med = weiszfeld_median(pts)
+        med = median_of(pts)
         gap = median_objective(pts, med) - grid_median_objective(coords)
         worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - t0
@@ -233,19 +231,19 @@ def test_criterion_05_quaternion_average_oracle():
     worst = 0.0
     for _ in range(1000):
         qa, qb = random_quaternion(rng), random_quaternion(rng)
-        avg = average_quaternions([qa, qb])
+        avg = average_of([qa, qb])
         mid = slerp_midpoint(qa.as_array(), qb.as_array())
         worst = max(worst, quat_angle_stable_deg(avg.as_array(), mid))
     worst_inv = 0.0
     for _ in range(1000):
         quats = [random_quaternion(rng) for _ in range(int(rng.integers(2, 7)))]
-        base = average_quaternions(quats)
+        base = average_of(quats)
         flipped = [
             UnitQuaternion(-q.w, -q.x, -q.y, -q.z) if rng.random() < 0.5 else q
             for q in quats
         ]
         perm = [flipped[i] for i in rng.permutation(len(flipped))]
-        redone = average_quaternions(perm)
+        redone = average_of(perm)
         worst_inv = max(worst_inv, quat_angle_stable_deg(base.as_array(), redone.as_array()))
     print(f"criterion 5: slerp-midpoint gap {worst:.3e} deg, sign/permutation gap {worst_inv:.3e} deg")
     assert worst < 1e-9
@@ -336,7 +334,7 @@ def test_criterion_08_drift_bounding(mc):
 
 
 def test_criterion_09_metrics_conformance(tmp_path):
-    assert empirical_cdf([0.05, 0.2, 0.5], 0.2) == pytest.approx(2 / 3)
+    assert _sorted_summary(np.array([0.05, 0.2, 0.5]), (0.2,))[1] == ((0.2, pytest.approx(2 / 3)),)
 
     def buckets(pos, ori):
         return precision_buckets(np.array([pos]), np.array([ori]))

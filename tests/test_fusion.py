@@ -17,14 +17,12 @@ from posefuse.fusion import (
     Label,
     ReferencePair,
     Stage,
-    average_quaternions,
     compute_reference,
     optimize_pose,
     reference_transform,
     relative_pose_check,
     run_sequence,
     step,
-    weiszfeld_median,
 )
 from posefuse.geometry import (
     COORD_LIMIT,
@@ -47,7 +45,9 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import point_distance, quat_product, random_pose, random_quaternion, rotation_about
+from helpers import (
+    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about,
+)
 from oracles import (
     chordal_distance,
     grid_median_objective,
@@ -150,26 +150,22 @@ class TestCheckerCases:
 
 class TestWeiszfeldMedian:
     def test_single_point(self):
-        assert weiszfeld_median([Vec3(5, 5, 5)]) == Vec3(5, 5, 5)
+        assert median_of([Vec3(5, 5, 5)]) == Vec3(5, 5, 5)
 
     def test_collinear_odd_returns_middle(self):
         pts = [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(10, 0, 0)]
-        assert weiszfeld_median(pts) == Vec3(1, 0, 0)
+        assert median_of(pts) == Vec3(1, 0, 0)
 
     def test_square_symmetry(self):
         pts = [Vec3(1, 1, 0), Vec3(1, -1, 0), Vec3(-1, 1, 0), Vec3(-1, -1, 0)]
-        m = weiszfeld_median(pts)
+        m = median_of(pts)
         assert math.hypot(m.x, m.y, m.z) < 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            weiszfeld_median([])
 
     def test_beats_millimeter_grid(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 6))
             pts = [Vec3(*rng.uniform(0.0, 2.0, size=3)) for _ in range(n)]
-            m = weiszfeld_median(pts)
+            m = median_of(pts)
             ours = sum(point_distance(m, p) for p in pts)
             arr = np.array([[p.x, p.y, p.z] for p in pts])
             assert ours <= grid_median_objective(arr) + 1e-6
@@ -198,11 +194,11 @@ class TestMedianAtInputPoint:
     def assert_returns_optimal_input(pts):
         k, margin = kuhn_optimal_point([(p.x, p.y, p.z) for p in pts])
         assert margin >= 1e-6
-        assert weiszfeld_median(pts) == pts[k]
+        assert median_of(pts) == pts[k]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(posefuse.fusion, "_MEDIAN_TOL", 1e3)
             mp.setattr(posefuse.fusion, "_MEDIAN_MAX_ITER", 1)
-            assert weiszfeld_median(pts) == pts[k]
+            assert median_of(pts) == pts[k]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_named_cases(self, name):
@@ -236,7 +232,7 @@ class TestMedianOnTiedLine:
     @staticmethod
     def objective_gap(ts, origin, direction):
         pts = [Vec3(*(origin + t * direction)) for t in ts]
-        m = weiszfeld_median(pts)
+        m = median_of(pts)
         ours = sum(point_distance(m, p) for p in pts)
         return ours - line_median_objective(ts) * float(np.linalg.norm(direction))
 
@@ -262,17 +258,17 @@ class TestMedianOnTiedLine:
 class TestAverageQuaternions:
     def test_idempotent(self, rng):
         q = random_quaternion(rng)
-        got = average_quaternions([q, q, q])
+        got = average_of([q, q, q])
         assert quat_angle_stable_deg(got.as_array(), q.as_array()) < 1e-9
 
     def test_double_cover_pair(self, rng):
         q = random_quaternion(rng)
         neg = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
-        got = average_quaternions([q, neg])
+        got = average_of([q, neg])
         assert quat_angle_stable_deg(got.as_array(), q.as_array()) < 1e-9
 
     def test_half_turn_between_identity_and_z90(self):
-        avg = average_quaternions([IDENTITY, rotation_about(Z, 90.0)])
+        avg = average_of([IDENTITY, rotation_about(Z, 90.0)])
         expect = [math.cos(math.pi / 8), 0.0, 0.0, math.sin(math.pi / 8)]
         np.testing.assert_allclose(avg.as_array(), expect, atol=1e-9)
 
@@ -280,22 +276,22 @@ class TestAverageQuaternions:
         for _ in range(300):
             a, b = random_quaternion(rng), random_quaternion(rng)
             mid = slerp_midpoint(a.as_array(), b.as_array())
-            got = average_quaternions([a, b]).as_array()
+            got = average_of([a, b]).as_array()
             np.testing.assert_allclose(got, mid, atol=1e-9)
 
     def test_permutation_invariant(self, rng):
         for _ in range(200):
             quats = [random_quaternion(rng) for _ in range(int(rng.integers(2, 6)))]
-            ref = average_quaternions(quats).as_array()
+            ref = average_of(quats).as_array()
             perm = [quats[i] for i in rng.permutation(len(quats))]
-            np.testing.assert_allclose(average_quaternions(perm).as_array(), ref, atol=1e-9)
+            np.testing.assert_allclose(average_of(perm).as_array(), ref, atol=1e-9)
 
     def test_maximizes_alignment_objective(self, rng):
         # Independent optimality check: no perturbation of the average
         # improves the summed squared alignment.
         for _ in range(20):
             quats = [random_quaternion(rng) for _ in range(4)]
-            avg = average_quaternions(quats)
+            avg = average_of(quats)
 
             def objective(q):
                 return sum(float(np.dot(q.as_array(), p.as_array())) ** 2 for p in quats)
@@ -306,12 +302,12 @@ class TestAverageQuaternions:
                     tweaked = quat_product(avg, rotation_about(axis, sign * 0.05))
                     assert objective(tweaked) <= base + 1e-9
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            average_quaternions([])
-
 
 class TestComputeReference:
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="non-empty window"):
+            compute_reference([], [])
+
     def test_identical_poses_pass_through(self, rng):
         p = random_pose(rng)
         ref = compute_reference([p, p, p], [p, p, p])
@@ -1041,7 +1037,7 @@ class TestStackedReferences:
         def median(pts, max_iter=posefuse.fusion._MEDIAN_MAX_ITER):
             with monkeypatch.context() as mp:
                 mp.setattr(posefuse.fusion, "_MEDIAN_MAX_ITER", max_iter)
-                return weiszfeld_median([Vec3(*p) for p in pts])
+                return median_of([Vec3(*p) for p in pts])
 
         vertices = ((3, "obtuse"), (5, "duplicate_outweighs_pull"), (4, "duplicate_hub"), (9, "ring_and_hub"))
         for size, name in vertices:

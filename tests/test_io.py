@@ -28,6 +28,7 @@ from posefuse.synth import (
 )
 from helpers import point_distance, random_pose
 from oracles import row_parse_sequence
+import posefuse.io
 from posefuse import cli
 
 HEADER = ",".join(SEQUENCE_COLUMNS)
@@ -523,3 +524,98 @@ class TestParserFuzz:
                 code = cli.main(["--input", str(path), "--out", str(path.parent / "out")])
         assert code == 1
         assert f"line {line}:" in err.getvalue()
+
+
+class TestCReader:
+    """parse_sequence converts each chunk with numpy's C reader.  A field
+    it refuses that int or float takes goes through the row checks,
+    which spell it afresh for the reader, and a field the row checks
+    refuse keeps its worded error; either way the outcome is the row
+    scanner's, bit for bit."""
+
+    # (column, field, the value float or int reads, or None for an error)
+    FIELDS = [
+        (9, "1_0.5", 10.5),
+        (9, "٣.5", 3.5),
+        (0, "1_0", 10),
+        (0, "7.0", None),
+        (0, "9223372036854775808", None),
+        (0, "-9223372036854775808", -(2**63)),
+        (9, "nan", None),
+        (10, "-inf", None),
+        (13, "1e999", None),
+        (9, "4.9e-324", 5e-324),
+        (10, "1e-400", 0.0),
+        (11, "-0.0", -0.0),
+        (1, "1e-400", None),  # a timestamp of 0 after 100 does not increase
+    ]
+
+    @staticmethod
+    def text(rows):
+        return "\r\n".join([HEADER] + [",".join(f) for f in rows]) + "\r\n"
+
+    def rows(self):
+        rng = np.random.default_rng(3)
+        return row_fields(rng, 40, {"gt": "some", "vio": "all", "apr": "some"}, "%.17g")
+
+    def test_full_precision_numbers(self):
+        assert len(assert_parses_as_oracle(self.text(self.rows()))) == 40
+
+    @pytest.mark.parametrize("column, field, value", FIELDS)
+    def test_spellings(self, column, field, value):
+        rows = self.rows()
+        rows[17][column] = field
+        outcome = assert_parses_as_oracle(self.text(rows))
+        if value is None:
+            assert outcome[0] == "error" and outcome[2] == 19
+            return
+        with text_file(self.text(rows)) as path:
+            rec = parse_sequence(path)
+        got = rec.frames[17] if column == 0 else rec.vio[17, column - 9]
+        assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+    def test_quoted_comma_is_not_a_separator(self):
+        # Row 17's vio x and y are one quoted field, so the row has 22
+        # fields, though its fields joined with commas make 23.
+        rows = self.rows()
+        rows[17][9:11] = ['"%s,%s"' % tuple(rows[17][9:11])]
+        assert assert_parses_as_oracle(self.text(rows)) == ("error", "line 19: expected 23 fields, got 22", 19)
+
+    def test_blank_lines_alone(self):
+        # The reader only warns on a text without rows; that refuses it.
+        assert assert_parses_as_oracle(HEADER + "\r\n\r\n\n") == []
+
+    @pytest.mark.parametrize("row, columns, field", [(17, range(16, 23), "NaN"), (39, [1], "1e999"), (39, [1], "inf")])
+    def test_non_finite_fields_that_no_later_check_catches(self, row, columns, field):
+        # An apr group spelled NaN would pass for an absent one, and an
+        # infinite last timestamp has no later one to fail against.
+        rows = self.rows()
+        for column in columns:
+            rows[row][column] = field
+        outcome = assert_parses_as_oracle(self.text(rows))
+        assert outcome[0] == "error" and outcome[2] == row + 2
+
+    @pytest.mark.parametrize(
+        "presence, ending, quoted",
+        [("all", "\r\n", False), ("some", "\n", False), ("some", "", False), ("some", "\r\n", True)],
+    )
+    def test_clean_chunks_skip_the_row_checks(self, monkeypatch, presence, ending, quoted):
+        # gt and apr absent on every row, on none or on some; the last
+        # row without a line ending, or every frame field quoted.
+        rng = np.random.default_rng(11)
+        rows = row_fields(rng, 700, {"gt": presence, "vio": "all", "apr": presence}, "%r")
+        lines = [HEADER] + [",".join(f) for f in rows]
+        if quoted:
+            lines = ['"%s",%s' % tuple(line.split(",", 1)) for line in lines]
+        text = "\r\n".join(lines) + ending
+        with text_file(text) as path:
+            expect = parse_outcome(row_parse_sequence, path)
+
+            def refuse(*args):
+                raise AssertionError("the row checks ran")
+
+            monkeypatch.setattr(posefuse.io, "_check_rows", refuse)
+            assert parse_outcome(parse_sequence, path) == expect
+        assert len(expect) == 700 and len(text) > 3 << 16
+        if presence == "some":
+            assert {s[2] is None for s in expect} == {s[4] is None for s in expect} == {True, False}

@@ -1,7 +1,7 @@
 """The package's export list: a name dropped from the package but left
 in __all__ (or misspelt there) breaks star imports without failing any
 other test.  Its imports: a name a module imports but never uses is a
-leftover of a refactor, which no other test notices.  And geometry's
+leftover of a refactor, which no other test notices.  And every module's
 public names: one the package neither calls nor exports is a second
 spelling of a formula, kept alive only by its tests."""
 
@@ -93,8 +93,11 @@ def test_unread_public_names_are_caught():
     assert unread_public_names(source, [], {"odometry", "Pose"}) == {"distance_twin"}
 
 
-def test_every_public_geometry_name_is_used_or_exported():
-    package = Path(posefuse.__file__).parent
-    geometry = package / "geometry.py"
-    others = [m.read_text(encoding="utf-8") for m in sorted(package.glob("*.py")) if m != geometry]
-    assert unread_public_names(geometry.read_text(encoding="utf-8"), others, set(posefuse.__all__)) == set()
+def test_every_public_name_is_used_or_exported():
+    sources = {m.name: m.read_text(encoding="utf-8") for m in sorted(Path(posefuse.__file__).parent.glob("*.py"))}
+    assert len(sources) > 5
+    unread = {
+        name: sorted(unread_public_names(source, [s for n, s in sources.items() if n != name], set(posefuse.__all__)))
+        for name, source in sources.items()
+    }
+    assert unread == {name: [] for name in sources}
