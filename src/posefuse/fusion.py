@@ -54,6 +54,7 @@ from .geometry import (
     _motions,
     _normalize,
     _normalize_rows,
+    _norms,
     _pose,
     _pose_fault,
     _poses,
@@ -417,11 +418,6 @@ def _references(track: np.ndarray, firsts: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """np.linalg.norm(x, axis=axis) of a float array, minus its wrapper."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
-
-
 def _medians(pts: np.ndarray) -> np.ndarray:
     """The geometric median, the minimizer of the summed Euclidean
     distance, of every window of a (W, n, 3) stack of points, n >= 1.
@@ -441,9 +437,9 @@ def _medians(pts: np.ndarray) -> np.ndarray:
     # Kuhn's test.  diff[w, k, j] holds p_j - p_k of window w; coincident
     # points add a zero vector to the pull and one each to the multiplicity.
     diff = pts[:, None, :, :] - pts[:, :, None, :]
-    dist = _norms(diff, 3)
+    dist = _norms(diff)
     same = dist == 0.0
-    pull = _norms((diff / np.where(same, 1.0, dist)[:, :, :, None]).sum(axis=2), 2)
+    pull = _norms((diff / np.where(same, 1.0, dist)[:, :, :, None]).sum(axis=2))
     vertex = pull < same.sum(axis=2) * (1.0 - 1e-9)
     out = pts[np.arange(len(pts)), vertex.argmax(axis=1)]
     rest = np.flatnonzero(~vertex.any(axis=1))
@@ -454,7 +450,7 @@ def _medians(pts: np.ndarray) -> np.ndarray:
 
 def _objectives(pts: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Summed distance from at[w] to the points of window w."""
-    return np.add.reduce(_norms(pts - at[:, None, :], 2), axis=1)
+    return np.add.reduce(_norms(pts - at[:, None, :]), axis=1)
 
 
 def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -466,7 +462,7 @@ def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
     live, p, y_live = np.arange(len(pts)), pts, y.copy()
     for _ in range(_MEDIAN_MAX_ITER):
         diff = p - y_live[:, None, :]
-        d = _norms(diff, 2)
+        d = _norms(diff)
         near = d < _MEDIAN_TOL
         if near.any():
             landed = near.any(axis=1)
@@ -499,10 +495,7 @@ def _iterate_medians(pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
             grow = grow[better]
             y_next[grow], f_next[grow] = cand[better], f_cand[better]
             scale *= 2.0
-        # The step length squares the move through a BLAS dot, as
-        # np.linalg.norm of a vector does: (1, 3) @ (3, 1) makes that call.
-        moved = y_next - y_live
-        step = np.sqrt(np.matmul(moved[:, None, :], moved[:, :, None])[:, 0, 0])
+        step = _norms(y_next - y_live)
         y_live = y_next
         done = step < _MEDIAN_TOL
         if done.any():

@@ -245,6 +245,13 @@ def _motions(a: np.ndarray, b: np.ndarray) -> _Motions:
     return _Motions(np.sqrt(_squared_distance(*a[:, :3].T, *b[:, :3].T)), angle)
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, of 3-vectors here.  numpy
+    adds fewer than 8 squares left to right, x*x + y*y + z*z, and makes
+    no BLAS call, so the bits do not depend on the CPU."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
     """_normalize of each row of a quaternion array, in place, with its
     sign rule as a mask; the rows must not be near zero."""
@@ -276,7 +283,7 @@ def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
     _axis_angle over the rows took 3x as long (205 us at 200 rows, ~3% of
     a synthetic sequence, which calls it three times), so it has a body."""
     ax, ay, az = axes.T
-    n = np.sqrt(ax * ax + ay * ay + az * az)
+    n = _norms(axes)
     if (n < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
     half = (np.fromiter(map(math.radians, angles_deg.tolist()), float) * 0.5).tolist()

@@ -18,10 +18,11 @@ qz: simulate_vio and simulate_apr return it as a PoseTrack, whose Pose
 objects are built only on access, and generate_gt as PoseSamples.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
-any seed reproduces the same draws on any platform.  The poses built
-from them can differ in the last bits between CPUs: random unit vectors
-are divided by a norm from numpy's dot product, which OpenBLAS computes
-with fused multiply-adds in some of its kernels and not in others.
+any seed reproduces the same draws on any platform.  The streams built
+from them are bit-identical across CPUs for the same numpy and libm:
+every norm is a sum of squares added left to right (geometry._norms),
+never a BLAS dot, so only libm's sin and cos, which may round
+differently on another platform, can move a bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .geometry import (
     Pose, PoseTrack, _axis_angle, _axis_angle_rows, _hamilton, _hamilton_rows, _normalize,
-    _normalize_rows, _poses,
+    _normalize_rows, _norms, _poses,
 )
 from .io import PoseSample
 from .metrics import track_array
@@ -103,19 +104,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
     while True:
-        v = rng.normal(0.0, 1.0, 3)
-        n = math.sqrt(v.dot(v))
+        x, y, z = rng.normal(0.0, 1.0, 3).tolist()
+        n = math.sqrt(x * x + y * y + z * z)
         if n > 1e-6:
-            x, y, z = v.tolist()
             return x / n, y / n, z / n
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Norms of the rows of an (N, 3) array, bit for bit the norm
-    _random_unit takes of one row.  numpy computes a (1, 3) by (3, 1)
-    matmul with the dot routine the 1-D v.dot(v) calls; a plain sum of
-    squares would differ wherever BLAS fuses the multiply-adds."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
 
 
 def generate_gt(cfg: TrajectoryConfig) -> list[PoseSample]:
@@ -151,7 +143,7 @@ def _vio_step_draws(rng: np.random.Generator, n_steps: int, width: int) -> np.nd
         return z.reshape(n_steps, 3)
     while True:
         steps = z.reshape(n_steps, 7)
-        rejected = np.flatnonzero(_row_norms(steps[:, 3:6]) <= 1e-6)
+        rejected = np.flatnonzero(_norms(steps[:, 3:6]) <= 1e-6)
         if rejected.size == 0:
             return steps
         k = int(rejected[0]) * 7 + 3
@@ -192,7 +184,7 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> PoseTra
     d_rot = _normalize_rows(_hamilton_rows(conj, g[1:, 3:])).tolist()
     if noisy_rot:
         axes = 0.0 + steps[:, 3:6]
-        axes /= _row_norms(axes)[:, None]
+        axes /= _norms(axes)[:, None]
         noise = _normalize_rows(_axis_angle_rows(axes, 0.0 + model.step_rot_sigma * steps[:, 6])).tolist()
     # The orientation chain: each step normalizes the one before.
     quats = [tuple(g[0, 3:].tolist())]

@@ -187,10 +187,10 @@ def sequential_vio(gt, model, rng):
 
     def random_unit():
         while True:
-            v = rng.normal(0.0, 1.0, 3)
-            n = float(np.linalg.norm(v))
+            x, y, z = rng.normal(0.0, 1.0, 3).tolist()
+            n = math.sqrt(x * x + y * y + z * z)
             if n > 1e-6:
-                return float(v[0] / n), float(v[1] / n), float(v[2] / n)
+                return x / n, y / n, z / n
 
     def times(a, b):
         return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
@@ -417,7 +417,8 @@ def scalar_reference(poses):
                     break
                 y_next, f_next = cand, f_cand
                 scale *= 2.0
-            step = np.linalg.norm(y_next - y)
+            mx, my, mz = (y_next - y).tolist()
+            step = math.sqrt(mx * mx + my * my + mz * mz)
             y = y_next
             if step < tol:
                 break

@@ -8,7 +8,7 @@ import pytest
 from helpers import point_distance
 from oracles import rotation_matrix, sequential_vio
 from posefuse import synth
-from posefuse.geometry import PoseTrack, rotation_angle_deg
+from posefuse.geometry import PoseTrack, _norms, rotation_angle_deg
 from posefuse.metrics import relative_errors, track_array
 from posefuse.synth import (
     AprNoiseModel,
@@ -286,13 +286,8 @@ class TestErrorTrends:
 # frames and seeds 10-11 at 5000 frames, stream seeds derived as the CLI
 # derives them.  Recorded from the step-by-step generator that drew one
 # value per call; any change to a draw, its order or the float operations
-# applied to it changes a digest.
-#
-# The last bits of every random unit vector follow numpy's 3-term dot
-# product, which OpenBLAS computes with fused multiply-adds on some CPUs
-# (its AVX-512 kernels) and with plain ones on others, so each variant
-# has a digest for each.  A kernel that sums in yet another order
-# matches neither.
+# applied to it changes a digest.  No norm on the way goes through a BLAS
+# dot (TestPlainNorms), so one digest holds on every CPU.
 STREAM_MODELS = {
     "defaults": (TrajectoryConfig(), VioNoiseModel(), AprNoiseModel()),
     "no_step_rotation": (TrajectoryConfig(), VioNoiseModel(step_rot_sigma=0.0), AprNoiseModel()),
@@ -303,31 +298,14 @@ STREAM_MODELS = {
     "frame_rate_10hz": (TrajectoryConfig(frame_rate_hz=10.0), VioNoiseModel(), AprNoiseModel()),
 }
 STREAM_DIGESTS = {
-    "fused": {
-        "defaults": "2bc9e8a00782e4d80282d0ba4d731d0ac724d67702bf94907c3d9b41fd4e5e8f",
-        "no_step_rotation": "5fa542086fc3399ccfcc92d1c05c7c431ef80a2560fe5e50fe23375ee044ad7d",
-        "no_drift_bias": "eb82d5b4a47841c25f56555bd7d31c643405f0b7276b8a5ef46841083275f62c",
-        "straight_constant_speed": "0b87ae5687628c0c987e3244d879e1e71b69530d0484e46be83dc4766595dcdf",
-        "no_outliers": "9452fb1c9affeb1b60a70946581be2f184f55d3ff5395fe06dd64b8db674d086",
-        "all_outliers": "0f203ab95d2f77b7965d5c46e704ff67c5f5f360bb464d5eedc61ec711e613ca",
-        "frame_rate_10hz": "b73aeca2892bfffde05f82f1d8d51f77c61694aefb9ed7f55e3ba7281e3acc87",
-    },
-    "plain": {
-        "defaults": "428c62c5768b5859135c91a7daa056e0fd8ba752b348dc57c176ee747f63c612",
-        "no_step_rotation": "0b626fa0a695d8a78d40ecde69b34bbf22f95502511960ec75ff03ac8f30088c",
-        "no_drift_bias": "116ac0ef702ba2dd0e4617f9cc65e810341337e8201c43c6907aceaa0e76b2dc",
-        "straight_constant_speed": "fcbd916ee94bedc2dbd44681677ebc17e4519135958e70d9e62e44841be1e6ef",
-        "no_outliers": "23ad6f87fa6de952ec930e3071261032e10287603323592df3f8d21726c70800",
-        "all_outliers": "138bb2595fe7f1801d1fa5311ebbe999e706e260aae199671a4110f0dad3f669",
-        "frame_rate_10hz": "b75523163260c5bd8be48e7203d0e93c779db0aff2c57636c9e0fd0f41cba21e",
-    },
+    "defaults": "428c62c5768b5859135c91a7daa056e0fd8ba752b348dc57c176ee747f63c612",
+    "no_step_rotation": "0b626fa0a695d8a78d40ecde69b34bbf22f95502511960ec75ff03ac8f30088c",
+    "no_drift_bias": "116ac0ef702ba2dd0e4617f9cc65e810341337e8201c43c6907aceaa0e76b2dc",
+    "straight_constant_speed": "fcbd916ee94bedc2dbd44681677ebc17e4519135958e70d9e62e44841be1e6ef",
+    "no_outliers": "23ad6f87fa6de952ec930e3071261032e10287603323592df3f8d21726c70800",
+    "all_outliers": "138bb2595fe7f1801d1fa5311ebbe999e706e260aae199671a4110f0dad3f669",
+    "frame_rate_10hz": "b75523163260c5bd8be48e7203d0e93c779db0aff2c57636c9e0fd0f41cba21e",
 }
-
-
-def dot_kernel():
-    """Which of the two recorded kernels numpy's dot product runs here."""
-    v = np.array([0.3, 0.7, 0.9])
-    return "plain" if v.dot(v) == 0.3 * 0.3 + 0.7 * 0.7 + 0.9 * 0.9 else "fused"
 
 
 @pytest.mark.parametrize("variant", sorted(STREAM_MODELS))
@@ -342,7 +320,7 @@ def test_streams_match_pinned_digest(variant):
         for s, v, a in zip(samples, vio, apr):
             line = f"{s.frame_index} {float.hex(s.timestamp)} {pose_hex(s.gt)} {pose_hex(v)} {pose_hex(a)}\n"
             h.update(line.encode())
-    assert h.hexdigest() == STREAM_DIGESTS[dot_kernel()][variant]
+    assert h.hexdigest() == STREAM_DIGESTS[variant]
 
 
 class ScriptedNormals:
@@ -366,6 +344,30 @@ class ScriptedNormals:
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return loc + scale * self._take(size)
+
+
+# Vectors whose norm, and unit vector, a dot product with fused
+# multiply-adds (OpenBLAS's AVX-512 kernels) rounds one bit above and one
+# bit below x*x + y*y + z*z.
+UNFUSED_NORM_ROWS = [[2.041, -2.556, 0.418], [-0.243, 0.817, -0.794]]
+
+
+def plain_norm(x, y, z):
+    return math.sqrt(x * x + y * y + z * z)
+
+
+class TestPlainNorms:
+    def test_row_norms_are_plain_sums_of_squares(self):
+        rows = np.array(UNFUSED_NORM_ROWS)
+        want = [float.hex(plain_norm(*r)) for r in UNFUSED_NORM_ROWS]
+        assert [float.hex(n) for n in _norms(rows).tolist()] == want
+        assert [float.hex(n) for n in _norms(rows[None, :, :]).ravel().tolist()] == want
+
+    @pytest.mark.parametrize("row", UNFUSED_NORM_ROWS)
+    def test_random_unit_divides_by_the_plain_norm(self, row):
+        n = plain_norm(*row)
+        got = synth._random_unit(ScriptedNormals(row))
+        assert [float.hex(c) for c in got] == [float.hex(c / n) for c in row]
 
 
 class TestVioRejectedAxis:
