@@ -21,13 +21,13 @@ from .geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
+    track_array,
 )
 from .io import PoseSample, Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     PrecisionBuckets,
     SummaryReport,
     align_and_evaluate,
-    track_array,
 )
 from .synth import (
     AprNoiseModel,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import FusionConfig, Label, run_sequence
-from .geometry import PoseTrack
+from .geometry import PoseTrack, track_array
 from .io import Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
@@ -35,7 +35,6 @@ from .metrics import (
     align_and_evaluate,
     relative_errors,
     summarize_errors,
-    track_array,
 )
 from .synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 

@@ -61,9 +61,9 @@ from .geometry import (
     _rotate,
     _top_quaternions,
     odometry,
+    track_array,
 )
 from .io import PoseSample, Recording
-from .metrics import track_array
 
 
 @dataclass(frozen=True)

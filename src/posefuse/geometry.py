@@ -137,19 +137,6 @@ def _rotate(
     return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
 
 
-def _axis_angle(
-    axis: tuple[float, float, float], angle_deg: float
-) -> tuple[float, float, float, float]:
-    """Rotation of angle_deg about axis, not normalized."""
-    ax, ay, az = axis
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    if n < 1e-12:
-        raise ValueError("rotation axis must be nonzero")
-    half = math.radians(angle_deg) * 0.5
-    s = math.sin(half) / n
-    return math.cos(half), ax * s, ay * s, az * s
-
-
 @dataclass(frozen=True, slots=True)
 class Pose:
     """Position plus orientation of one frame."""
@@ -277,11 +264,10 @@ def _hamilton_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
-    """_axis_angle of each row of an (N, 3) axis array with its angle,
-    not normalized.  The trig comes from math, as in _axis_angle: numpy's
-    vectorized sin and cos may differ from it in the last bit.  A map of
-    _axis_angle over the rows took 3x as long (205 us at 200 rows, ~3% of
-    a synthetic sequence, which calls it three times), so it has a body."""
+    """The rotation of angle_deg about the axis of each row of an (N, 3)
+    axis array, not normalized: cos h, then the axis times sin h over its
+    norm, h half the angle.  The trig comes from math, a float at a time:
+    numpy's vectorized sin and cos may differ from it in the last bit."""
     ax, ay, az = axes.T
     n = _norms(axes)
     if (n < 1e-12).any():
@@ -341,6 +327,19 @@ def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: floa
 def _poses(track: np.ndarray) -> list[Pose]:
     """_pose of each row of a track, x, y, z, qw, qx, qy, qz."""
     return list(starmap(_pose, track.tolist()))
+
+
+def track_array(poses: Sequence[Pose]) -> np.ndarray:
+    """The (N, 7) track of a pose sequence, the inverse of _poses: x, y,
+    z, qw, qx, qy, qz.  A PoseTrack gives a writable copy of its array."""
+    if isinstance(poses, PoseTrack):
+        return poses.track.copy()
+    rows = [
+        (p.position.x, p.position.y, p.position.z,
+         p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
+        for p in poses
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 
 class _FrameSequence(Sequence):

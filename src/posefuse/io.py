@@ -7,12 +7,13 @@ is absent for the sequence.  Timestamps are seconds and must be strictly
 increasing.
 
 parse_sequence returns a Recording: the frames in array form, one
-(N, 7) track per stream, converted from text by one function,
-_read_chunk, a chunk of rows at a time, with one call of numpy's C
-reader, which converts a field with the routine float() uses.  Rows
-that reader refuses are checked one at a time, to word an error or to
-spell the rows afresh for it.  Each row is checked once, so the parser
-builds its Recording without the constructor's checks.  A Recording
+(N, 7) track per stream, converted from text a chunk of rows at a
+time, by one call of numpy's C reader, which converts a field with the
+routine float() uses.  The rows of a chunk that reader refuses are
+converted one at a time with int and float, which give the same bits,
+and checked as they are converted, so a bad row's error names its
+line.  Each row is checked once, so the parser builds its Recording
+without the constructor's checks.  A Recording
 is a read-only sequence of PoseSample, whose Pose objects are built only
 when a caller indexes or iterates it.  Recording.of turns any sequence
 of samples into one, and write_sequence formats from that form.
@@ -34,8 +35,8 @@ import numpy as np
 
 from .geometry import (
     COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _new, _normalize_rows, _pose_fault, _poses,
+    track_array,
 )
-from .metrics import track_array
 
 SEQUENCE_COLUMNS = (
     "frame",
@@ -53,8 +54,9 @@ QUAT_NORM_SLACK = 1e-3
 # time, which bounds its working memory.
 _CHUNK_CHARS = 1 << 16
 
-# A data row as _table reads it: the frame, then the timestamp and the
-# seven columns of each of gt, vio and apr.
+# A data row as _read_chunk and _check_rows convert it: the frame, then
+# the timestamp and the seven columns of each of gt, vio and apr, NaN
+# where the group is empty.
 _ROW = np.dtype([("frame", np.int64), ("values", np.float64, (22,))])
 _FRAME_RANGE = range(-(1 << 63), 1 << 63)
 
@@ -178,14 +180,14 @@ def parse_sequence(path: str | Path) -> Recording:
     non-increasing timestamps.
 
     The rows come in chunks (see _chunks), the header alone first.
-    _read_chunk converts and checks each chunk in bulk; _check_rows words
-    the error of the first bad row of a chunk it refuses, or spells the
-    rows for it to convert again.  The rows are checked once, so the
-    Recording is built without the constructor's checks.  No Pose is
-    built until the recording is indexed or iterated.
+    _read_chunk converts and checks each chunk in bulk; _check_rows
+    converts and checks the rows of a chunk it refuses one at a time,
+    and words the error of the first bad row.  Either gives the chunk's
+    table, and each row is checked once, so the Recording is built
+    without the constructor's checks.  No Pose is built until the
+    recording is indexed or iterated.
     """
-    frames: list[int] = []
-    blocks: list[np.ndarray] = []
+    tables: list[np.ndarray] = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         chunks = _chunks(fh)
         header = next(chunks, None)
@@ -195,15 +197,20 @@ def parse_sequence(path: str | Path) -> Recording:
             raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
         last = -math.inf  # the timestamp of the last row read
         for rows, starts, text in chunks:
-            if not _read_chunk(text, last, frames, blocks):
-                _read_chunk(_check_rows(rows, starts, last), last, frames, blocks)
-            last = blocks[-1].item(-1, 0) if blocks else last
-    values = np.concatenate(blocks) if blocks else np.empty((0, 22))
+            table = _read_chunk(text, last)
+            if table is None:
+                table = _check_rows(rows, starts, last)
+            # A chunk of blank lines has no rows.
+            if len(table):
+                tables.append(table)
+                last = table["values"].item(-1, 0)
+    table = np.concatenate(tables) if tables else np.empty(0, _ROW)
+    values = table["values"]
     # The quaternion columns of each group, normalized in place as
     # UnitQuaternion normalizes them; rows of an absent group stay NaN.
     for g in range(3):
         _normalize_rows(values[:, 4 + 7 * g : 8 + 7 * g])
-    return Recording._checked(frames, values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
+    return Recording._checked(table["frame"].tolist(), values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
 
 
 def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[str]]]:
@@ -262,21 +269,17 @@ def _joined(rows: list[list[str]]) -> Optional[str]:
     return text
 
 
-def _read_chunk(text: Optional[str], last: float, frames: list[int], blocks: list[np.ndarray]) -> bool:
-    """Append the frames and the block of a chunk of data rows, the text
-    of their lines, and return True if every row is well formed and the
-    first timestamp follows last; else return False, appending nothing.
-    A block row is the timestamp, then the seven columns of each of gt,
-    vio and apr, NaN where the group is empty, as _table converts them."""
+def _read_chunk(text: Optional[str], last: float) -> Optional[np.ndarray]:
+    """The _ROW table of a chunk of data rows, the text of their lines,
+    as _table converts them, if every row is well formed and the first
+    timestamp follows last; else None."""
     if text is None or "n" in text or "N" in text:
         # A field spelled nan or inf is left to the row checks to word.
-        return False
-    if not text:
-        return True
+        return None
     limit = csv.field_size_limit()
     # Most chunks are shorter than the limit, which spares the line scan.
     if len(text) > limit and max(map(len, text.splitlines())) > limit:
-        return False
+        return None
     table = _table(text)
     if table is None and _EMPTY_GROUP in text:
         # An absent pose group is seven empty fields, each after a comma
@@ -287,23 +290,21 @@ def _read_chunk(text: Optional[str], last: float, frames: list[int], blocks: lis
         # field and nothing else.
         table = _table(text.replace(_EMPTY_GROUP, ",nan" * 7))
     if table is None:
-        return False
+        return None
     values = table["values"]
     # Overflow reads as inf, as float reads it.
     if np.isinf(values).any():
-        return False
+        return None
     ts = values[:, 0]
     groups = values[:, 1:].reshape(len(values), 3, 7)
     empty = np.isnan(groups).sum(axis=2)
     if np.isnan(ts).any() or (empty % 7).any() or empty[:, 1].any():
-        return False
+        return None
     if _pose_fault(groups[empty == 0], QUAT_NORM_SLACK) is not None:
-        return False
+        return None
     if not (ts[0] > last and (ts[1:] > ts[:-1]).all()):
-        return False
-    frames.extend(table["frame"].tolist())
-    blocks.append(values)
-    return True
+        return None
+    return table
 
 
 def _table(text: str) -> Optional[np.ndarray]:
@@ -320,14 +321,14 @@ def _table(text: str) -> Optional[np.ndarray]:
         return None
 
 
-def _check_rows(rows: list, starts: Sequence[int], last: float) -> str:
-    """The text of the rows of a chunk, rows of _chunks each starting on
-    its line in starts, with each field spelled as _table reads it to the
-    bits int and float read the field, and blank rows dropped; raise
-    SequenceFormatError at the first bad row, worded from its fields as
-    the file spells them.  last is the timestamp before the chunk."""
+def _check_rows(rows: list, starts: Sequence[int], last: float) -> np.ndarray:
+    """The _ROW table of the rows of a chunk, rows of _chunks each
+    starting on its line in starts, converted by int and float, blank
+    rows dropped; raise SequenceFormatError at the first bad row, worded
+    from its fields as the file spells them.  last is the timestamp
+    before the chunk."""
     limit, n_cols = csv.field_size_limit(), len(SEQUENCE_COLUMNS)
-    lines = []
+    records = []
     for line_no, row in zip(starts, map(_fields, rows)):
         if max(map(len, row), default=0) > limit:
             raise SequenceFormatError(f"field larger than field limit ({limit})", line=line_no)
@@ -343,16 +344,16 @@ def _check_rows(rows: list, starts: Sequence[int], last: float) -> str:
         if frame not in _FRAME_RANGE:
             raise SequenceFormatError(f"frame is outside the int64 range: {row[0]!r}", line=line_no)
         ts = _parse_float(row[1], "timestamp", line_no)
-        line = [str(frame), repr(ts)]
+        values = [ts]
         for name, start in zip(STREAMS, (2, 9, 16)):
-            line += _check_pose_group(stripped[start : start + 7], name, line_no)
+            values += _check_pose_group(stripped[start : start + 7], name, line_no)
         if not any(stripped[9:16]):
             raise SequenceFormatError("vio pose is required on every row", line=line_no)
         if ts <= last:
             raise SequenceFormatError(f"timestamps must be strictly increasing, {ts!r} follows {last!r}", line=line_no)
         last = ts
-        lines.append(",".join(line))
-    return "\n".join(lines)
+        records.append((frame, values))
+    return np.array(records, dtype=_ROW)
 
 
 def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
@@ -390,13 +391,12 @@ def _parse_float(text: str, name: str, line_no: int) -> float:
     return v
 
 
-def _check_pose_group(fields: list[str], name: str, line_no: int) -> list[str]:
-    """The fields of a pose group, seven stripped fields, spelled as
-    _table reads them to the bits float reads them: as they are for an
-    empty group.  Raise SequenceFormatError at a group that is neither
-    empty nor a pose."""
+def _check_pose_group(fields: list[str], name: str, line_no: int) -> list[float]:
+    """The values of a pose group, seven stripped fields, as float reads
+    them, or seven NaN for an empty group.  Raise SequenceFormatError at
+    a group that is neither empty nor a pose."""
     if not any(fields):
-        return fields
+        return [math.nan] * 7
     if not all(fields):
         raise SequenceFormatError(f"{name} pose group is partially filled, give all 7 fields or none", line=line_no)
     vals = [_parse_float(f, name, line_no) for f in fields]
@@ -412,4 +412,4 @@ def _check_pose_group(fields: list[str], name: str, line_no: int) -> list[str]:
             f"{QUAT_NORM_SLACK} from 1, refusing to renormalize",
             line=line_no,
         )
-    return [repr(v) for v in vals]
+    return vals

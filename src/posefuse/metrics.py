@@ -1,15 +1,16 @@
 """Trajectory error metrics and evaluation summaries.
 
 A track is an (N, 7) float array with one row per frame, position then
-orientation: (x, y, z, qw, qx, qy, qz).  track_array builds one from
-Pose objects.  Absolute errors compare a track against ground truth row
-by row.  Relative errors compare the per-step motion magnitudes of two
-tracks, which cancels any shared rigid offset.  Tracks living in their
-own coordinate frame (odometry) are first registered to ground truth
-with a rigid fit over the opening window of the sequence, by Horn's
-quaternion method: the rotation is the top eigenvector of a 4x4 matrix
-built from the two point sets' cross-covariance, after a rank check
-that refuses coincident or collinear points.
+orientation: (x, y, z, qw, qx, qy, qz).  geometry's track_array builds
+one from Pose objects.  Absolute errors compare a track against ground
+truth row by row.  Relative errors compare the per-step motion
+magnitudes of two tracks, which cancels any shared rigid offset.
+Tracks living in their own coordinate frame (odometry) are first
+registered to ground truth with a rigid fit over the opening window of
+the sequence, by Horn's quaternion method: the rotation is the top
+eigenvector of a 4x4 matrix built from the two point sets'
+cross-covariance, after a rank check that refuses coincident or
+collinear points.
 
 Both kinds of error rest on geometry's _motions, the row form of
 odometry: each row's errors equal, bit for bit, what odometry in
@@ -25,8 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Pose,
-    PoseTrack,
     RigidTransform,
     UnitQuaternion,
     Vec3,
@@ -94,19 +93,6 @@ class SummaryReport:
                 "low": self.buckets.low,
             },
         }
-
-
-def track_array(poses: Sequence[Pose]) -> np.ndarray:
-    """The (N, 7) track of a pose sequence: x, y, z, qw, qx, qy, qz.  A
-    PoseTrack gives a writable copy of its array."""
-    if isinstance(poses, PoseTrack):
-        return poses.track.copy()
-    rows = [
-        (p.position.x, p.position.y, p.position.z,
-         p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
-        for p in poses
-    ]
-    return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 
 def absolute_pose_error(est: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,11 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Pose, PoseTrack, _axis_angle, _axis_angle_rows, _hamilton, _hamilton_rows, _normalize,
-    _normalize_rows, _norms, _poses,
+    Pose, PoseTrack, _axis_angle_rows, _hamilton, _hamilton_rows, _normalize, _normalize_rows, _norms, _poses,
+    track_array,
 )
 from .io import PoseSample
-from .metrics import track_array
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def generate_gt(cfg: TrajectoryConfig) -> list[PoseSample]:
         [0.0, cfg.speed_mean], [cfg.turn_rate_std, cfg.speed_std], (cfg.n_frames - 1, 2)
     ).T
     # np.add.accumulate adds strictly left to right, as a running sum
-    # from 0.0 does; the trig comes from math, as in _axis_angle.
+    # from 0.0 does; the trig comes from math, as in _axis_angle_rows.
     yaw_deg = np.add.accumulate(np.concatenate(([0.0], turn * dt)))
     heading = [math.radians(a) for a in yaw_deg[1:].tolist()]
     step = np.maximum(speed, 0.0) * dt
@@ -165,7 +164,8 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> PoseTra
     rng = _rng(seed)
     bias_dir = _random_unit(rng)
     bias_axis = _random_unit(rng)
-    bias_rot = _normalize(_axis_angle(bias_axis, model.drift_bias_rot))
+    axis, angle = np.array([bias_axis]), np.array([model.drift_bias_rot])
+    bias_rot = _normalize_rows(_axis_angle_rows(axis, angle))[0].tolist()
     noisy_rot = model.step_rot_sigma > 0.0
     steps = _vio_step_draws(rng, len(g) - 1, 7 if noisy_rot else 3)
     # Each position is ((previous + true step) + noise) + bias, summed in

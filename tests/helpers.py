@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from posefuse.fusion import _average_quaternions, _medians
-from posefuse.geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton, _poses
+from posefuse.geometry import Pose, UnitQuaternion, Vec3, _poses
+from oracles import axis_angle_quaternion, hamilton_product
 
 
 def random_quaternion(rng: np.random.Generator) -> UnitQuaternion:
@@ -27,13 +28,14 @@ def point_distance(a: Vec3, b: Vec3) -> float:
     return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
-# Test inputs are built from the package's float forms, through the
-# UnitQuaternion constructor; results are checked against tests/oracles.py.
+# Test rotations are built from the plain-float formulas of
+# tests/oracles.py, through the UnitQuaternion constructor; results are
+# checked against that module too.
 
 
 def rotation_about(axis: tuple[float, float, float], angle_deg: float) -> UnitQuaternion:
     """Rotation of angle_deg about axis."""
-    return UnitQuaternion(*_axis_angle(axis, angle_deg))
+    return UnitQuaternion(*axis_angle_quaternion(axis, angle_deg))
 
 
 def median_of(points: list[Vec3]) -> Vec3:
@@ -51,4 +53,4 @@ def average_of(quats: list[UnitQuaternion]) -> UnitQuaternion:
 
 def quat_product(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """The rotation a then b on the body side, a * b."""
-    return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+    return UnitQuaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))

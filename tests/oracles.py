@@ -82,6 +82,30 @@ def rotation_matrix(q) -> np.ndarray:
     ])
 
 
+def axis_angle_quaternion(axis, angle_deg) -> tuple[float, float, float, float]:
+    """The rotation of angle_deg about axis as a quaternion (w, x, y, z),
+    not normalized: cos h, then the axis times sin h over its norm, h
+    half the angle, in plain float arithmetic."""
+    ax, ay, az = (float(c) for c in axis)
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    half = math.radians(angle_deg) * 0.5
+    s = math.sin(half) / n
+    return math.cos(half), ax * s, ay * s, az * s
+
+
+def hamilton_product(a, b) -> tuple[float, float, float, float]:
+    """The Hamilton product a * b of two quaternions (w, x, y, z), term
+    by term from the textbook formula."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_angle_stable_deg(qa: np.ndarray, qb: np.ndarray) -> float:
     """Rotation angle between two unit quaternions (wxyz), stable near 0.
 
@@ -175,15 +199,15 @@ def sequential_vio(gt, model, rng):
     ``posefuse.synth.simulate_vio`` ran before it took each step's draws
     from one block.
 
-    Unlike the rest of this module it builds on the package's float
-    rotation formulas (``_hamilton``, ``_axis_angle``) and the
-    ``UnitQuaternion`` constructor, on purpose: it pins the order in
-    which draws are taken and used (a rejected rotation axis is redrawn
-    before its angle), while the stream digests in ``test_synth.py`` pin
-    the arithmetic.  Each product and rotation is normalized by the
-    constructor before it is used.
+    It pins the order in which draws are taken and used (a rejected
+    rotation axis is redrawn before its angle), while the stream digests
+    in ``test_synth.py`` pin the arithmetic.  Its rotations come from
+    this module's plain-float ``axis_angle_quaternion`` and
+    ``hamilton_product``, the formulas the package evaluates in the same
+    order, so the bits agree.  Each product and rotation is normalized by
+    the ``UnitQuaternion`` constructor before it is used.
     """
-    from posefuse.geometry import Pose, UnitQuaternion, Vec3, _axis_angle, _hamilton
+    from posefuse.geometry import Pose, UnitQuaternion, Vec3
 
     def random_unit():
         while True:
@@ -193,7 +217,7 @@ def sequential_vio(gt, model, rng):
                 return x / n, y / n, z / n
 
     def times(a, b):
-        return UnitQuaternion(*_hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+        return UnitQuaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
     bias_dir = random_unit()
     bias_axis = random_unit()
@@ -211,9 +235,10 @@ def sequential_vio(gt, model, rng):
         ori = times(out[-1].orientation, d_rot)
         if model.step_rot_sigma > 0.0:
             axis = random_unit()
-            ori = times(ori, UnitQuaternion(*_axis_angle(axis, float(rng.normal(0.0, model.step_rot_sigma)))))
+            angle = float(rng.normal(0.0, model.step_rot_sigma))
+            ori = times(ori, UnitQuaternion(*axis_angle_quaternion(axis, angle)))
         if model.drift_bias_rot > 0.0:
-            ori = times(ori, UnitQuaternion(*_axis_angle(bias_axis, model.drift_bias_rot)))
+            ori = times(ori, UnitQuaternion(*axis_angle_quaternion(bias_axis, model.drift_bias_rot)))
         out.append(Pose(pos, ori))
     return out
 

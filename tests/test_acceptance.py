@@ -58,13 +58,13 @@ from posefuse.geometry import (
     Vec3,
     odometry,
     rotation_angle_deg,
+    track_array,
 )
 from posefuse.metrics import (
     _sorted_summary,
     kabsch_align,
     precision_buckets,
     relative_errors,
-    track_array,
 )
 from posefuse.synth import (
     AprNoiseModel,

@@ -34,9 +34,9 @@ from posefuse.geometry import (
     _poses,
     odometry,
     rotation_angle_deg,
+    track_array,
 )
 from posefuse.io import PoseSample, Recording, parse_sequence, write_sequence
-from posefuse.metrics import track_array
 from posefuse.synth import (
     AprNoiseModel,
     TrajectoryConfig,

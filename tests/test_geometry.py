@@ -15,7 +15,6 @@ from posefuse.geometry import (
     RigidTransform,
     UnitQuaternion,
     Vec3,
-    _axis_angle,
     _axis_angle_rows,
     _hamilton,
     _hamilton_rows,
@@ -25,11 +24,12 @@ from posefuse.geometry import (
     _rotate_rows,
     odometry,
     rotation_angle_deg,
+    track_array,
 )
 from posefuse.fusion import FusionConfig, relative_pose_check
-from posefuse.metrics import track_array
 from helpers import point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about
 from oracles import (
+    axis_angle_quaternion,
     chordal_distance,
     matrix_rotation_angle_deg,
     object_apply_pose,
@@ -252,16 +252,21 @@ class TestRotate:
             np.testing.assert_allclose(_rotate(wxyz(q), xyz(v)), r_raw.apply(v.as_array()), atol=1e-12)
 
 
+def axis_angle(axis, angle_deg):
+    """_axis_angle_rows of one axis, through the UnitQuaternion constructor."""
+    return UnitQuaternion(*_axis_angle_rows(np.array([axis], dtype=float), np.array([angle_deg]))[0].tolist())
+
+
 class TestAxisAngle:
-    """_axis_angle, through the UnitQuaternion constructor."""
+    """_axis_angle_rows, through the UnitQuaternion constructor."""
 
     def test_ninety_about_z(self):
-        q = rotation_about((0, 0, 2.0), 90.0)  # axis length irrelevant
+        q = axis_angle((0, 0, 2.0), 90.0)  # axis length irrelevant
         np.testing.assert_allclose(q.as_array(), QZ90.as_array(), atol=1e-12)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
-            _axis_angle((0, 0, 0), 10.0)
+            axis_angle((0, 0, 0), 10.0)
 
     def test_angle_recovered(self, rng):
         for _ in range(50):
@@ -269,7 +274,7 @@ class TestAxisAngle:
             if math.hypot(*xyz(axis)) < 1e-6:
                 continue
             ang = float(rng.uniform(0.0, 179.0))
-            q = rotation_about(xyz(axis), ang)
+            q = axis_angle(xyz(axis), ang)
             assert quat_angle_stable_deg(wxyz(IDENTITY), wxyz(q)) == pytest.approx(ang, abs=1e-9)
             assert scipy_rotation(q).as_rotvec() == pytest.approx(
                 np.radians(ang) * axis.as_array() / np.linalg.norm(axis.as_array()), abs=1e-12
@@ -323,7 +328,8 @@ def signed_zero_rows(rng, n, width):
 
 class TestRowPrimitives:
     """The row forms equal the tuple forms by float.hex, row for row,
-    signed zeros included."""
+    signed zeros included; _axis_angle_rows, which has no tuple form,
+    equals the oracles' plain-float formula."""
 
     def test_hamilton_rows(self, rng):
         a, b = signed_zero_rows(rng, 400, 4), signed_zero_rows(rng, 400, 4)
@@ -340,7 +346,7 @@ class TestRowPrimitives:
         angles[::7] = 0.0
         angles[::11] = -0.0
         got = _axis_angle_rows(axes, angles).tolist()
-        expect = [_axis_angle(x, a) for x, a in zip(axes.tolist(), angles.tolist())]
+        expect = [axis_angle_quaternion(x, a) for x, a in zip(axes.tolist(), angles.tolist())]
         assert [hexes(r) for r in got] == [hexes(r) for r in expect]
 
     def test_rotate_rows(self, rng):

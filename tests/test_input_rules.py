@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from posefuse import cli
 from posefuse.fusion import FusionConfig, run_sequence
-from posefuse.geometry import COORD_LIMIT, Pose, PoseTrack, UnitQuaternion, Vec3
+from posefuse.geometry import COORD_LIMIT, Pose, PoseTrack, UnitQuaternion, Vec3, track_array
 from posefuse.io import SEQUENCE_COLUMNS, PoseSample, Recording, SequenceFormatError, parse_sequence
-from posefuse.metrics import track_array
 from oracles import step_run_sequence
 
 # The largest float below the bound.

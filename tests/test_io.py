@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import math
 import tempfile
@@ -619,3 +620,48 @@ class TestCReader:
         assert len(expect) == 700 and len(text) > 3 << 16
         if presence == "some":
             assert {s[2] is None for s in expect} == {s[4] is None for s in expect} == {True, False}
+
+
+class TestRowPath:
+    """The rows of a chunk the C reader refuses are converted by the row
+    checks themselves, to the row scanner's bits, and never handed back
+    to the reader."""
+
+    def test_every_chunk_through_the_row_checks(self, monkeypatch):
+        # With the reader refusing every text, the row checks alone
+        # convert a file of several chunks, gt and apr absent on some rows.
+        rng = np.random.default_rng(13)
+        rows = row_fields(rng, 700, {"gt": "some", "vio": "all", "apr": "some"}, "%r")
+        text = "\r\n".join([HEADER] + [",".join(f) for f in rows]) + "\r\n"
+        with text_file(text) as path:
+            expect = parse_outcome(row_parse_sequence, path)
+            monkeypatch.setattr(posefuse.io, "_table", lambda text: None)
+            assert parse_outcome(parse_sequence, path) == expect
+        assert len(expect) == 700 and len(text) > 3 << 16
+        assert {s[2] is None for s in expect} == {s[4] is None for s in expect} == {True, False}
+
+    def test_rows_within_a_low_field_limit(self):
+        # Whitespace-only gt groups send the chunk to the row checks.  Its
+        # lines are 63 characters long, within a limit of 65; spelled
+        # afresh ("1e-07", "0.0") they would be 80.
+        pose = "1e-7,2e-7,3e-7,1,0,0,0"
+        lines = [HEADER] + [f"{k},{k},{' ,' * 7}{pose},{pose}" for k in range(5)]
+        assert max(map(len, lines[1:])) == 63
+        old = csv.field_size_limit(65)
+        try:
+            outcome = assert_parses_as_oracle("\n".join(lines) + "\n")
+        finally:
+            csv.field_size_limit(old)
+        assert len(outcome) == 5
+
+    def test_blank_lines_longer_than_a_chunk(self):
+        # Three chunks' worth of blank lines between data rows leaves a
+        # chunk with no rows; the timestamp check reaches past it.
+        rows = [f"{k},{k},{EMPTY_GROUP},{k},0,0,1,0,0,0,{EMPTY_GROUP}" for k in range(4)]
+        blank = [""] * (3 << 16)
+        assert len(assert_parses_as_oracle("\n".join([HEADER, *rows[:2], *blank, *rows[2:]]) + "\n")) == 4
+        rows[2] = "2,1" + rows[2][3:]
+        text = "\n".join([HEADER, *rows[:2], *blank, *rows[2:]]) + "\n"
+        line = len(blank) + 4
+        message = f"line {line}: timestamps must be strictly increasing, 1.0 follows 1.0"
+        assert assert_parses_as_oracle(text) == ("error", message, line)

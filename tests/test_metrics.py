@@ -11,6 +11,7 @@ from posefuse.geometry import (
     Vec3,
     odometry,
     rotation_angle_deg,
+    track_array,
 )
 from posefuse.metrics import (
     CDF_ORI_THRESHOLDS,
@@ -24,7 +25,6 @@ from posefuse.metrics import (
     precision_buckets,
     relative_errors,
     summarize_errors,
-    track_array,
 )
 from helpers import quat_product, random_pose, random_quaternion, random_vec3, rotation_about
 from oracles import rigid_map_pose, rotation_matrix, sort_median

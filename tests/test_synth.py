@@ -8,8 +8,8 @@ import pytest
 from helpers import point_distance
 from oracles import rotation_matrix, sequential_vio
 from posefuse import synth
-from posefuse.geometry import PoseTrack, _norms, rotation_angle_deg
-from posefuse.metrics import relative_errors, track_array
+from posefuse.geometry import PoseTrack, _norms, rotation_angle_deg, track_array
+from posefuse.metrics import relative_errors
 from posefuse.synth import (
     AprNoiseModel,
     TrajectoryConfig,
