@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,6 +66,11 @@ _GROUPS: tuple[tuple[str, np.ndarray], ...] = tuple(
         ("all_frames", _LABELS),
     )
 )
+
+# Membership table, indexed by label code, of the labels whose fused
+# rows differ from the apr rows.  Keyframe, reliable and pending rows
+# are the apr rows bit for bit, so their errors are the raw apr errors.
+_MOVED = np.array([label in (Label.OPTIMIZED, Label.TRACKED) for label in _LABELS])
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,12 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
             label.value: int(count) for label, count in zip(_LABELS, counts)
         }
         labels = np.array([label.value for label in _LABELS])[result.labels].tolist()
-        pos_err, ori_err = absolute_pose_error(track[has_gt], gt)
+        scored_labels = result.labels[has_gt]
+        raw_pos, raw_ori = absolute_pose_error(rec.apr[has_gt], gt)
+        moved = _MOVED[scored_labels]
+        pos_err, ori_err = raw_pos.copy(), raw_ori.copy()
+        pos_err[moved], ori_err[moved] = absolute_pose_error(track[has_gt][moved], gt[moved])
         if has_gt.any():
-            raw_pos, raw_ori = absolute_pose_error(rec.apr[has_gt], gt)
-            scored_labels = result.labels[has_gt]
             groups: dict = {}
             for group_name, member in _GROUPS:
                 count = int(np.count_nonzero(member[result.labels]))
@@ -280,16 +288,21 @@ def _write_frames_csv(
     ori_err: np.ndarray,
 ) -> None:
     """One row per frame; pos_err and ori_err hold the frames marked in
-    has_gt, in order, and the other frames get blank error cells."""
+    has_gt, in order, and the other frames get blank error cells.  In
+    fusion mode keyframe, reliable and pending rows carry the apr pose,
+    so their errors are the raw apr errors.  The text is one join that
+    holds the header and the final newline: adding either onto the
+    joined rows would copy the whole text once more."""
     pose_fmt = ",".join(["%d", _FMT, "%s"] + [_FMT] * 7)
-    error_fmt = f",{_FMT},{_FMT}"
-    errors = iter(zip(pos_err.tolist(), ori_err.tolist()))
-    lines = ["frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"]
-    rows = zip(frames, timestamps.tolist(), labels, track.tolist(), has_gt.tolist())
-    for frame, timestamp, label, row, scored in rows:
-        line = pose_fmt % (frame, timestamp, label, *row)
-        lines.append(line + (error_fmt % next(errors) if scored else ",,"))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Indexed by has_gt; %.0s takes an unscored frame's NaN and prints
+    # nothing.
+    formats = (pose_fmt + ",%.0s,%.0s", pose_fmt + f",{_FMT},{_FMT}")
+    pos, ori = np.full((2, len(frames)), np.nan)
+    pos[has_gt], ori[has_gt] = pos_err, ori_err
+    columns = zip(frames, timestamps.tolist(), labels, *track.T.tolist(), pos.tolist(), ori.tolist())
+    rows = (formats[scored] % row for scored, row in zip(has_gt.tolist(), columns))
+    header = "frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"
+    path.write_text("\n".join(chain((header,), rows, ("",))), encoding="utf-8")
 
 
 def _write_cdf_csv(path: Path, rows: list[tuple[str, SummaryReport]]) -> None:

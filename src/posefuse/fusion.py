@@ -295,7 +295,9 @@ def step(
 class FusedTrack(_FrameSequence):
     """The fused output of a sequence in array form: the caller's frame
     indices, one label code per frame (an index into tuple(Label)) and
-    the (N, 7) fused track, rows x, y, z, qw, qx, qy, qz.
+    the (N, 7) fused track, rows x, y, z, qw, qx, qy, qz.  Keyframe,
+    reliable and pending rows are the apr rows bit for bit, so their
+    errors against gt are the raw apr errors.
 
     It is a read-only sequence of FusionOutput, one per frame; indexing
     or iterating builds them."""

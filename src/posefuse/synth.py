@@ -184,6 +184,8 @@ def simulate_vio(gt: Sequence[Pose], model: VioNoiseModel, seed: int) -> PoseTra
     d_rot = _normalize_rows(_hamilton_rows(conj, g[1:, 3:])).tolist()
     if noisy_rot:
         axes = 0.0 + steps[:, 3:6]
+        # _axis_angle_rows divides by the norm again.  STREAM_DIGESTS
+        # pin both divisions, so dropping either changes the streams.
         axes /= _norms(axes)[:, None]
         noise = _normalize_rows(_axis_angle_rows(axes, 0.0 + model.step_rot_sigma * steps[:, 6])).tolist()
     # The orientation chain: each step normalizes the one before.

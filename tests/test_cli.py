@@ -203,6 +203,15 @@ class TestSynthRuns:
         saved = tmp_path / "cli" / f"synth-{seed}.sequence.csv"
         assert saved.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
+    def test_keyframe_group_scores_the_apr_rows(self, tmp_path):
+        # Keyframe and reliable frames carry the apr pose, so the group's
+        # fused statistics are its raw apr statistics.
+        main(synth_args(tmp_path, seed=5))
+        summary = json.loads((tmp_path / "synth-5.summary.json").read_text())
+        keyframes = summary["groups"]["keyframes"]
+        assert keyframes["count"] > 0
+        assert keyframes["fused"] == keyframes["raw_apr"]
+
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(synth_args(a)) == 0

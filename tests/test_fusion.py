@@ -903,6 +903,65 @@ class TestRecordedSequences:
             run_sequence(samples, CFG)
 
 
+def twin(seed, outlier_prob):
+    """A synthetic sequence whose vio stream is the outlier-free apr draw
+    and whose apr stream keeps its outliers."""
+    samples = fused(seed, outlier_prob=outlier_prob)
+    for s, clean in zip(samples, fused(seed, outlier_prob=0.0)):
+        s.vio = clean.apr
+    return samples
+
+
+class TestAprLabelsCarryApr:
+    """Keyframe, reliable and pending rows of a fused track are the apr
+    row bit for bit: run_sequence starts from a copy of the apr track and
+    writes only optimized and tracked rows, and step emits the caller's
+    apr Pose for the other three labels.  The CLI copies the raw apr
+    errors to these rows instead of scoring them again."""
+
+    APR_LABELS = (Label.KEYFRAME, Label.RELIABLE, Label.PENDING)
+
+    def apr_frames(self, samples, cfg=CFG):
+        """The positions of the frames run_sequence labels keyframe,
+        reliable or pending, after checking both fusion paths on them."""
+        rec = Recording.of(samples)
+        result = run_sequence(rec, cfg)
+        codes = [tuple(Label).index(label) for label in self.APR_LABELS]
+        keep = np.flatnonzero(np.isin(result.labels, codes))
+        track_bits, apr_bits = result.track.view(np.int64), rec.apr.view(np.int64)
+        assert (track_bits[keep] == apr_bits[keep]).all()
+        state, latest = FusionState(), {}
+        for s in samples:
+            state, outs = step(state, s.apr, s.vio, cfg)
+            latest.update((o.frame_index, o) for o in outs)
+        for i in keep.tolist():
+            out = latest[samples[i].frame_index]
+            assert out.label is tuple(Label)[result.labels[i]]
+            assert pose_hex(out.pose) == pose_hex(samples[i].apr)
+        return [tuple(Label)[code] for code in result.labels[keep].tolist()]
+
+    @pytest.mark.parametrize("outlier_prob", [AprNoiseModel().outlier_prob, 0.5])
+    def test_synthetic_sequences(self, outlier_prob):
+        seen = set()
+        for seed in range(5):
+            seen.update(self.apr_frames(fused(seed, outlier_prob=outlier_prob)))
+        assert seen == set(self.APR_LABELS)
+
+    def test_gt_absent_on_some_rows(self):
+        samples = fused(seed=2)
+        for s in samples[::3]:
+            s.gt = None
+        assert not Recording.of(samples).has("gt").all()
+        assert set(self.apr_frames(samples)) == set(self.APR_LABELS)
+
+    @pytest.mark.parametrize("outlier_prob", [0.0, 0.5])
+    def test_twin_streams(self, outlier_prob):
+        seen = set()
+        for seed in range(5):
+            seen.update(self.apr_frames(twin(seed, outlier_prob)))
+        assert seen >= {Label.KEYFRAME, Label.RELIABLE}
+
+
 def pose_hex(pose):
     return tuple(
         v.hex()

@@ -530,7 +530,7 @@ class TestParserFuzz:
 class TestCReader:
     """parse_sequence converts each chunk with numpy's C reader.  A field
     it refuses that int or float takes goes through the row checks,
-    which spell it afresh for the reader, and a field the row checks
+    which convert its chunk themselves, and a field the row checks
     refuse keeps its worded error; either way the outcome is the row
     scanner's, bit for bit."""
 
