@@ -215,8 +215,10 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
                 entry: dict = {"count": count, "fraction": count / len(rec)}
                 scored = member[scored_labels]
                 if scored.any():
-                    fused = summarize_errors(pos_err[scored], ori_err[scored])
                     raw = summarize_errors(raw_pos[scored], raw_ori[scored])
+                    # A group without a moved row, such as keyframes, has
+                    # the raw errors as its fused ones.
+                    fused = summarize_errors(pos_err[scored], ori_err[scored]) if moved[scored].any() else raw
                     entry["fused"] = fused.to_dict()
                     entry["raw_apr"] = raw.to_dict()
                     if group_name == "all_frames":

@@ -7,22 +7,22 @@ is absent for the sequence.  Timestamps are seconds and must be strictly
 increasing.
 
 parse_sequence returns a Recording: the frames in array form, one
-(N, 7) track per stream, converted from text a chunk of rows at a
-time, by one call of numpy's C reader, which converts a field with the
+(N, 7) track per stream, converted a chunk of lines at a time, the
+lines as read, by one call of numpy's C reader, which ends a line at
+LF or CRLF (numpy 2.4's at CR alone too) and converts a field with the
 routine float() uses.  The rows of a chunk that reader refuses are
 converted one at a time with int and float, which give the same bits,
-and checked as they are converted, so a bad row's error names its
-line.  Each row is checked once, so the parser builds its Recording
-without the constructor's checks.  A Recording
-is a read-only sequence of PoseSample, whose Pose objects are built only
-when a caller indexes or iterates it.  Recording.of turns any sequence
-of samples into one, and write_sequence formats from that form.
+and checked as they are converted, so a bad row's error names its line.
+Each row is checked once, so the parser builds its Recording without
+the constructor's checks.  A Recording is a read-only sequence of
+PoseSample, whose Pose objects are built only when a caller indexes or
+iterates it.  Recording.of turns any sequence of samples into one, and
+write_sequence formats from that form.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import warnings
@@ -196,8 +196,8 @@ def parse_sequence(path: str | Path) -> Recording:
         if tuple(h.strip() for h in _fields(header[0][0])) != SEQUENCE_COLUMNS:
             raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
         last = -math.inf  # the timestamp of the last row read
-        for rows, starts, text in chunks:
-            table = _read_chunk(text, last)
+        for rows, starts, lines, text in chunks:
+            table = _read_chunk(lines, text, last)
             if table is None:
                 table = _check_rows(rows, starts, last)
             # A chunk of blank lines has no rows.
@@ -213,20 +213,21 @@ def parse_sequence(path: str | Path) -> Recording:
     return Recording._checked(table["frame"].tolist(), values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
 
 
-def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[str]]]:
+def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[list[str]], Optional[str]]]:
     """The rows of an open sequence file in chunks, each with the line
-    each row starts on and the text _read_chunk converts: the header row
-    alone, then about _CHUNK_CHARS characters of whole lines at a time.
-    Up to the first chunk holding a quote character, a row is a line as
-    read and the text is the lines joined.  From there on, a row is a
-    list of fields from csv.reader, which can join quoted lines, as many
-    rows at a time as that chunk has lines, and the text is _joined's.
+    each row starts on and the lines _read_chunk converts, with their
+    text: the header row alone, then about _CHUNK_CHARS characters of
+    whole lines at a time.  Up to the first chunk holding a quote
+    character, a row is a line as read, the lines are those rows and the
+    text is the lines joined.  From there on, a row is a list of fields
+    from csv.reader, which can join quoted lines, as many rows at a time
+    as that chunk has lines, and the lines and text are _joined's.
     A csv error raises SequenceFormatError naming its line, once the rows
     before it are yielded."""
     header = fh.readline()
     line_no, lines = 0, [header] if header else []
     while lines and '"' not in (text := "".join(lines)):
-        yield lines, range(line_no + 1, line_no + len(lines) + 1), text
+        yield lines, range(line_no + 1, line_no + len(lines) + 1), lines, text
         line_no += len(lines)
         lines = fh.readlines(_CHUNK_CHARS)
     if line_no == 0:
@@ -244,14 +245,14 @@ def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[str]]]:
             start = line_no + reader.line_num + 1
             # The header row, on line 1, comes alone here too.
             if len(rows) == len(lines) or starts[0] == 1:
-                yield rows, starts, _joined(rows)
+                yield rows, starts, *_joined(rows)
                 rows, starts = [], []
     except csv.Error as exc:
         if rows:
-            yield rows, starts, _joined(rows)
+            yield rows, starts, *_joined(rows)
         raise SequenceFormatError(str(exc), line=line_no + reader.line_num) from None
     if rows:
-        yield rows, starts, _joined(rows)
+        yield rows, starts, *_joined(rows)
 
 
 def _fields(row: str | list[str]) -> list[str]:
@@ -259,64 +260,71 @@ def _fields(row: str | list[str]) -> list[str]:
     return row.rstrip("\r\n").split(",") if isinstance(row, str) else row
 
 
-def _joined(rows: list[list[str]]) -> Optional[str]:
-    """The fields of each csv row joined with commas, a line per row; None
-    when a row has other than 23 fields, or a field holds a line break,
-    since the text would then read as other rows."""
-    text = "\n".join(map(",".join, rows))
+def _joined(rows: list[list[str]]) -> tuple[Optional[list[str]], Optional[str]]:
+    """The fields of each csv row joined with commas, a line per row, and
+    the lines joined; None, None when a row has other than 23 fields, or
+    a field holds a line break, since the line would then read as other
+    rows."""
+    lines = list(map(",".join, rows))
+    text = "\n".join(lines)
     if set(map(len, rows)) != {len(SEQUENCE_COLUMNS)} or text.count("\n") != len(rows) - 1 or "\r" in text:
-        return None
-    return text
+        return None, None
+    return lines, text
 
 
-def _read_chunk(text: Optional[str], last: float) -> Optional[np.ndarray]:
-    """The _ROW table of a chunk of data rows, the text of their lines,
-    as _table converts them, if every row is well formed and the first
-    timestamp follows last; else None."""
-    if text is None or "n" in text or "N" in text:
+def _read_chunk(lines: Optional[list[str]], text: Optional[str], last: float) -> Optional[np.ndarray]:
+    """The _ROW table of a chunk of data rows, given as its lines and
+    their text, as _table converts them, if every row is well formed and
+    the first timestamp follows last; else None."""
+    if lines is None or "n" in text or "N" in text:
         # A field spelled nan or inf is left to the row checks to word.
         return None
     limit = csv.field_size_limit()
     # Most chunks are shorter than the limit, which spares the line scan.
-    if len(text) > limit and max(map(len, text.splitlines())) > limit:
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    table = _table(text)
-    if table is None and _EMPTY_GROUP in text:
+    table = _table(lines)
+    # Without a field spelled nan the reader reads no NaN, so only a
+    # chunk read again with empty groups filled needs the NaN checks.
+    filled = table is None and _EMPTY_GROUP in text
+    if filled:
         # An absent pose group is seven empty fields, each after a comma
         # of a run of seven, and the reader refuses empty fields.  It
         # reads them as NaN once each comma of the run is followed by
         # nan.  A nan that lands before a field that is not empty joins
         # it into one the reader refuses, so NaN stands for an empty
         # field and nothing else.
-        table = _table(text.replace(_EMPTY_GROUP, ",nan" * 7))
+        table = _table([line.replace(_EMPTY_GROUP, ",nan" * 7) for line in lines])
     if table is None:
         return None
     values = table["values"]
     # Overflow reads as inf, as float reads it.
     if np.isinf(values).any():
         return None
-    ts = values[:, 0]
-    groups = values[:, 1:].reshape(len(values), 3, 7)
-    empty = np.isnan(groups).sum(axis=2)
-    if np.isnan(ts).any() or (empty % 7).any() or empty[:, 1].any():
-        return None
-    if _pose_fault(groups[empty == 0], QUAT_NORM_SLACK) is not None:
+    # The gt, vio and apr groups of each row in turn.
+    ts, poses = values[:, 0], values[:, 1:].reshape(-1, 7)
+    if filled:
+        empty = np.isnan(poses).sum(axis=1)
+        if np.isnan(ts).any() or (empty % 7).any() or empty[1::3].any():
+            return None
+        poses = poses[empty == 0]
+    if _pose_fault(poses, QUAT_NORM_SLACK) is not None:
         return None
     if not (ts[0] > last and (ts[1:] > ts[:-1]).all()):
         return None
     return table
 
 
-def _table(text: str) -> Optional[np.ndarray]:
-    """The lines of text as _ROW records, skipping empty lines, from one
-    call of numpy's C reader, which converts a field with the routine
-    float() uses; None where it refuses a field or a line, or warns."""
+def _table(lines: list[str]) -> Optional[np.ndarray]:
+    """The lines as _ROW records, skipping empty lines, from one call of
+    numpy's C reader, which takes each line as one row, ended by LF, CRLF
+    or nothing (and by CR alone in numpy 2.4), and converts a field with
+    the routine float() uses; None where it refuses a field or a line, or
+    warns."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(
-                io.StringIO(text), dtype=_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1
-            )
+            return np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
 
