@@ -15,10 +15,8 @@ from .fusion import (
     step,
 )
 from .geometry import (
-    Odometry,
     Pose,
     PoseTrack,
-    RigidTransform,
     UnitQuaternion,
     Vec3,
     track_array,
@@ -47,14 +45,12 @@ __all__ = [
     "FusionOutput",
     "FusionState",
     "Label",
-    "Odometry",
     "Pose",
     "PoseSample",
     "PoseTrack",
     "PrecisionBuckets",
     "Recording",
     "ReferencePair",
-    "RigidTransform",
     "SequenceFormatError",
     "Stage",
     "SummaryReport",

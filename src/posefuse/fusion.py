@@ -36,17 +36,15 @@ import enum
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (
     COORD_LIMIT,
-    Odometry,
     Pose,
-    RigidTransform,
     Vec3,
-    _apply_rigid,
     _FrameSequence,
     _frozen,
     _hamilton,
@@ -60,6 +58,7 @@ from .geometry import (
     _poses,
     _rotate,
     _top_quaternions,
+    apply_rigid,
     odometry,
     track_array,
 )
@@ -113,7 +112,7 @@ class Label(enum.Enum):
 @dataclass(frozen=True)
 class ReferencePair:
     """Averaged anchor poses of one alignment window, index-aligned
-    between the two streams.  The vio-to-world map they define is built
+    between the two streams.  The vio-to-world map they define is formed
     once, on first use, and reused for every frame mapped through this
     reference; its formula lives in _reference_map."""
 
@@ -121,8 +120,12 @@ class ReferencePair:
     vio_ref: Pose
 
     @cached_property
-    def vio_to_world(self) -> RigidTransform:
-        return reference_transform(self)
+    def _map(self) -> tuple[tuple[float, float, float], tuple[float, float, float, float]]:
+        """_reference_map's (t, q_g) floats of the pair.  Vec3 refuses a
+        translation that overflowed, as a pair built by hand can give."""
+        t, q_g = _reference_map(*track_array([self.apr_ref, self.vio_ref]).tolist())
+        Vec3(*t)
+        return t, q_g
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,13 +159,15 @@ class FusionState:
     frame_index: int = 0
 
 
-def relative_pose_check(u_apr: Odometry | _Motions, u_vio: Odometry | _Motions, cfg: FusionConfig) -> bool | np.ndarray:
+def relative_pose_check(u_apr: _Motions, u_vio: _Motions, cfg: FusionConfig) -> bool | np.ndarray:
     """True when the two motion magnitudes agree within the thresholds.
     Boundary values pass.  Agreement of independent streams is evidence
     the absolute estimates are good, with one known blind spot: a shared
-    offset on both apr poses cancels in the comparison.  Given _motions
-    of many pairs, it returns one bool per pair."""
-    return (abs(u_apr.dist - u_vio.dist) <= cfg.d_th) & (abs(u_apr.angle - u_vio.angle) <= cfg.o_th)
+    offset on both apr poses cancels in the comparison.  Given odometry's
+    floats it returns a bool, given _motions of many pairs one bool per
+    pair."""
+    (da, aa), (dv, av) = u_apr, u_vio
+    return (abs(da - dv) <= cfg.d_th) & (abs(aa - av) <= cfg.o_th)
 
 
 # The median iteration's stopping rule, read by _iterate_medians at call time.
@@ -184,16 +189,8 @@ def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePa
         raise ValueError("compute_reference needs a non-empty window")
     refs = _references(track_array([*aprs, *vios]), np.array([0, n]), n)
     for median in refs[:, :3]:
-        Vec3.from_array(median)  # refuses a median that overflowed
+        Vec3(*median.tolist())  # refuses a median that overflowed
     return ReferencePair(*_poses(refs))
-
-
-def reference_transform(ref: ReferencePair) -> RigidTransform:
-    """The vio-to-world map of a reference pair, from _reference_map.  Vec3
-    refuses a translation that overflowed, as a pair built by hand can
-    give; the rotation is normalized already and skips the constructor."""
-    t, q_g = _reference_map(*track_array([ref.apr_ref, ref.vio_ref]).tolist())
-    return RigidTransform(_pose(*t, *q_g).orientation, Vec3(*t))
 
 
 def _reference_map(apr, vio, normalize=_normalize):
@@ -211,12 +208,21 @@ def _reference_map(apr, vio, normalize=_normalize):
 
 def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     """Re-express a vio pose in world coordinates through the reference
-    pair, applying the map the pair builds once (see reference_transform).
+    pair, applying the map the pair forms once (ReferencePair._map).
     At the reference itself this returns apr_ref, and being rigid it
     preserves relative distances and angles of the vio stream.  A vio
     stream that is any rigid transform of the world trajectory maps back
-    onto it."""
-    return ref.vio_to_world.apply_pose(p_vio)
+    onto it.  Raises ValueError, naming the field, at a mapped position
+    that overflowed."""
+    # apply_rigid's float form: the position rotated by q_g, then shifted
+    # by t; the orientation q_g * o, normalized.
+    (tx, ty, tz), q_g = ref._map
+    p, o = p_vio.position, p_vio.orientation
+    x, y, z = _rotate(q_g, (p.x, p.y, p.z))
+    x, y, z = x + tx, y + ty, z + tz
+    if not (isfinite(x) and isfinite(y) and isfinite(z)):
+        Vec3(x, y, z)  # raises, naming the first field that overflowed
+    return _pose(x, y, z, *_normalize(_hamilton(q_g, (o.w, o.x, o.y, o.z))))
 
 
 def step(
@@ -572,5 +578,5 @@ def _label_and_map(
     rows = np.flatnonzero((governed == _OPTIMIZED) | (governed == _TRACKED))
     t, q_g = _reference_map(apr_ref.T, vio_ref.T, lambda q: _normalize_rows(np.column_stack(q)).T)
     ref = ref_of[rows]
-    track[first + rows] = _apply_rigid(q_g.T[ref], np.column_stack(t)[ref], vio[first + rows])
+    track[first + rows] = apply_rigid(q_g.T[ref], np.column_stack(t)[ref], vio[first + rows])
 

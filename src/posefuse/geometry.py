@@ -14,7 +14,7 @@ Conventions, fixed once here so every module agrees:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import starmap
 from math import isfinite
@@ -41,14 +41,6 @@ class Vec3:
         _vy(self, y)
         _vz(self, z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]) -> "Vec3":
-        ax, ay, az = a
-        return cls(float(ax), float(ay), float(az))
-
 
 @dataclass(frozen=True, slots=True)
 class UnitQuaternion:
@@ -71,14 +63,11 @@ class UnitQuaternion:
         _qy(self, y)
         _qz(self, z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=float)
-
 
 # Float forms of the pose formulas, quaternions as (w, x, y, z).  The
 # classes and functions of this module, fusion.step's per-frame path
-# (odometry, RigidTransform.apply_pose) and the synthetic generators are
-# built on them, and the array forms below apply them to columns.
+# (odometry, optimize_pose) and the synthetic generators are built on
+# them, and the array forms below apply them to columns.
 
 
 def _dot4(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
@@ -145,42 +134,13 @@ class Pose:
     orientation: UnitQuaternion
 
 
-@dataclass(frozen=True, slots=True)
-class Odometry:
-    """Scalar motion between two poses: distance traveled (m) and
-    rotation magnitude (deg).  Directions are deliberately dropped, the
-    reliability checks compare magnitudes only."""
+class _Motions(NamedTuple):
+    """Motion magnitudes between poses: distances (m) and angles (deg),
+    two floats from odometry or two arrays from _motions.  Directions
+    are dropped, the reliability checks compare magnitudes only."""
 
-    dist: float
-    angle: float
-
-    def __init__(self, dist: float, angle: float) -> None:
-        dist, angle = float(dist), float(angle)
-        if not (isfinite(dist) and dist >= 0.0):
-            raise ValueError(f"odometry distance must be finite and >= 0, got {dist!r}")
-        if not (isfinite(angle) and 0.0 <= angle <= 180.0):
-            raise ValueError(f"odometry angle must be in [0, 180] degrees, got {angle!r}")
-        _od(self, dist)
-        _oa(self, angle)
-
-
-@dataclass(frozen=True, eq=False)
-class RigidTransform:
-    """Rotation followed by translation, x' = R(rotation) x + translation."""
-
-    rotation: UnitQuaternion
-    translation: Vec3
-
-    def apply_pose(self, pose: Pose) -> Pose:
-        # Orientations pick up the transform rotation on the left, the
-        # world frame is what the transform re-expresses.
-        g, t, p, o = self.rotation, self.translation, pose.position, pose.orientation
-        q = (g.w, g.x, g.y, g.z)
-        x, y, z = _rotate(q, (p.x, p.y, p.z))
-        x, y, z = x + t.x, y + t.y, z + t.z
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            Vec3(x, y, z)  # raises, naming the first field that overflowed
-        return _pose(x, y, z, *_normalize(_hamilton(q, (o.w, o.x, o.y, o.z))))
+    dist: float | np.ndarray
+    angle: float | np.ndarray
 
 
 def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
@@ -194,19 +154,16 @@ def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
     return math.degrees(2.0 * math.acos(c))
 
 
-def odometry(a: Pose, b: Pose) -> Odometry:
-    """Scalar motion magnitudes between two poses."""
+def odometry(a: Pose, b: Pose) -> _Motions:
+    """Scalar motion magnitudes between two poses.  Raises ValueError
+    when the distance overflows, as it can from coordinates near 1e154 m;
+    the angle is in [0, 180] whatever the poses."""
     pa, pb = a.position, b.position
     d = math.sqrt(_squared_distance(pa.x, pa.y, pa.z, pb.x, pb.y, pb.z))
-    angle = rotation_angle_deg(a.orientation, b.orientation)
     if not isfinite(d):
-        return Odometry(d, angle)  # raises: the distance overflowed
-    # A finite distance is >= 0 and the angle is in [0, 180], so the
-    # constructor's check cannot fail.
-    u = _new(Odometry)
-    _od(u, d)
-    _oa(u, angle)
-    return u
+        raise ValueError(f"odometry distance must be finite and >= 0, got {d!r}")
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
+    return tuple.__new__(_Motions, (d, rotation_angle_deg(a.orientation, b.orientation)))
 
 
 # Array forms of the formulas above, one row per pose: (N, 3) positions,
@@ -215,13 +172,6 @@ def odometry(a: Pose, b: Pose) -> Odometry:
 # float formula to the columns and each row equals it bit for bit;
 # angles go through math.acos, which np.arccos differs from in the last
 # bit on some inputs.  A row form with its own body says why.
-
-
-class _Motions(NamedTuple):
-    """odometry of many pose pairs: distances (m) and angles (deg)."""
-
-    dist: np.ndarray
-    angle: np.ndarray
 
 
 def _motions(a: np.ndarray, b: np.ndarray) -> _Motions:
@@ -282,13 +232,13 @@ def _rotate_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.column_stack(_rotate(q.T, p.T))
 
 
-def _apply_rigid(g: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
-    """A track under the rigid map with rotation g and translation t,
-    RigidTransform.apply_pose of each row: positions rotated by g, then
-    shifted by t, orientations g * q normalized.  g and t give one map,
-    shapes (4,) and (3,), or one map per row, (N, 4) and (N, 3)."""
-    pos = _rotate_rows(g, track[:, :3]) + t
-    return np.column_stack((pos, _normalize_rows(_hamilton_rows(g, track[:, 3:]))))
+def apply_rigid(q: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
+    """A track under the rigid map (q, t), x' = R(q) x + t: positions
+    rotated by q, then shifted by t; orientations q * o, normalized.
+    q and t give one map, shapes (4,) and (3,), or one map per row,
+    (N, 4) and (N, 3).  fusion.optimize_pose is its float form."""
+    pos = _rotate_rows(q, track[:, :3]) + t
+    return np.column_stack((pos, _normalize_rows(_hamilton_rows(q, track[:, 3:]))))
 
 
 # The slot descriptors of the frozen value classes.  The constructors,
@@ -301,7 +251,6 @@ _qw, _qx, _qy, _qz = (
     UnitQuaternion.y.__set__, UnitQuaternion.z.__set__,
 )
 _pp, _pq = Pose.position.__set__, Pose.orientation.__set__
-_od, _oa = Odometry.dist.__set__, Odometry.angle.__set__
 
 
 def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: float) -> Pose:

@@ -25,15 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    RigidTransform,
-    UnitQuaternion,
-    Vec3,
-    _apply_rigid,
-    _motions,
-    _rotate,
-    _top_quaternions,
-)
+from .geometry import _motions, _normalize, _rotate, _top_quaternions, apply_rigid
 
 # Precision levels: a record counts toward a level when BOTH its
 # position and orientation errors are at or under the level's bounds.
@@ -137,9 +129,10 @@ def precision_buckets(pos: np.ndarray, ori: np.ndarray) -> PrecisionBuckets:
     )
 
 
-def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
+def kabsch_align(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rigid fit (rotation + translation, no scale) taking
-    (N, 3) source points onto (N, 3) target points.
+    (N, 3) source points onto (N, 3) target points, as the (q, t) map
+    apply_rigid applies: q a unit quaternion (w, x, y, z), t of shape (3,).
 
     Horn's closed form (JOSA A 1987): center both sets, build the
     symmetric 4x4 matrix of their cross-covariance, and take the
@@ -174,15 +167,11 @@ def kabsch_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
         [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
         [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
     ])
-    q = _top_quaternions(horn[None])[0].tolist()
-    return RigidTransform(UnitQuaternion(*q), Vec3.from_array(dst_c - _rotate(q, src_c.tolist())))
-
-
-def apply_alignment(track: np.ndarray, transform: RigidTransform) -> np.ndarray:
-    """Map a whole track through a rigid transform, as apply_pose maps
-    each of its poses: orientations pick up the transform's rotation on
-    the left and come back normalized and sign-canonical."""
-    return _apply_rigid(transform.rotation.as_array(), transform.translation.as_array(), track)
+    e = _top_quaternions(horn[None])[0].tolist()
+    # t is formed with the eigenvector as it comes, q is it normalized
+    # once more: that moves the last bit of about a third of unit rows,
+    # and the pinned reports hold the fit formed this way.
+    return np.array(_normalize(e)), dst_c - _rotate(e, src_c.tolist())
 
 
 def summarize_errors(pos: np.ndarray, ori: np.ndarray) -> SummaryReport:
@@ -255,6 +244,6 @@ def align_and_evaluate(
         raise ValueError(
             f"alignment window holds {n_window} frames, need at least 3"
         )
-    transform = kabsch_align(est_track[window, :3], gt_track[window, :3])
-    pos, ori = absolute_pose_error(apply_alignment(est_track, transform), gt_track)
+    q, t = kabsch_align(est_track[window, :3], gt_track[window, :3])
+    pos, ori = absolute_pose_error(apply_rigid(q, t, est_track), gt_track)
     return summarize_errors(pos, ori)

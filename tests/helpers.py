@@ -23,9 +23,17 @@ def random_pose(rng: np.random.Generator, scale: float = 10.0) -> Pose:
     return Pose(random_vec3(rng, scale), random_quaternion(rng))
 
 
+def xyz(v: Vec3) -> tuple[float, float, float]:
+    return v.x, v.y, v.z
+
+
+def wxyz(q: UnitQuaternion) -> tuple[float, float, float, float]:
+    return q.w, q.x, q.y, q.z
+
+
 def point_distance(a: Vec3, b: Vec3) -> float:
     """Euclidean distance of two points, by math.dist."""
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+    return math.dist(xyz(a), xyz(b))
 
 
 # Test rotations are built from the plain-float formulas of
@@ -41,16 +49,16 @@ def rotation_about(axis: tuple[float, float, float], angle_deg: float) -> UnitQu
 def median_of(points: list[Vec3]) -> Vec3:
     """The geometric median of one window of points: _medians on a
     stack of one."""
-    return Vec3.from_array(_medians(np.array([[[p.x, p.y, p.z] for p in points]]))[0])
+    return Vec3(*_medians(np.array([[xyz(p) for p in points]]))[0].tolist())
 
 
 def average_of(quats: list[UnitQuaternion]) -> UnitQuaternion:
     """The rotation average of one window of quaternions:
     _average_quaternions on a stack of one, its row taken as it is."""
-    q = _average_quaternions(np.array([[q.as_array() for q in quats]]))
+    q = _average_quaternions(np.array([[wxyz(q) for q in quats]]))
     return _poses(np.column_stack((np.zeros((1, 3)), q)))[0].orientation
 
 
 def quat_product(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """The rotation a then b on the body side, a * b."""
-    return UnitQuaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+    return UnitQuaternion(*hamilton_product(wxyz(a), wxyz(b)))

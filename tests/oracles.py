@@ -454,13 +454,13 @@ def scalar_reference(poses):
             f = objective(pts[i])
             if f < best:
                 best, y = f, pts[i]
-        return Vec3.from_array(y)
+        return Vec3(*y.tolist())
 
     def average_quaternions(quats):
-        ref = quats[0].as_array()
+        ref = np.array([quats[0].w, quats[0].x, quats[0].y, quats[0].z])
         acc = np.zeros((4, 4))
         for q in quats:
-            v = q.as_array()
+            v = np.array([q.w, q.x, q.y, q.z])
             if float(v @ ref) < 0.0:
                 v = -v
             acc += np.outer(v, v)
@@ -474,43 +474,65 @@ def scalar_reference(poses):
     )
 
 
+def _vec3_check(values):
+    """Raise at the first field that is not finite, as the package's
+    Vec3 constructor does."""
+    for name, v in zip("xyz", values):
+        if not math.isfinite(v):
+            raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
+
+
 def object_odometry(a, b):
-    """``posefuse.geometry.odometry`` as it was before it computed in
-    plain floats: the distance through a ``Vec3`` difference and the
-    ``Odometry`` constructor, whose checks word the overflow errors."""
-    from posefuse.geometry import Odometry, Vec3, rotation_angle_deg
+    """``posefuse.geometry.odometry`` as it was when it built objects: the
+    position difference through a ``Vec3``, then the distance and the
+    angle through the ``Odometry`` constructor.  Plain floats here, with
+    those constructors' checks written out, which word the overflow
+    errors.  Returns (distance, angle)."""
+    pa, pb, qa, qb = a.position, b.position, a.orientation, b.orientation
+    d = (pb.x - pa.x, pb.y - pa.y, pb.z - pa.z)
+    _vec3_check(d)
+    dist = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    c = min(1.0, abs(qa.w * qb.w + qa.x * qb.x + qa.y * qb.y + qa.z * qb.z))
+    angle = math.degrees(2.0 * math.acos(c))
+    if not (math.isfinite(dist) and dist >= 0.0):
+        raise ValueError(f"odometry distance must be finite and >= 0, got {dist!r}")
+    if not (math.isfinite(angle) and 0.0 <= angle <= 180.0):
+        raise ValueError(f"odometry angle must be in [0, 180] degrees, got {angle!r}")
+    return dist, angle
 
-    pa, pb = a.position, b.position
-    d = Vec3(pb.x - pa.x, pb.y - pa.y, pb.z - pa.z)
-    return Odometry(
-        math.sqrt(d.x * d.x + d.y * d.y + d.z * d.z),
-        rotation_angle_deg(a.orientation, b.orientation),
-    )
 
-
-def object_apply_pose(transform, pose):
-    """``posefuse.geometry.RigidTransform.apply_pose`` as it was before
-    it computed in plain floats: the rotated position, the shifted
-    position and the Hamilton product of the orientations, each written
-    out and each through the ``Vec3`` or ``UnitQuaternion``
-    constructor."""
-    from posefuse.geometry import Pose, UnitQuaternion, Vec3
-
-    q, v, t, o = transform.rotation, pose.position, transform.translation, pose.orientation
+def object_apply_pose(q, t, pose):
+    """A pose under the rigid map (q, t), as ``RigidTransform.apply_pose``
+    formed it when it built objects: the rotated position, the shifted
+    position and the Hamilton product q * o, each written out.  Plain
+    floats here, with the checks of the ``Vec3`` and ``UnitQuaternion``
+    constructors each went through written out: finite fields, then the
+    product normalized and its sign fixed (w >= 0, ties broken by the
+    first nonzero vector component).  Returns the 7 fields x, y, z, qw,
+    qx, qy, qz."""
+    qw, qx, qy, qz = q
+    v, o = pose.position, pose.orientation
     # v' = v + 2 w (u x v) + 2 u x (u x v), u the vector part of q.
-    cx = q.y * v.z - q.z * v.y
-    cy = q.z * v.x - q.x * v.z
-    cz = q.x * v.y - q.y * v.x
-    dx = q.y * cz - q.z * cy
-    dy = q.z * cx - q.x * cz
-    dz = q.x * cy - q.y * cx
-    r = Vec3(v.x + 2.0 * (q.w * cx + dx), v.y + 2.0 * (q.w * cy + dy), v.z + 2.0 * (q.w * cz + dz))
-    return Pose(
-        Vec3(r.x + t.x, r.y + t.y, r.z + t.z),
-        UnitQuaternion(
-            q.w * o.w - q.x * o.x - q.y * o.y - q.z * o.z,
-            q.w * o.x + q.x * o.w + q.y * o.z - q.z * o.y,
-            q.w * o.y - q.x * o.z + q.y * o.w + q.z * o.x,
-            q.w * o.z + q.x * o.y - q.y * o.x + q.z * o.w,
-        ),
-    )
+    cx = qy * v.z - qz * v.y
+    cy = qz * v.x - qx * v.z
+    cz = qx * v.y - qy * v.x
+    dx = qy * cz - qz * cy
+    dy = qz * cx - qx * cz
+    dz = qx * cy - qy * cx
+    r = (v.x + 2.0 * (qw * cx + dx), v.y + 2.0 * (qw * cy + dy), v.z + 2.0 * (qw * cz + dz))
+    _vec3_check(r)
+    p = (r[0] + t[0], r[1] + t[1], r[2] + t[2])
+    _vec3_check(p)
+    w = qw * o.w - qx * o.x - qy * o.y - qz * o.z
+    x = qw * o.x + qx * o.w + qy * o.z - qz * o.y
+    y = qw * o.y - qx * o.z + qy * o.w + qz * o.x
+    z = qw * o.z + qx * o.y - qy * o.x + qz * o.w
+    if not all(map(math.isfinite, (w, x, y, z))):
+        raise ValueError(f"quaternion components must be finite, got {[w, x, y, z]}")
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-12:
+        raise ValueError("quaternion norm too close to zero to normalize")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0 or (w == 0.0 and (x < 0.0 or (x == 0.0 and (y < 0.0 or (y == 0.0 and z < 0.0))))):
+        w, x, y, z = -w, -x, -y, -z
+    return (*p, w, x, y, z)

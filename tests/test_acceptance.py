@@ -74,7 +74,9 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about
+from helpers import (
+    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about, wxyz,
+)
 from oracles import grid_median_objective, quat_angle_stable_deg, rotation_matrix, slerp_midpoint
 
 VIO_SEED_OFFSET = 1_000_003
@@ -153,7 +155,7 @@ def test_criterion_01_reference_fixed_point():
         worst_pos = max(worst_pos, point_distance(out.position, ref.apr_ref.position))
         worst_ang = max(
             worst_ang,
-            quat_angle_stable_deg(out.orientation.as_array(), ref.apr_ref.orientation.as_array()),
+            quat_angle_stable_deg(wxyz(out.orientation), wxyz(ref.apr_ref.orientation)),
         )
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: max pos err {worst_pos:.3e} m, max ori err {worst_ang:.3e} deg, {elapsed:.3f} s")
@@ -232,8 +234,8 @@ def test_criterion_05_quaternion_average_oracle():
     for _ in range(1000):
         qa, qb = random_quaternion(rng), random_quaternion(rng)
         avg = average_of([qa, qb])
-        mid = slerp_midpoint(qa.as_array(), qb.as_array())
-        worst = max(worst, quat_angle_stable_deg(avg.as_array(), mid))
+        mid = slerp_midpoint(wxyz(qa), wxyz(qb))
+        worst = max(worst, quat_angle_stable_deg(wxyz(avg), mid))
     worst_inv = 0.0
     for _ in range(1000):
         quats = [random_quaternion(rng) for _ in range(int(rng.integers(2, 7)))]
@@ -244,7 +246,7 @@ def test_criterion_05_quaternion_average_oracle():
         ]
         perm = [flipped[i] for i in rng.permutation(len(flipped))]
         redone = average_of(perm)
-        worst_inv = max(worst_inv, quat_angle_stable_deg(base.as_array(), redone.as_array()))
+        worst_inv = max(worst_inv, quat_angle_stable_deg(wxyz(base), wxyz(redone)))
     print(f"criterion 5: slerp-midpoint gap {worst:.3e} deg, sign/permutation gap {worst_inv:.3e} deg")
     assert worst < 1e-9
     assert worst_inv < 1e-9
@@ -353,8 +355,8 @@ def test_criterion_09_metrics_conformance(tmp_path):
     true_r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     src = rng.normal(0.0, 5.0, (10, 3))
     dst = src @ true_r.T + [0.5, -1.0, 2.0]
-    fit = kabsch_align(src, dst)
-    moved = src @ rotation_matrix(fit.rotation.as_array()).T + fit.translation.as_array()
+    q, t = kabsch_align(src, dst)
+    moved = src @ rotation_matrix(q).T + t
     residual = float(np.linalg.norm(moved - dst, axis=1).max())
     assert residual < 1e-6
 

@@ -19,17 +19,16 @@ from posefuse.fusion import (
     Stage,
     compute_reference,
     optimize_pose,
-    reference_transform,
     relative_pose_check,
     run_sequence,
     step,
 )
 from posefuse.geometry import (
     COORD_LIMIT,
-    Odometry,
     Pose,
     UnitQuaternion,
     Vec3,
+    _Motions,
     _normalize_rows,
     _poses,
     odometry,
@@ -46,7 +45,7 @@ from posefuse.synth import (
     simulate_vio,
 )
 from helpers import (
-    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about,
+    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about, wxyz, xyz,
 )
 from oracles import (
     chordal_distance,
@@ -98,16 +97,16 @@ class TestFusionConfig:
 
 class TestRelativePoseCheck:
     def test_inside_both_gates(self):
-        assert relative_pose_check(Odometry(1.3, 12.0), Odometry(1.0, 10.0), CFG)
+        assert relative_pose_check(_Motions(1.3, 12.0), _Motions(1.0, 10.0), CFG)
 
     def test_distance_gate_fails(self):
-        assert not relative_pose_check(Odometry(1.5, 10.0), Odometry(1.0, 10.0), CFG)
+        assert not relative_pose_check(_Motions(1.5, 10.0), _Motions(1.0, 10.0), CFG)
 
     def test_angle_gate_fails(self):
-        assert not relative_pose_check(Odometry(1.0, 14.1), Odometry(1.0, 10.0), CFG)
+        assert not relative_pose_check(_Motions(1.0, 14.1), _Motions(1.0, 10.0), CFG)
 
     def test_boundary_inclusive(self):
-        assert relative_pose_check(Odometry(1.4, 14.0), Odometry(1.0, 10.0), CFG)
+        assert relative_pose_check(_Motions(1.4, 14.0), _Motions(1.0, 10.0), CFG)
 
 
 class TestCheckerCases:
@@ -259,32 +258,32 @@ class TestAverageQuaternions:
     def test_idempotent(self, rng):
         q = random_quaternion(rng)
         got = average_of([q, q, q])
-        assert quat_angle_stable_deg(got.as_array(), q.as_array()) < 1e-9
+        assert quat_angle_stable_deg(wxyz(got), wxyz(q)) < 1e-9
 
     def test_double_cover_pair(self, rng):
         q = random_quaternion(rng)
         neg = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
         got = average_of([q, neg])
-        assert quat_angle_stable_deg(got.as_array(), q.as_array()) < 1e-9
+        assert quat_angle_stable_deg(wxyz(got), wxyz(q)) < 1e-9
 
     def test_half_turn_between_identity_and_z90(self):
         avg = average_of([IDENTITY, rotation_about(Z, 90.0)])
         expect = [math.cos(math.pi / 8), 0.0, 0.0, math.sin(math.pi / 8)]
-        np.testing.assert_allclose(avg.as_array(), expect, atol=1e-9)
+        np.testing.assert_allclose(wxyz(avg), expect, atol=1e-9)
 
     def test_pairs_match_slerp_midpoint(self, rng):
         for _ in range(300):
             a, b = random_quaternion(rng), random_quaternion(rng)
-            mid = slerp_midpoint(a.as_array(), b.as_array())
-            got = average_of([a, b]).as_array()
+            mid = slerp_midpoint(wxyz(a), wxyz(b))
+            got = wxyz(average_of([a, b]))
             np.testing.assert_allclose(got, mid, atol=1e-9)
 
     def test_permutation_invariant(self, rng):
         for _ in range(200):
             quats = [random_quaternion(rng) for _ in range(int(rng.integers(2, 6)))]
-            ref = average_of(quats).as_array()
+            ref = wxyz(average_of(quats))
             perm = [quats[i] for i in rng.permutation(len(quats))]
-            np.testing.assert_allclose(average_of(perm).as_array(), ref, atol=1e-9)
+            np.testing.assert_allclose(wxyz(average_of(perm)), ref, atol=1e-9)
 
     def test_maximizes_alignment_objective(self, rng):
         # Independent optimality check: no perturbation of the average
@@ -294,7 +293,7 @@ class TestAverageQuaternions:
             avg = average_of(quats)
 
             def objective(q):
-                return sum(float(np.dot(q.as_array(), p.as_array())) ** 2 for p in quats)
+                return sum(float(np.dot(wxyz(q), wxyz(p))) ** 2 for p in quats)
 
             base = objective(avg)
             for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -312,9 +311,7 @@ class TestComputeReference:
         p = random_pose(rng)
         ref = compute_reference([p, p, p], [p, p, p])
         assert point_distance(ref.apr_ref.position, p.position) < 1e-9
-        assert quat_angle_stable_deg(
-            ref.apr_ref.orientation.as_array(), p.orientation.as_array()
-        ) < 1e-9
+        assert quat_angle_stable_deg(wxyz(ref.apr_ref.orientation), wxyz(p.orientation)) < 1e-9
 
     def test_median_position(self):
         poses = [identity_pose(0.0), identity_pose(1.0), identity_pose(10.0)]
@@ -358,9 +355,7 @@ class TestOptimizePose:
             ref = ReferencePair(random_pose(rng), random_pose(rng))
             out = optimize_pose(ref.vio_ref, ref)
             assert point_distance(out.position, ref.apr_ref.position) < 1e-9
-            assert quat_angle_stable_deg(
-                out.orientation.as_array(), ref.apr_ref.orientation.as_array()
-            ) < 1e-6
+            assert quat_angle_stable_deg(wxyz(out.orientation), wxyz(ref.apr_ref.orientation)) < 1e-6
 
     def test_pure_translation_offset(self):
         ref = ReferencePair(identity_pose(10.0), identity_pose(0.0))
@@ -373,19 +368,19 @@ class TestOptimizePose:
         out = optimize_pose(identity_pose(1.0), ref)
         # The vio frame is the world turned +90 deg about z, so the map
         # back to the world turns -90 deg: x goes to -y.
-        np.testing.assert_allclose(out.position.as_array(), [0, -1, 0], atol=1e-12)
+        np.testing.assert_allclose(xyz(out.position), [0, -1, 0], atol=1e-12)
         expect = [math.sqrt(0.5), 0.0, 0.0, -math.sqrt(0.5)]
-        np.testing.assert_allclose(out.orientation.as_array(), expect, atol=1e-12)
+        np.testing.assert_allclose(wxyz(out.orientation), expect, atol=1e-12)
 
     def test_map_built_once_per_reference(self, rng, monkeypatch):
         built = []
-        real = posefuse.fusion.reference_transform
+        real = posefuse.fusion._reference_map
 
-        def counting(ref):
-            built.append(ref)
-            return real(ref)
+        def counting(*args):
+            built.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(posefuse.fusion, "reference_transform", counting)
+        monkeypatch.setattr(posefuse.fusion, "_reference_map", counting)
         ref = ReferencePair(random_pose(rng), random_pose(rng))
         for _ in range(50):
             optimize_pose(random_pose(rng), ref)
@@ -411,7 +406,7 @@ def random_rigid(rng):
 
 
 def mapped(g, pose):
-    pos, quat = rigid_map_pose(g[0], g[1], pose.position.as_array(), pose.orientation.as_array())
+    pos, quat = rigid_map_pose(g[0], g[1], xyz(pose.position), wxyz(pose.orientation))
     return Pose(Vec3(*pos), UnitQuaternion(*quat))
 
 
@@ -419,7 +414,7 @@ def yaw_then_roll():
     """30 deg yaw followed by 20 deg roll, t = (3, -2, 1)."""
     yaw = rotation_about(Z, 30.0)
     roll = rotation_about((1.0, 0.0, 0.0), 20.0)
-    return quat_product(roll, yaw).as_array(), np.array([3.0, -2.0, 1.0])
+    return np.array(wxyz(quat_product(roll, yaw))), np.array([3.0, -2.0, 1.0])
 
 
 class TestFrameInvariance:
@@ -443,7 +438,7 @@ class TestFrameInvariance:
         assert [o.label for o in got] == [o.label for o in expect]
         for g, e in zip(got, expect):
             assert point_distance(g.pose.position, e.pose.position) < 1e-8
-            assert chordal_distance(g.pose.orientation.as_array(), e.pose.orientation.as_array()) < 1e-8
+            assert chordal_distance(wxyz(g.pose.orientation), wxyz(e.pose.orientation)) < 1e-8
 
     def test_rigidly_moved_vio_maps_back_onto_gt(self, rng):
         for _ in range(200):
@@ -454,7 +449,7 @@ class TestFrameInvariance:
                 gt = random_pose(rng)
                 out = optimize_pose(mapped(g, gt), ref)
                 assert point_distance(out.position, gt.position) < 1e-9
-                assert chordal_distance(out.orientation.as_array(), gt.orientation.as_array()) < 1e-9
+                assert chordal_distance(wxyz(out.orientation), wxyz(gt.orientation)) < 1e-9
 
     def test_vio_frame_does_not_move_output(self, rng):
         samples = self.sequence()
@@ -1203,7 +1198,7 @@ class TestStackedReferences:
 
 class TestReferenceMap:
     """_reference_map builds the vio-to-world map of every reference: on
-    floats in step (through reference_transform), on columns in
+    floats in step (through ReferencePair._map), on columns in
     run_sequence.  Its column call equals its float calls by float.hex
     (the plumbing), and its formula is checked against the independent
     rigid map of tests/oracles.py: the map G carries vio_ref onto
@@ -1248,8 +1243,7 @@ class TestReferenceMap:
         got = [[x.hex() for x in r] for r in np.column_stack((*t, *q_g)).tolist()]
         rows = map(posefuse.fusion._reference_map, apr_ref.tolist(), vio_ref.tolist())
         assert got == [[x.hex() for x in (*t, *q)] for t, q in rows]
-        # reference_transform is one float call, every bit kept.
+        # A ReferencePair caches one float call, every bit kept.
         for a, v, row in zip(_poses(apr_ref[:50]), _poses(vio_ref[:50]), got):
-            g = reference_transform(ReferencePair(a, v))
-            t, q = g.translation, g.rotation
-            assert [x.hex() for x in (t.x, t.y, t.z, q.w, q.x, q.y, q.z)] == row
+            t, q = ReferencePair(a, v)._map
+            assert [x.hex() for x in (*t, *q)] == row

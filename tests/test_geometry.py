@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from posefuse.geometry import (
-    Odometry,
     Pose,
-    RigidTransform,
     UnitQuaternion,
     Vec3,
     _axis_angle_rows,
@@ -20,14 +18,18 @@ from posefuse.geometry import (
     _hamilton_rows,
     _Motions,
     _motions,
+    _poses,
     _rotate,
     _rotate_rows,
+    apply_rigid,
     odometry,
     rotation_angle_deg,
     track_array,
 )
-from posefuse.fusion import FusionConfig, relative_pose_check
-from helpers import point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about
+from posefuse.fusion import FusionConfig, ReferencePair, optimize_pose, relative_pose_check
+from helpers import (
+    point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about, wxyz, xyz,
+)
 from oracles import (
     axis_angle_quaternion,
     chordal_distance,
@@ -52,14 +54,6 @@ quaternions = st.tuples(
 
 def scipy_rotation(q: UnitQuaternion) -> Rotation:
     return Rotation.from_quat([q.x, q.y, q.z, q.w])  # scipy is scalar-last
-
-
-def wxyz(q: UnitQuaternion) -> tuple[float, float, float, float]:
-    return q.w, q.x, q.y, q.z
-
-
-def xyz(v: Vec3) -> tuple[float, float, float]:
-    return v.x, v.y, v.z
 
 
 class TestVec3:
@@ -94,25 +88,25 @@ class TestUnitQuaternion:
         for _ in range(50):
             q = random_quaternion(rng)
             flipped = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
-            np.testing.assert_allclose(flipped.as_array(), q.as_array(), atol=1e-15)
+            np.testing.assert_allclose(wxyz(flipped), wxyz(q), atol=1e-15)
 
 
 class TestCompose:
     """Composition of rotations, the Hamilton product a * b normalized
-    as RigidTransform.apply_pose forms it, against scipy's rotations."""
+    as a rigid map composes orientations, against scipy's rotations."""
 
     def test_identity_neutral(self, rng):
         q = random_quaternion(rng)
-        assert quat_angle_stable_deg(quat_product(IDENTITY, q).as_array(), q.as_array()) < 1e-9
+        assert quat_angle_stable_deg(wxyz(quat_product(IDENTITY, q)), wxyz(q)) < 1e-9
 
     def test_quarter_turns_sum(self):
         q = quat_product(QZ90, QZ90)
-        np.testing.assert_allclose(q.as_array(), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(wxyz(q), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_inverse_gives_identity(self, rng):
         q = random_quaternion(rng)
         conjugate = UnitQuaternion(q.w, -q.x, -q.y, -q.z)
-        np.testing.assert_allclose(quat_product(q, conjugate).as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(wxyz(quat_product(q, conjugate)), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_matrix_composition(self, rng):
         for _ in range(100):
@@ -129,7 +123,7 @@ class TestCompose:
         # the arccos form cannot resolve angles this small.
         lhs = quat_product(quat_product(a, b), c)
         rhs = quat_product(a, quat_product(b, c))
-        assert quat_angle_stable_deg(lhs.as_array(), rhs.as_array()) < 1e-6
+        assert quat_angle_stable_deg(wxyz(lhs), wxyz(rhs)) < 1e-6
 
     def test_matches_scipy(self, rng):
         for _ in range(50):
@@ -219,10 +213,11 @@ class TestOdometry:
         assert odometry(a, b) == odometry(b, a)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="distance"):
-            Odometry(-0.1, 0.0)
-        with pytest.raises(ValueError, match="angle"):
-            Odometry(0.0, 180.5)
+        # The distance overflows here; the angle is in [0, 180] for any poses.
+        with pytest.raises(ValueError, match="^odometry distance must be finite and >= 0, got inf$"):
+            odometry(at(-1e200, 0, 0), at(1e200, 0, 0))
+        u = odometry(at(0, 0, 0), Pose(Vec3(0, 0, 0), UnitQuaternion(0.0, 1.0, 0.0, 0.0)))
+        assert type(u) is _Motions and u == (0.0, 180.0)
 
 
 class TestRotate:
@@ -236,7 +231,7 @@ class TestRotate:
             q, v = random_quaternion(rng), random_vec3(rng)
             np.testing.assert_allclose(
                 _rotate(wxyz(q), xyz(v)),
-                scipy_rotation(q).apply(v.as_array()),
+                scipy_rotation(q).apply(xyz(v)),
                 atol=1e-9,
             )
 
@@ -249,7 +244,7 @@ class TestRotate:
             raw = np.array([w, x, y, z]) / n
             v = random_vec3(rng)
             r_raw = Rotation.from_quat([raw[1], raw[2], raw[3], raw[0]])
-            np.testing.assert_allclose(_rotate(wxyz(q), xyz(v)), r_raw.apply(v.as_array()), atol=1e-12)
+            np.testing.assert_allclose(_rotate(wxyz(q), xyz(v)), r_raw.apply(xyz(v)), atol=1e-12)
 
 
 def axis_angle(axis, angle_deg):
@@ -262,7 +257,7 @@ class TestAxisAngle:
 
     def test_ninety_about_z(self):
         q = axis_angle((0, 0, 2.0), 90.0)  # axis length irrelevant
-        np.testing.assert_allclose(q.as_array(), QZ90.as_array(), atol=1e-12)
+        np.testing.assert_allclose(wxyz(q), wxyz(QZ90), atol=1e-12)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -277,39 +272,43 @@ class TestAxisAngle:
             q = axis_angle(xyz(axis), ang)
             assert quat_angle_stable_deg(wxyz(IDENTITY), wxyz(q)) == pytest.approx(ang, abs=1e-9)
             assert scipy_rotation(q).as_rotvec() == pytest.approx(
-                np.radians(ang) * axis.as_array() / np.linalg.norm(axis.as_array()), abs=1e-12
+                np.radians(ang) * np.array(xyz(axis)) / np.linalg.norm(xyz(axis)), abs=1e-12
             )
 
 
+def rigid_row(q: UnitQuaternion, t: Vec3, p: Pose) -> np.ndarray:
+    """The track row of pose p under the rigid map (q, t), by apply_rigid."""
+    return apply_rigid(np.array(wxyz(q)), np.array(xyz(t)), track_array([p]))[0]
+
+
 class TestRigidTransform:
-    """RigidTransform.apply_pose against rigid_map_pose, the map through
-    scipy's rotations (tests/oracles.py)."""
+    """apply_rigid, the rigid map (q, t), against rigid_map_pose, the map
+    through scipy's rotations (tests/oracles.py)."""
 
     def test_identity(self, rng):
         p = random_pose(rng)
-        out = RigidTransform(IDENTITY, Vec3(0.0, 0.0, 0.0)).apply_pose(p)
-        assert point_distance(out.position, p.position) < 1e-12
-        assert chordal_distance(wxyz(out.orientation), wxyz(p.orientation)) < 1e-12
+        out = rigid_row(IDENTITY, Vec3(0.0, 0.0, 0.0), p)
+        assert math.dist(out[:3], xyz(p.position)) < 1e-12
+        assert chordal_distance(out[3:], wxyz(p.orientation)) < 1e-12
 
     def test_point_and_pose_agree(self, rng):
         # The position of a mapped pose is its point under the map.
         for _ in range(50):
-            t = RigidTransform(random_quaternion(rng), random_vec3(rng))
+            q, t = random_quaternion(rng), random_vec3(rng)
             p = random_pose(rng)
-            expect, _ = rigid_map_pose(wxyz(t.rotation), xyz(t.translation), xyz(p.position), wxyz(p.orientation))
-            assert math.dist(xyz(t.apply_pose(p).position), expect) < 1e-12
+            expect, _ = rigid_map_pose(wxyz(q), xyz(t), xyz(p.position), wxyz(p.orientation))
+            assert math.dist(rigid_row(q, t, p)[:3], expect) < 1e-12
 
     def test_orientation_left_composed(self, rng):
         q = random_quaternion(rng)
-        t = RigidTransform(q, Vec3(0.0, 0.0, 0.0))
         p = random_pose(rng)
         _, expect = rigid_map_pose(wxyz(q), (0.0, 0.0, 0.0), xyz(p.position), wxyz(p.orientation))
-        assert chordal_distance(wxyz(t.apply_pose(p).orientation), expect) < 1e-12
+        assert chordal_distance(rigid_row(q, Vec3(0.0, 0.0, 0.0), p)[3:], expect) < 1e-12
 
     def test_preserves_distances(self, rng):
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
+        q, t = random_quaternion(rng), random_vec3(rng)
         a, b = random_pose(rng), random_pose(rng)
-        assert point_distance(t.apply_pose(a).position, t.apply_pose(b).position) == pytest.approx(
+        assert math.dist(rigid_row(q, t, a)[:3], rigid_row(q, t, b)[:3]) == pytest.approx(
             point_distance(a.position, b.position), abs=1e-9
         )
 
@@ -419,10 +418,13 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+ORIGIN = Pose(Vec3(0.0, 0.0, 0.0), IDENTITY)
+
+
 class TestFloatForms:
-    """odometry and RigidTransform.apply_pose compute in plain floats and
-    build one value object; they equal the object forms they replaced
-    (tests/oracles.py) by float.hex, and raise where those raise."""
+    """odometry and optimize_pose compute in plain floats; they equal the
+    object forms they replaced (tests/oracles.py, with each constructor's
+    checks written out) by float.hex, and raise where those raise."""
 
     def test_odometry_matches_object_form(self, rng):
         poses = edge_poses(rng, 10_000)
@@ -431,21 +433,23 @@ class TestFloatForms:
         others[::9] = poses[::9]
         others[1::9] = [Pose(Vec3(p.position.x, p.position.y, p.position.z), p.orientation) for p in poses[1::9]]
         for a, b in zip(poses, others):
-            u, expect = odometry(a, b), object_odometry(a, b)
-            assert type(u) is Odometry
-            assert hexes((u.dist, u.angle)) == hexes((expect.dist, expect.angle))
-            assert Odometry(u.dist, u.angle) == u
+            u = odometry(a, b)
+            assert type(u) is _Motions and (type(u.dist), type(u.angle)) == (float, float)
+            assert hexes(u) == hexes(object_odometry(a, b))
 
     def test_apply_pose_matches_object_form(self, rng):
         poses = edge_poses(rng, 10_000)
-        rotations = [p.orientation for p in edge_poses(rng, 10_000)]
-        translations = [p.position for p in edge_poses(rng, 10_000, scale=100.0)]
-        maps = [RigidTransform(q, t) for q, t in zip(rotations, translations)]
-        maps[::7] = [RigidTransform(IDENTITY, Vec3(0.0, 0.0, 0.0))] * len(maps[::7])
-        for t, p in zip(maps, poses):
-            out = t.apply_pose(p)
+        vio_refs = edge_poses(rng, 10_000)
+        # A vio reference at the origin leaves the apr reference's edge
+        # cases in the map's rotation and translation.
+        vio_refs[::2] = [ORIGIN] * len(vio_refs[::2])
+        refs = [ReferencePair(a, v) for a, v in zip(edge_poses(rng, 10_000, scale=100.0), vio_refs)]
+        refs[::7] = [ReferencePair(ORIGIN, ORIGIN)] * len(refs[::7])
+        for ref, p in zip(refs, poses):
+            out = optimize_pose(p, ref)
             assert (type(out), type(out.position), type(out.orientation)) == (Pose, Vec3, UnitQuaternion)
-            assert pose_hexes(out) == pose_hexes(object_apply_pose(t, p))
+            t, q = ref._map
+            assert pose_hexes(out) == hexes(object_apply_pose(q, t, p))
 
     def test_overflow_raises_as_object_form(self, rng):
         # Near 1e154 a squared distance overflows, near 1e308 a
@@ -459,20 +463,22 @@ class TestFloatForms:
             big = [Pose(Vec3(*(scale * np.clip(rng.normal(size=3), -1.0, 1.0)).tolist()), p.orientation) for p in poses]
             for a, b in zip(big, big[1:] + poses[:1]):
                 got, expect = outcome(odometry, a, b), outcome(object_odometry, a, b)
-                if isinstance(expect, Odometry):
-                    assert hexes((got.dist, got.angle)) == hexes((expect.dist, expect.angle))
-                else:
+                if expect[0] is ValueError:
                     assert got == (ValueError, "odometry distance must be finite and >= 0, got inf")
                     raised["odometry"].add(expect[1].split(" must")[0])
-            for a, b in zip(big, big[::-1]):
-                t = RigidTransform(b.orientation, b.position)
-                got, expect = outcome(t.apply_pose, a), outcome(object_apply_pose, t, a)
-                if isinstance(expect, Pose):
-                    assert pose_hexes(got) == pose_hexes(expect)
                 else:
+                    assert hexes(got) == hexes(expect)
+            for a, b in zip(big, big[::-1]):
+                # The map of this pair is b's pose: translation b.position.
+                ref = ReferencePair(b, ORIGIN)
+                t, q = ref._map
+                got, expect = outcome(optimize_pose, a, ref), outcome(object_apply_pose, q, t, a)
+                if expect[0] is ValueError:
                     assert got[0] is ValueError
                     assert re.fullmatch(r"Vec3\.[xyz] must be finite, got (inf|-inf|nan)", got[1])
                     raised["apply_pose"].add(got[1].split(" must")[0])
+                else:
+                    assert pose_hexes(got) == hexes(expect)
         # The object form of odometry also raised from a Vec3 difference.
         assert raised == {
             "odometry": {"odometry distance", "Vec3.x", "Vec3.y", "Vec3.z"},
@@ -526,7 +532,7 @@ class TestMotions:
         got = relative_pose_check(u_apr, u_vio, cfg)
         assert got.dtype == bool
         expect = [
-            relative_pose_check(Odometry(da, aa), Odometry(dv, av), cfg)
+            relative_pose_check(_Motions(da, aa), _Motions(dv, av), cfg)
             for da, dv, aa, av in zip(*dist.T.tolist(), *angle.T.tolist())
         ]
         assert {type(e) for e in expect} == {bool}
@@ -539,18 +545,14 @@ class TestValueTypes:
     constructors build."""
 
     def test_setter_built_values(self, rng):
-        a, b = random_pose(rng), random_pose(rng)
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
-        u, built_u = odometry(a, b), object_odometry(a, b)
-        p, built_p = t.apply_pose(a), object_apply_pose(t, a)
-        for got, built in ((u, built_u), (p, built_p), (p.position, built_p.position),
-                           (p.orientation, built_p.orientation)):
-            assert got == built
-            assert hash(got) == hash(built)
-            assert repr(got) == repr(built)
+        built = random_pose(rng)
+        p = _poses(track_array([built]))[0]
+        for got, expect in ((p, built), (p.position, built.position), (p.orientation, built.orientation)):
+            assert got == expect
+            assert hash(got) == hash(expect)
+            assert repr(got) == repr(expect)
             assert pickle.loads(pickle.dumps(got)) == got
-        for obj, field in ((u, "dist"), (u, "angle"), (p, "position"), (p.position, "x"), (p.orientation, "w")):
+        for obj, field in ((p, "position"), (p.position, "x"), (p.orientation, "w")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, field, getattr(obj, field))
-        assert dataclasses.replace(u, dist=2.0) == Odometry(2.0, u.angle)
         assert dataclasses.replace(p, position=Vec3(1, 2, 3)) == Pose(Vec3(1, 2, 3), p.orientation)

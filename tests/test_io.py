@@ -27,7 +27,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import point_distance, random_pose
+from helpers import point_distance, random_pose, wxyz, xyz
 from oracles import row_parse_sequence
 import posefuse.io
 from posefuse import cli
@@ -70,8 +70,8 @@ class TestParse:
         assert s.frame_index == 0
         assert s.timestamp == 0.0
         assert s.gt is None and s.apr is None
-        assert s.vio.position.as_array().tolist() == [0.0, 0.0, 0.0]
-        assert s.vio.orientation.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert xyz(s.vio.position) == (0.0, 0.0, 0.0)
+        assert wxyz(s.vio.orientation) == (1.0, 0.0, 0.0, 0.0)
 
     def test_header_only_is_empty(self, tmp_path):
         assert parse_sequence(write_text(tmp_path, HEADER + "\n")) == []

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import posefuse.metrics
+from posefuse.fusion import ReferencePair, optimize_pose
 from posefuse.geometry import (
     Pose,
-    RigidTransform,
     UnitQuaternion,
     Vec3,
+    _normalize,
+    apply_rigid,
     odometry,
     rotation_angle_deg,
     track_array,
@@ -20,14 +23,13 @@ from posefuse.metrics import (
     _sorted_summary,
     absolute_pose_error,
     align_and_evaluate,
-    apply_alignment,
     kabsch_align,
     precision_buckets,
     relative_errors,
     summarize_errors,
 )
-from helpers import quat_product, random_pose, random_quaternion, random_vec3, rotation_about
-from oracles import rigid_map_pose, rotation_matrix, sort_median
+from helpers import quat_product, random_pose, random_quaternion, random_vec3, rotation_about, wxyz, xyz
+from oracles import chordal_distance, rigid_map_pose, rotation_matrix, sort_median
 
 X = (1.0, 0.0, 0.0)
 Z = (0.0, 0.0, 1.0)
@@ -39,13 +41,19 @@ def one(pose):
 
 
 def points(vecs):
-    return np.array([v.as_array() for v in vecs])
+    return np.array([xyz(v) for v in vecs])
 
 
 def moved_points(fit, pts):
-    """(N, 3) points under a fitted transform, through the rotation
+    """(N, 3) points under a fitted (q, t) map, through the rotation
     matrix written out in tests/oracles.py."""
-    return pts @ rotation_matrix(fit.rotation.as_array()).T + fit.translation.as_array()
+    q, t = fit
+    return pts @ rotation_matrix(q).T + t
+
+
+def rigid(q: UnitQuaternion, t: Vec3, poses) -> np.ndarray:
+    """The track of poses under the rigid map (q, t), by apply_rigid."""
+    return apply_rigid(np.array(wxyz(q)), np.array(xyz(t)), track_array(poses))
 
 
 def errors(n, rng, pos_hi, ori_hi):
@@ -115,10 +123,13 @@ class TestMatchesScalarPrimitives:
         assert got.tolist() == expect
 
     def test_apply_alignment(self, rng):
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
+        # apply_rigid maps each row as optimize_pose, its float form,
+        # maps the pose.
+        ref = ReferencePair(random_pose(rng), random_pose(rng))
+        t, q = ref._map
         poses = [random_pose(rng) for _ in range(300)]
-        expect = track_array([t.apply_pose(p) for p in poses])
-        assert apply_alignment(track_array(poses), t).tolist() == expect.tolist()
+        expect = track_array([optimize_pose(p, ref) for p in poses])
+        assert apply_rigid(np.array(q), np.array(t), track_array(poses)).tolist() == expect.tolist()
 
 
 class TestRelativeErrors:
@@ -130,9 +141,8 @@ class TestRelativeErrors:
 
     def test_rigid_transform_invariance(self, rng):
         track = curved_track(10)
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
-        moved = [t.apply_pose(p) for p in track]
-        for rpe, roe in relative_errors(track_array(moved), track_array(track)):
+        moved = rigid(random_quaternion(rng), random_vec3(rng), track)
+        for rpe, roe in relative_errors(moved, track_array(track)):
             assert rpe == pytest.approx(0.0, abs=1e-9)
             assert roe == pytest.approx(0.0, abs=1e-5)
 
@@ -210,24 +220,24 @@ class TestPrecisionBuckets:
 class TestKabschAlign:
     def test_identity(self, rng):
         pts = points(random_vec3(rng) for _ in range(6))
-        t = kabsch_align(pts, pts)
+        q, t = kabsch_align(pts, pts)
         # 1e-5 deg is the resolution of rotation_angle_deg near zero.
-        assert rotation_angle_deg(t.rotation, IDENTITY) < 1e-5
-        assert np.linalg.norm(t.translation.as_array()) < 1e-9
+        assert rotation_angle_deg(UnitQuaternion(*q), IDENTITY) < 1e-5
+        assert np.linalg.norm(t) < 1e-9
 
     def test_pure_translation(self, rng):
         src = points(random_vec3(rng) for _ in range(6))
         dst = src + np.array([1.0, 2.0, 3.0])
-        t = kabsch_align(src, dst)
-        assert rotation_angle_deg(t.rotation, IDENTITY) < 1e-5
-        np.testing.assert_allclose(t.translation.as_array(), [1, 2, 3], atol=1e-9)
+        q, t = kabsch_align(src, dst)
+        assert rotation_angle_deg(UnitQuaternion(*q), IDENTITY) < 1e-5
+        np.testing.assert_allclose(t, [1, 2, 3], atol=1e-9)
 
     def test_recovers_rotation_and_translation(self, rng):
-        true = RigidTransform(rotation_about(Z, 30.0), Vec3(0.5, -1.0, 2.0))
+        true = rotation_about(Z, 30.0)
         src = points(random_vec3(rng, scale=5.0) for _ in range(10))
-        dst = moved_points(true, src)
+        dst = moved_points((wxyz(true), (0.5, -1.0, 2.0)), src)
         fit = kabsch_align(src, dst)
-        assert rotation_angle_deg(fit.rotation, true.rotation) < 1e-5
+        assert rotation_angle_deg(UnitQuaternion(*fit[0]), true) < 1e-5
         assert np.linalg.norm(moved_points(fit, src) - dst, axis=1).max() < 1e-6
 
     def test_mirror_target_gets_best_proper_rotation(self, rng):
@@ -267,16 +277,13 @@ class TestKabschAlign:
     def assert_matches_scipy_fit(src, dst):
         """The fitted rotation is scipy's align_vectors fit of the
         centered points, up to the double cover, and keeps the sign rule."""
-        fit = kabsch_align(src, dst)
+        got, t = kabsch_align(src, dst)
         best, _ = Rotation.align_vectors(dst - dst.mean(axis=0), src - src.mean(axis=0))
         x, y, z, w = best.as_quat()
         want = np.array([w, x, y, z])
-        got = fit.rotation.as_array()
         assert got[0] >= 0.0
         np.testing.assert_allclose(got, want * np.sign(got @ want), atol=1e-12)
-        np.testing.assert_allclose(
-            fit.translation.as_array(), dst.mean(axis=0) - best.apply(src.mean(axis=0)), atol=1e-12
-        )
+        np.testing.assert_allclose(t, dst.mean(axis=0) - best.apply(src.mean(axis=0)), atol=1e-12)
         return got
 
     def test_matches_scipy_on_identity_half_turns_and_tilted_turns(self, rng):
@@ -306,18 +313,41 @@ class TestKabschAlign:
             dst = r.apply(src) + rng.normal(size=3) + rng.normal(scale=0.3, size=(8, 3))
             self.assert_matches_scipy_fit(src, dst)
 
+    def test_rotation_is_the_eigenvector_normalized_again(self, rng, monkeypatch):
+        # q is _normalize of Horn's top eigenvector, bit for bit: the
+        # second normalization moves the last bit of some rows, and the
+        # pinned reports hold it.  (q, t) under apply_rigid carries each
+        # source point onto its target.
+        tops = []
+        real = posefuse.metrics._top_quaternions
+        monkeypatch.setattr(posefuse.metrics, "_top_quaternions", lambda m: tops.append(real(m)) or tops[-1])
+        renormalized = 0
+        for _ in range(100):
+            q_true = random_quaternion(rng)
+            src = rng.normal(size=(8, 3)) * [3.0, 2.0, 1.0]
+            dst = Rotation.from_quat([q_true.x, q_true.y, q_true.z, q_true.w]).apply(src) + rng.normal(size=3)
+            q, t = kabsch_align(src, dst)
+            top = tops[-1][0].tolist()
+            assert [x.hex() for x in q.tolist()] == [x.hex() for x in _normalize(top)]
+            renormalized += q.tolist() != top
+            track = np.column_stack((src, np.tile([1.0, 0.0, 0.0, 0.0], (len(src), 1))))
+            aligned = apply_rigid(q, t, track)
+            assert np.abs(aligned[:, :3] - dst).max() < 1e-9
+            assert chordal_distance(aligned[0, 3:], wxyz(q_true)) < 1e-9
+        assert len(tops) == 100 and renormalized > 0
+
 
 class TestApplyAlignment:
+    """An alignment (q, t) applied to a track by apply_rigid, as
+    align_and_evaluate applies kabsch_align's fit."""
+
     def test_orientations_pick_up_rotation_on_the_left(self, rng):
-        q = random_quaternion(rng)
-        t = RigidTransform(q, random_vec3(rng))
+        q, t = random_quaternion(rng), random_vec3(rng)
         poses = curved_track(5)
-        aligned = apply_alignment(track_array(poses), t)
+        aligned = rigid(q, t, poses)
         assert aligned.shape == (5, 7)
         for orig, row in zip(poses, aligned):
-            pos, quat = rigid_map_pose(
-                q.as_array(), t.translation.as_array(), orig.position.as_array(), orig.orientation.as_array()
-            )
+            pos, quat = rigid_map_pose(wxyz(q), xyz(t), xyz(orig.position), wxyz(orig.orientation))
             assert rotation_angle_deg(UnitQuaternion(*row[3:]), UnitQuaternion(*quat)) < 1e-6
             assert math.dist(row[:3], pos) < 1e-12
 
@@ -395,9 +425,8 @@ class TestAlignAndEvaluate:
     def test_rigidly_moved_track_recovered(self, rng):
         gt = curved_track(40)
         ts = [float(i) for i in range(40)]
-        t = RigidTransform(random_quaternion(rng), random_vec3(rng))
-        est = [t.apply_pose(p) for p in gt]
-        rep = align_and_evaluate(track_array(est), track_array(gt), 30.0, ts)
+        est = rigid(random_quaternion(rng), random_vec3(rng), gt)
+        rep = align_and_evaluate(est, track_array(gt), 30.0, ts)
         assert rep.median_pos == pytest.approx(0.0, abs=1e-8)
         assert rep.median_ori == pytest.approx(0.0, abs=1e-5)
 
