@@ -217,12 +217,11 @@ def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     # apply_rigid's float form: the position rotated by q_g, then shifted
     # by t; the orientation q_g * o, normalized.
     (tx, ty, tz), q_g = ref._map
-    p, o = p_vio.position, p_vio.orientation
-    x, y, z = _rotate(q_g, (p.x, p.y, p.z))
+    x, y, z = _rotate(q_g, (p_vio.x, p_vio.y, p_vio.z))
     x, y, z = x + tx, y + ty, z + tz
     if not (isfinite(x) and isfinite(y) and isfinite(z)):
         Vec3(x, y, z)  # raises, naming the first field that overflowed
-    return _pose(x, y, z, *_normalize(_hamilton(q_g, (o.w, o.x, o.y, o.z))))
+    return _pose(x, y, z, *_normalize(_hamilton(q_g, (p_vio.qw, p_vio.qx, p_vio.qy, p_vio.qz))))
 
 
 def step(
@@ -244,9 +243,8 @@ def step(
     state.frame_index = idx + 1
     # Below the bound no motion, reference or mapped pose overflows, so
     # nothing after this check raises.
-    pv, pa = vio.position, apr.position
-    if not (abs(pv.x) < COORD_LIMIT and abs(pv.y) < COORD_LIMIT and abs(pv.z) < COORD_LIMIT
-            and abs(pa.x) < COORD_LIMIT and abs(pa.y) < COORD_LIMIT and abs(pa.z) < COORD_LIMIT):
+    if not (abs(vio.x) < COORD_LIMIT and abs(vio.y) < COORD_LIMIT and abs(vio.z) < COORD_LIMIT
+            and abs(apr.x) < COORD_LIMIT and abs(apr.y) < COORD_LIMIT and abs(apr.z) < COORD_LIMIT):
         i, fault = _pose_fault(track_array([vio, apr]), np.inf)
         raise ValueError(f"frame {idx}: {('vio', 'apr')[i]} {fault}")
 

@@ -126,12 +126,56 @@ def _rotate(
     return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Pose:
-    """Position plus orientation of one frame."""
+    """Position plus orientation of one frame, stored flat as its track
+    row: x, y, z (m), then the quaternion qw, qx, qy, qz.  Built from a
+    checked Vec3 and UnitQuaternion, whose fields it copies; position
+    and orientation build those values afresh on each access."""
 
-    position: Vec3
-    orientation: UnitQuaternion
+    # Slots by hand: the frozen __setattr__ of a class that slots=True
+    # rebuilds refers to the class before the rebuild, and raises
+    # TypeError, not FrozenInstanceError, at a name that is not a field,
+    # such as position.
+    __slots__ = ("x", "y", "z", "qw", "qx", "qy", "qz")
+
+    x: float
+    y: float
+    z: float
+    qw: float
+    qx: float
+    qy: float
+    qz: float
+
+    def __init__(self, position: Vec3, orientation: UnitQuaternion) -> None:
+        _px(self, position.x)
+        _py(self, position.y)
+        _pz(self, position.z)
+        _pw(self, orientation.w)
+        _pqx(self, orientation.x)
+        _pqy(self, orientation.y)
+        _pqz(self, orientation.z)
+
+    def __reduce__(self):
+        # The frozen __setattr__ refuses the default unpickling.
+        return _pose, (self.x, self.y, self.z, self.qw, self.qx, self.qy, self.qz)
+
+    @property
+    def position(self) -> Vec3:
+        v = _new(Vec3)
+        _vx(v, self.x)
+        _vy(v, self.y)
+        _vz(v, self.z)
+        return v
+
+    @property
+    def orientation(self) -> UnitQuaternion:
+        q = _new(UnitQuaternion)
+        _qw(q, self.qw)
+        _qx(q, self.qx)
+        _qy(q, self.qy)
+        _qz(q, self.qz)
+        return q
 
 
 class _Motions(NamedTuple):
@@ -143,14 +187,14 @@ class _Motions(NamedTuple):
     angle: float | np.ndarray
 
 
-def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
-    """Magnitude of the relative rotation between two orientations, in
-    [0, 180] degrees.  Symmetric in its arguments and blind to the
+def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
+    """Magnitude of the relative rotation between two unit quaternions,
+    in [0, 180] degrees.  Symmetric in its arguments and blind to the
     quaternion double cover."""
     # The scalar part of a^-1 * b is the 4-vector dot product, here
     # without _dot4's call cost (~1% of step's ordinary frame, which comes
     # here twice).  |c| can exceed 1 by float noise, so clamp before acos.
-    c = min(1.0, abs(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z))
+    c = min(1.0, abs(aw * bw + ax * bx + ay * by + az * bz))
     return math.degrees(2.0 * math.acos(c))
 
 
@@ -158,12 +202,11 @@ def odometry(a: Pose, b: Pose) -> _Motions:
     """Scalar motion magnitudes between two poses.  Raises ValueError
     when the distance overflows, as it can from coordinates near 1e154 m;
     the angle is in [0, 180] whatever the poses."""
-    pa, pb = a.position, b.position
-    d = math.sqrt(_squared_distance(pa.x, pa.y, pa.z, pb.x, pb.y, pb.z))
+    d = math.sqrt(_squared_distance(a.x, a.y, a.z, b.x, b.y, b.z))
     if not isfinite(d):
         raise ValueError(f"odometry distance must be finite and >= 0, got {d!r}")
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
-    return tuple.__new__(_Motions, (d, rotation_angle_deg(a.orientation, b.orientation)))
+    return tuple.__new__(_Motions, (d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)))
 
 
 # Array forms of the formulas above, one row per pose: (N, 3) positions,
@@ -242,15 +285,15 @@ def apply_rigid(q: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
 
 
 # The slot descriptors of the frozen value classes.  The constructors,
-# which validate and convert each field once, and the builders below
-# store fields through them, past the frozen __setattr__.
+# which validate and convert each field once, Pose's views and the
+# builders below store fields through them, past the frozen __setattr__.
 _new = object.__new__
 _vx, _vy, _vz = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
 _qw, _qx, _qy, _qz = (
     UnitQuaternion.w.__set__, UnitQuaternion.x.__set__,
     UnitQuaternion.y.__set__, UnitQuaternion.z.__set__,
 )
-_pp, _pq = Pose.position.__set__, Pose.orientation.__set__
+_px, _py, _pz, _pw, _pqx, _pqy, _pqz = (getattr(Pose, name).__set__ for name in Pose.__slots__)
 
 
 def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: float) -> Pose:
@@ -258,18 +301,14 @@ def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: floa
     and sign-canonical.  The fields are stored as they are: running the
     constructors again would normalize a normalized quaternion once
     more, which can move its last bits."""
-    p = _new(Vec3)
-    _vx(p, x)
-    _vy(p, y)
-    _vz(p, z)
-    q = _new(UnitQuaternion)
-    _qw(q, w)
-    _qx(q, qx)
-    _qy(q, qy)
-    _qz(q, qz)
     pose = _new(Pose)
-    _pp(pose, p)
-    _pq(pose, q)
+    _px(pose, x)
+    _py(pose, y)
+    _pz(pose, z)
+    _pw(pose, w)
+    _pqx(pose, qx)
+    _pqy(pose, qy)
+    _pqz(pose, qz)
     return pose
 
 
@@ -279,15 +318,12 @@ def _poses(track: np.ndarray) -> list[Pose]:
 
 
 def track_array(poses: Sequence[Pose]) -> np.ndarray:
-    """The (N, 7) track of a pose sequence, the inverse of _poses: x, y,
-    z, qw, qx, qy, qz.  A PoseTrack gives a writable copy of its array."""
+    """The (N, 7) track of a pose sequence, the inverse of _poses: each
+    Pose's fields x, y, z, qw, qx, qy, qz.  A PoseTrack gives a writable
+    copy of its array."""
     if isinstance(poses, PoseTrack):
         return poses.track.copy()
-    rows = [
-        (p.position.x, p.position.y, p.position.z,
-         p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z)
-        for p in poses
-    ]
+    rows = [(p.x, p.y, p.z, p.qw, p.qx, p.qy, p.qz) for p in poses]
     return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from posefuse.fusion import _average_quaternions, _medians
-from posefuse.geometry import Pose, UnitQuaternion, Vec3, _poses
+from posefuse.geometry import Pose, UnitQuaternion, Vec3, _angle_deg, _poses
 from oracles import axis_angle_quaternion, hamilton_product
 
 
@@ -29,6 +29,12 @@ def xyz(v: Vec3) -> tuple[float, float, float]:
 
 def wxyz(q: UnitQuaternion) -> tuple[float, float, float, float]:
     return q.w, q.x, q.y, q.z
+
+
+def rotation_angle_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
+    """The relative rotation angle of two orientations: the package's
+    one angle formula, geometry._angle_deg, on their components."""
+    return _angle_deg(*wxyz(a), *wxyz(b))
 
 
 def point_distance(a: Vec3, b: Vec3) -> float:

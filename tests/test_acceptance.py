@@ -57,7 +57,6 @@ from posefuse.geometry import (
     UnitQuaternion,
     Vec3,
     odometry,
-    rotation_angle_deg,
     track_array,
 )
 from posefuse.metrics import (
@@ -75,7 +74,8 @@ from posefuse.synth import (
     simulate_vio,
 )
 from helpers import (
-    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about, wxyz,
+    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about,
+    rotation_angle_deg, wxyz,
 )
 from oracles import grid_median_objective, quat_angle_stable_deg, rotation_matrix, slerp_midpoint
 

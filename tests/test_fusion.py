@@ -32,7 +32,6 @@ from posefuse.geometry import (
     _normalize_rows,
     _poses,
     odometry,
-    rotation_angle_deg,
     track_array,
 )
 from posefuse.io import PoseSample, Recording, parse_sequence, write_sequence
@@ -45,7 +44,8 @@ from posefuse.synth import (
     simulate_vio,
 )
 from helpers import (
-    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about, wxyz, xyz,
+    average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about,
+    rotation_angle_deg, wxyz, xyz,
 )
 from oracles import (
     chordal_distance,

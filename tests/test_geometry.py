@@ -23,12 +23,18 @@ from posefuse.geometry import (
     _rotate_rows,
     apply_rigid,
     odometry,
-    rotation_angle_deg,
     track_array,
 )
-from posefuse.fusion import FusionConfig, ReferencePair, optimize_pose, relative_pose_check
+from posefuse.cli import main
+from posefuse.fusion import (
+    FusionConfig, FusionState, Label, ReferencePair, compute_reference, optimize_pose, relative_pose_check,
+    run_sequence, step,
+)
+from posefuse.io import Recording
+from posefuse.synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 from helpers import (
-    point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about, wxyz, xyz,
+    point_distance, quat_product, random_pose, random_quaternion, random_vec3, rotation_about, rotation_angle_deg,
+    wxyz, xyz,
 )
 from oracles import (
     axis_angle_quaternion,
@@ -542,17 +548,63 @@ class TestMotions:
 
 class TestValueTypes:
     """Values built through the slot descriptors are the same values the
-    constructors build."""
+    constructors build.  A Pose holds its track row; position and
+    orientation are views of it, built on each access."""
+
+    def test_pose_fields_are_the_track_row(self, rng):
+        row = ["x", "y", "z", "qw", "qx", "qy", "qz"]
+        assert [f.name for f in dataclasses.fields(Pose)] == row
+        assert Pose.__slots__ == tuple(row)
+        v, q = random_vec3(rng), random_quaternion(rng)
+        p = Pose(v, q)
+        assert not hasattr(p, "__dict__")
+        assert [getattr(p, name) for name in row] == [*xyz(v), *wxyz(q)] == track_array([p])[0].tolist()
+        assert repr(p) == "Pose(%s)" % ", ".join(f"{name}={getattr(p, name)!r}" for name in row)
+        # The views are fresh objects of equal value.
+        assert p.position is not p.position and p.orientation is not p.orientation
+        assert (p.position, p.orientation) == (v, q)
 
     def test_setter_built_values(self, rng):
-        built = random_pose(rng)
+        v, q = random_vec3(rng), random_quaternion(rng)
+        built = Pose(v, q)
         p = _poses(track_array([built]))[0]
-        for got, expect in ((p, built), (p.position, built.position), (p.orientation, built.orientation)):
+        pairs = ((p, built), (p.position, v), (p.orientation, q), (built.position, v), (built.orientation, q))
+        for got, expect in pairs:
             assert got == expect
             assert hash(got) == hash(expect)
             assert repr(got) == repr(expect)
             assert pickle.loads(pickle.dumps(got)) == got
-        for obj, field in ((p, "position"), (p.position, "x"), (p.orientation, "w")):
+        fields = ((p, "x"), (p, "qz"), (p, "position"), (p, "orientation"), (p.position, "x"), (p.orientation, "w"))
+        for obj, field in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, field, getattr(obj, field))
-        assert dataclasses.replace(p, position=Vec3(1, 2, 3)) == Pose(Vec3(1, 2, 3), p.orientation)
+        # The constructor takes the two values, not the fields replace
+        # passes; a new position goes through the constructor.
+        with pytest.raises(TypeError):
+            dataclasses.replace(p, position=Vec3(1, 2, 3))
+        moved = Pose(Vec3(1, 2, 3), p.orientation)
+        assert (moved.position, moved.orientation) == (Vec3(1, 2, 3), q)
+
+    def test_package_paths_skip_the_views(self, monkeypatch, tmp_path):
+        # With the views raising, fusion, its batch path, the reference
+        # kernel, the conversions and a synthetic CLI run still work:
+        # they read the fields.
+        def view(self):
+            raise AssertionError("a package path built a Pose view")
+
+        monkeypatch.setattr(Pose, "position", property(view))
+        monkeypatch.setattr(Pose, "orientation", property(view))
+        samples = generate_gt(TrajectoryConfig(n_frames=300, seed=5))
+        gt = [s.gt for s in samples]
+        for s, v, a in zip(samples, simulate_vio(gt, VioNoiseModel(), 6), simulate_apr(gt, AprNoiseModel(), 7)):
+            s.vio, s.apr = v, a
+        cfg, state, last = FusionConfig(), FusionState(), {}
+        for s in samples:
+            state, outs = step(state, s.apr, s.vio, cfg)
+            last.update((o.frame_index, o) for o in outs)
+        batch = run_sequence(Recording.of(samples), cfg)
+        assert list(batch) == [last[i] for i in range(len(samples))]
+        assert {o.label for o in batch} == set(Label)
+        ref = compute_reference([s.apr for s in samples[:3]], [s.vio for s in samples[:3]])
+        assert track_array([ref.apr_ref, ref.vio_ref]).shape == (2, 7)
+        assert main(["--synth", "1", "--frames", "300", "--out", str(tmp_path)]) == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.geometry import Pose, UnitQuaternion, Vec3, rotation_angle_deg
+from posefuse.geometry import Pose, UnitQuaternion, Vec3
 from posefuse.io import (
     SEQUENCE_COLUMNS,
     PoseSample,
@@ -27,7 +27,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import point_distance, random_pose, wxyz, xyz
+from helpers import point_distance, random_pose, rotation_angle_deg, wxyz, xyz
 from oracles import row_parse_sequence
 import posefuse.io
 from posefuse import cli

@@ -13,7 +13,6 @@ from posefuse.geometry import (
     _normalize,
     apply_rigid,
     odometry,
-    rotation_angle_deg,
     track_array,
 )
 from posefuse.metrics import (
@@ -28,7 +27,9 @@ from posefuse.metrics import (
     relative_errors,
     summarize_errors,
 )
-from helpers import quat_product, random_pose, random_quaternion, random_vec3, rotation_about, wxyz, xyz
+from helpers import (
+    quat_product, random_pose, random_quaternion, random_vec3, rotation_about, rotation_angle_deg, wxyz, xyz,
+)
 from oracles import chordal_distance, rigid_map_pose, rotation_matrix, sort_median
 
 X = (1.0, 0.0, 0.0)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import point_distance, wxyz, xyz
+from helpers import point_distance, rotation_angle_deg, wxyz, xyz
 from oracles import rotation_matrix, sequential_vio
 from posefuse import synth
-from posefuse.geometry import PoseTrack, _norms, rotation_angle_deg, track_array
+from posefuse.geometry import PoseTrack, _norms, track_array
 from posefuse.metrics import relative_errors
 from posefuse.synth import (
     AprNoiseModel,
