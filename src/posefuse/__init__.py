@@ -17,8 +17,6 @@ from .fusion import (
 from .geometry import (
     Pose,
     PoseTrack,
-    UnitQuaternion,
-    Vec3,
     track_array,
 )
 from .io import PoseSample, Recording, SequenceFormatError, parse_sequence, write_sequence
@@ -55,8 +53,6 @@ __all__ = [
     "Stage",
     "SummaryReport",
     "TrajectoryConfig",
-    "UnitQuaternion",
-    "Vec3",
     "VioNoiseModel",
     "align_and_evaluate",
     "generate_gt",

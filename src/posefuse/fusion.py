@@ -36,15 +36,12 @@ import enum
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (
-    COORD_LIMIT,
     Pose,
-    Vec3,
     _FrameSequence,
     _frozen,
     _hamilton,
@@ -54,7 +51,6 @@ from .geometry import (
     _normalize_rows,
     _norms,
     _pose,
-    _pose_fault,
     _poses,
     _rotate,
     _top_quaternions,
@@ -121,15 +117,16 @@ class ReferencePair:
 
     @cached_property
     def _map(self) -> tuple[tuple[float, float, float], tuple[float, float, float, float]]:
-        """_reference_map's (t, q_g) floats of the pair.  Vec3 refuses a
-        translation that overflowed, as a pair built by hand can give."""
-        t, q_g = _reference_map(*track_array([self.apr_ref, self.vio_ref]).tolist())
-        Vec3(*t)
-        return t, q_g
+        """_reference_map's (t, q_g) floats of the pair."""
+        return _reference_map(*track_array([self.apr_ref, self.vio_ref]).tolist())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FusionOutput:
+    # Slots by hand, as Pose declares them, so that setting a name that
+    # is not a field raises FrozenInstanceError.
+    __slots__ = ("frame_index", "pose", "label")
+
     frame_index: int
     pose: Pose
     label: Label
@@ -140,6 +137,10 @@ class FusionOutput:
         _out_frame(self, frame_index)
         _out_pose(self, pose)
         _out_label(self, label)
+
+    def __reduce__(self):
+        # The frozen __setattr__ refuses the default unpickling.
+        return FusionOutput, (self.frame_index, self.pose, self.label)
 
 
 _out_frame, _out_pose, _out_label = (
@@ -187,10 +188,7 @@ def compute_reference(aprs: Sequence[Pose], vios: Sequence[Pose]) -> ReferencePa
     n = len(aprs)
     if n == 0:
         raise ValueError("compute_reference needs a non-empty window")
-    refs = _references(track_array([*aprs, *vios]), np.array([0, n]), n)
-    for median in refs[:, :3]:
-        Vec3(*median.tolist())  # refuses a median that overflowed
-    return ReferencePair(*_poses(refs))
+    return ReferencePair(*_poses(_references(track_array([*aprs, *vios]), np.array([0, n]), n)))
 
 
 def _reference_map(apr, vio, normalize=_normalize):
@@ -212,16 +210,12 @@ def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     At the reference itself this returns apr_ref, and being rigid it
     preserves relative distances and angles of the vio stream.  A vio
     stream that is any rigid transform of the world trajectory maps back
-    onto it.  Raises ValueError, naming the field, at a mapped position
-    that overflowed."""
+    onto it."""
     # apply_rigid's float form: the position rotated by q_g, then shifted
     # by t; the orientation q_g * o, normalized.
     (tx, ty, tz), q_g = ref._map
     x, y, z = _rotate(q_g, (p_vio.x, p_vio.y, p_vio.z))
-    x, y, z = x + tx, y + ty, z + tz
-    if not (isfinite(x) and isfinite(y) and isfinite(z)):
-        Vec3(x, y, z)  # raises, naming the first field that overflowed
-    return _pose(x, y, z, *_normalize(_hamilton(q_g, (p_vio.qw, p_vio.qx, p_vio.qy, p_vio.qz))))
+    return _pose(x + tx, y + ty, z + tz, *_normalize(_hamilton(q_g, (p_vio.qw, p_vio.qx, p_vio.qy, p_vio.qz))))
 
 
 def step(
@@ -232,22 +226,13 @@ def step(
     Mutates and returns the state.  The output list holds the provisional
     output for this frame and, when an alignment window just completed,
     keyframe re-emissions for the window frames (those supersede earlier
-    provisional labels of the same frames).  Raises ValueError, naming
-    the frame, at a position coordinate of magnitude COORD_LIMIT (1e150 m)
-    or more, vio's before apr's, as run_sequence does; the frame uses up
-    its index and leaves the rest of the state as it was, so the caller
-    may go on feeding frames.
+    provisional labels of the same frames).  A Pose from the constructor
+    or from checked rows keeps the input rules, within which no motion,
+    reference or mapped pose overflows, so it raises nothing.
     """
     outputs: list[FusionOutput] = []
     idx = state.frame_index
     state.frame_index = idx + 1
-    # Below the bound no motion, reference or mapped pose overflows, so
-    # nothing after this check raises.
-    if not (abs(vio.x) < COORD_LIMIT and abs(vio.y) < COORD_LIMIT and abs(vio.z) < COORD_LIMIT
-            and abs(apr.x) < COORD_LIMIT and abs(apr.y) < COORD_LIMIT and abs(apr.z) < COORD_LIMIT):
-        i, fault = _pose_fault(track_array([vio, apr]), np.inf)
-        raise ValueError(f"frame {idx}: {('vio', 'apr')[i]} {fault}")
-
     if state.stage is Stage.OPTIMIZING:
         assert state.reference is not None
         u_apr = odometry(apr, state.reference.apr_ref)

@@ -23,51 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
-    """Point or translation in 3-space, meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __init__(self, x: float, y: float, z: float) -> None:
-        x, y, z = float(x), float(y), float(z)
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            for name, v in (("x", x), ("y", y), ("z", z)):
-                if not isfinite(v):
-                    raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
-        _vx(self, x)
-        _vy(self, y)
-        _vz(self, z)
-
-
-@dataclass(frozen=True, slots=True)
-class UnitQuaternion:
-    """Unit quaternion, scalar first.  Normalized and sign-canonicalized
-    by the constructor, so any four finite non-degenerate components are
-    accepted."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __init__(self, w: float, x: float, y: float, z: float) -> None:
-        w, x, y, z = float(w), float(x), float(y), float(z)
-        if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
-            raise ValueError(f"quaternion components must be finite, got {[w, x, y, z]}")
-        w, x, y, z = _normalize((w, x, y, z))
-        _qw(self, w)
-        _qx(self, x)
-        _qy(self, y)
-        _qz(self, z)
-
-
 # Float forms of the pose formulas, quaternions as (w, x, y, z).  The
-# classes and functions of this module, fusion.step's per-frame path
-# (odometry, optimize_pose) and the synthetic generators are built on
-# them, and the array forms below apply them to columns.
+# Pose constructor, the functions of this module, fusion.step's
+# per-frame path (odometry, optimize_pose) and the synthetic generators
+# are built on them, and the array forms below apply them to columns.
 
 
 def _dot4(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
@@ -126,12 +85,43 @@ def _rotate(
     return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
 
 
-@dataclass(frozen=True)
+# Below COORD_LIMIT every squared coordinate difference is finite, so no
+# motion, reference or mapped position formed from checked rows overflows.
+COORD_LIMIT = 1e150
+UNIT_NORM_TOL = 1e-9
+
+
+def _coord_fault(name: str, v: float) -> str:
+    """Why coordinate name, of value v, breaks the bound."""
+    return f"{name} must be finite and below {COORD_LIMIT:g} m in magnitude, got {v!r}"
+
+
+class _Position(NamedTuple):
+    """Pose.position, the view (x, y, z)."""
+
+    x: float
+    y: float
+    z: float
+
+
+class _Orientation(NamedTuple):
+    """Pose.orientation, the view (w, x, y, z)."""
+
+    w: float
+    x: float
+    y: float
+    z: float
+
+
+@dataclass(frozen=True, init=False)
 class Pose:
     """Position plus orientation of one frame, stored flat as its track
-    row: x, y, z (m), then the quaternion qw, qx, qy, qz.  Built from a
-    checked Vec3 and UnitQuaternion, whose fields it copies; position
-    and orientation build those values afresh on each access."""
+    row: x, y, z (m), then the quaternion qw, qx, qy, qz.  The
+    constructor takes the seven fields.  It refuses a coordinate not
+    finite or of magnitude COORD_LIMIT or more, and a quaternion
+    component not finite; it normalizes and sign-canonicalizes the
+    quaternion, so any four finite non-degenerate components are
+    accepted.  position and orientation are tuple views of the row."""
 
     # Slots by hand: the frozen __setattr__ of a class that slots=True
     # rebuilds refers to the class before the rebuild, and raises
@@ -147,35 +137,29 @@ class Pose:
     qy: float
     qz: float
 
-    def __init__(self, position: Vec3, orientation: UnitQuaternion) -> None:
-        _px(self, position.x)
-        _py(self, position.y)
-        _pz(self, position.z)
-        _pw(self, orientation.w)
-        _pqx(self, orientation.x)
-        _pqy(self, orientation.y)
-        _pqz(self, orientation.z)
+    # The constructor is __new__, so that it checks the fields and then
+    # builds through _pose, as every other path does.
+    def __new__(cls, x: float, y: float, z: float, qw: float, qx: float, qy: float, qz: float) -> Pose:
+        pos = float(x), float(y), float(z)
+        for name, v in zip("xyz", pos):
+            if not abs(v) < COORD_LIMIT:
+                raise ValueError(_coord_fault(name, v))
+        q = float(qw), float(qx), float(qy), float(qz)
+        if not all(map(isfinite, q)):
+            raise ValueError(f"quaternion components must be finite, got {list(q)}")
+        return _pose(*pos, *_normalize(q))
 
     def __reduce__(self):
         # The frozen __setattr__ refuses the default unpickling.
         return _pose, (self.x, self.y, self.z, self.qw, self.qx, self.qy, self.qz)
 
     @property
-    def position(self) -> Vec3:
-        v = _new(Vec3)
-        _vx(v, self.x)
-        _vy(v, self.y)
-        _vz(v, self.z)
-        return v
+    def position(self) -> _Position:
+        return _Position(self.x, self.y, self.z)
 
     @property
-    def orientation(self) -> UnitQuaternion:
-        q = _new(UnitQuaternion)
-        _qw(q, self.qw)
-        _qx(q, self.qx)
-        _qy(q, self.qy)
-        _qz(q, self.qz)
-        return q
+    def orientation(self) -> _Orientation:
+        return _Orientation(self.qw, self.qx, self.qy, self.qz)
 
 
 class _Motions(NamedTuple):
@@ -199,12 +183,9 @@ def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float,
 
 
 def odometry(a: Pose, b: Pose) -> _Motions:
-    """Scalar motion magnitudes between two poses.  Raises ValueError
-    when the distance overflows, as it can from coordinates near 1e154 m;
-    the angle is in [0, 180] whatever the poses."""
+    """Scalar motion magnitudes between two poses: a distance, finite
+    below COORD_LIMIT, and an angle in [0, 180]."""
     d = math.sqrt(_squared_distance(a.x, a.y, a.z, b.x, b.y, b.z))
-    if not isfinite(d):
-        raise ValueError(f"odometry distance must be finite and >= 0, got {d!r}")
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
     return tuple.__new__(_Motions, (d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)))
 
@@ -284,23 +265,17 @@ def apply_rigid(q: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
     return np.column_stack((pos, _normalize_rows(_hamilton_rows(q, track[:, 3:]))))
 
 
-# The slot descriptors of the frozen value classes.  The constructors,
-# which validate and convert each field once, Pose's views and the
-# builders below store fields through them, past the frozen __setattr__.
+# Pose's slot descriptors.  _pose, which its constructor ends in, stores
+# the fields through them, past the frozen __setattr__.
 _new = object.__new__
-_vx, _vy, _vz = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
-_qw, _qx, _qy, _qz = (
-    UnitQuaternion.w.__set__, UnitQuaternion.x.__set__,
-    UnitQuaternion.y.__set__, UnitQuaternion.z.__set__,
-)
 _px, _py, _pz, _pw, _pqx, _pqy, _pqz = (getattr(Pose, name).__set__ for name in Pose.__slots__)
 
 
 def _pose(x: float, y: float, z: float, w: float, qx: float, qy: float, qz: float) -> Pose:
-    """The Pose of finite floats whose quaternion is already normalized
-    and sign-canonical.  The fields are stored as they are: running the
-    constructors again would normalize a normalized quaternion once
-    more, which can move its last bits."""
+    """The Pose of floats that keep the constructor's rules and whose
+    quaternion is already normalized and sign-canonical.  The fields are
+    stored as they are: the constructor would normalize a normalized
+    quaternion once more, which can move its last bits."""
     pose = _new(Pose)
     _px(pose, x)
     _py(pose, y)
@@ -360,12 +335,6 @@ class _FrameSequence(Sequence):
         return f"<{type(self).__name__} of {len(self)} frames>"
 
 
-# Below COORD_LIMIT every squared coordinate difference is finite, so no
-# motion, reference or mapped position formed from checked rows overflows.
-COORD_LIMIT = 1e150
-UNIT_NORM_TOL = 1e-9
-
-
 def _pose_fault(rows: np.ndarray, unit_tol: float) -> tuple[int, str] | None:
     """(index, fault) of the first row of an (N, 7) pose block with a
     coordinate not finite or of magnitude COORD_LIMIT or more, or a
@@ -379,7 +348,7 @@ def _pose_fault(rows: np.ndarray, unit_tol: float) -> tuple[int, str] | None:
     i = int(np.argmin(ok))
     for name, v in zip("xyz", rows[i, :3].tolist()):
         if not abs(v) < COORD_LIMIT:
-            return i, f"{name} must be finite and below {COORD_LIMIT:g} m in magnitude, got {v!r}"
+            return i, _coord_fault(name, v)
     return i, f"quaternion norm {norm.item(i)!r} is further than {unit_tol:g} from 1"
 
 

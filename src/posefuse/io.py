@@ -206,8 +206,8 @@ def parse_sequence(path: str | Path) -> Recording:
                 last = table["values"].item(-1, 0)
     table = np.concatenate(tables) if tables else np.empty(0, _ROW)
     values = table["values"]
-    # The quaternion columns of each group, normalized in place as
-    # UnitQuaternion normalizes them; rows of an absent group stay NaN.
+    # The quaternion columns of each group, normalized in place as the
+    # Pose constructor normalizes them; rows of an absent group stay NaN.
     for g in range(3):
         _normalize_rows(values[:, 4 + 7 * g : 8 + 7 * g])
     return Recording._checked(table["frame"].tolist(), values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])

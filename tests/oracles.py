@@ -204,10 +204,11 @@ def sequential_vio(gt, model, rng):
     in ``test_synth.py`` pin the arithmetic.  Its rotations come from
     this module's plain-float ``axis_angle_quaternion`` and
     ``hamilton_product``, the formulas the package evaluates in the same
-    order, so the bits agree.  Each product and rotation is normalized by
-    the ``UnitQuaternion`` constructor before it is used.
+    order, so the bits agree.  Each product and rotation is normalized as
+    the ``Pose`` constructor normalizes a quaternion before it is used,
+    and the poses store the floats as they are.
     """
-    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+    from posefuse.geometry import _normalize, _pose
 
     def random_unit():
         while True:
@@ -217,30 +218,30 @@ def sequential_vio(gt, model, rng):
                 return x / n, y / n, z / n
 
     def times(a, b):
-        return UnitQuaternion(*hamilton_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+        return _normalize(hamilton_product(a, b))
 
     bias_dir = random_unit()
     bias_axis = random_unit()
-    out = [gt[0]]
+    out = [(gt[0].position, gt[0].orientation)]
     for i in range(1, len(gt)):
-        a, b, prev = gt[i - 1].position, gt[i].position, out[-1].position
-        q = gt[i - 1].orientation
-        d_rot = times(UnitQuaternion(q.w, -q.x, -q.y, -q.z), gt[i].orientation)
+        a, b, (prev, prev_ori) = gt[i - 1].position, gt[i].position, out[-1]
+        qw, qx, qy, qz = gt[i - 1].orientation
+        d_rot = times(_normalize((qw, -qx, -qy, -qz)), gt[i].orientation)
         noise = rng.normal(0.0, model.step_pos_sigma, 3).tolist()
         # ((previous + true step) + noise) + bias, summed in that order.
-        pos = Vec3(*(
+        pos = tuple(
             ((p + (bc - ac)) + n) + u * model.drift_bias_pos
-            for p, ac, bc, n, u in zip((prev.x, prev.y, prev.z), (a.x, a.y, a.z), (b.x, b.y, b.z), noise, bias_dir)
-        ))
-        ori = times(out[-1].orientation, d_rot)
+            for p, ac, bc, n, u in zip(prev, a, b, noise, bias_dir)
+        )
+        ori = times(prev_ori, d_rot)
         if model.step_rot_sigma > 0.0:
             axis = random_unit()
             angle = float(rng.normal(0.0, model.step_rot_sigma))
-            ori = times(ori, UnitQuaternion(*axis_angle_quaternion(axis, angle)))
+            ori = times(ori, _normalize(axis_angle_quaternion(axis, angle)))
         if model.drift_bias_rot > 0.0:
-            ori = times(ori, UnitQuaternion(*axis_angle_quaternion(bias_axis, model.drift_bias_rot)))
-        out.append(Pose(pos, ori))
-    return out
+            ori = times(ori, _normalize(axis_angle_quaternion(bias_axis, model.drift_bias_rot)))
+        out.append((pos, ori))
+    return [gt[0]] + [_pose(*p, *q) for p, q in out[1:]]
 
 
 def step_run_sequence(samples, cfg):
@@ -285,7 +286,7 @@ def row_parse_sequence(path):
     import csv
     from pathlib import Path
 
-    from posefuse.geometry import COORD_LIMIT, Pose, UnitQuaternion, Vec3
+    from posefuse.geometry import COORD_LIMIT, Pose
     from posefuse.io import QUAT_NORM_SLACK, SEQUENCE_COLUMNS, PoseSample, SequenceFormatError
 
     def parse_int(text, name, line_no):
@@ -328,7 +329,7 @@ def row_parse_sequence(path):
                 f"{QUAT_NORM_SLACK} from 1, refusing to renormalize",
                 line=line_no,
             )
-        return Pose(Vec3(x, y, z), UnitQuaternion(qw, qx, qy, qz))
+        return Pose(x, y, z, qw, qx, qy, qz)
 
     def rows_by_line(reader):
         # Each row with the physical line it starts on; a quoted field
@@ -382,10 +383,10 @@ def scalar_reference(poses):
     which the stacked kernel must match by ``float.hex``.  It builds the
     package's pose types, so its results compare with the package's
     directly."""
-    from posefuse.geometry import Pose, UnitQuaternion, Vec3
+    from posefuse.geometry import Pose
 
     def weiszfeld_median(points, tol=1e-9, max_iter=100):
-        pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
+        pts = np.array(points, dtype=float)
         if len(pts) == 1:
             return points[0]
 
@@ -454,7 +455,7 @@ def scalar_reference(poses):
             f = objective(pts[i])
             if f < best:
                 best, y = f, pts[i]
-        return Vec3(*y.tolist())
+        return tuple(y.tolist())
 
     def average_quaternions(quats):
         ref = np.array([quats[0].w, quats[0].x, quats[0].y, quats[0].z])
@@ -466,31 +467,30 @@ def scalar_reference(poses):
             acc += np.outer(v, v)
         _, vecs = np.linalg.eigh(acc)
         top = vecs[:, -1]  # eigh sorts eigenvalues ascending
-        return UnitQuaternion(top[0], top[1], top[2], top[3])
+        return top.tolist()  # normalized by the Pose constructor
 
     return Pose(
-        weiszfeld_median([p.position for p in poses]),
-        average_quaternions([p.orientation for p in poses]),
+        *weiszfeld_median([p.position for p in poses]),
+        *average_quaternions([p.orientation for p in poses]),
     )
 
 
-def _vec3_check(values):
-    """Raise at the first field that is not finite, as the package's
-    Vec3 constructor does."""
+def _finite_check(values):
+    """Raise at the first field that is not finite, as the constructor of
+    the package's former 3-vector type did."""
     for name, v in zip("xyz", values):
         if not math.isfinite(v):
-            raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def object_odometry(a, b):
     """``posefuse.geometry.odometry`` as it was when it built objects: the
-    position difference through a ``Vec3``, then the distance and the
+    position difference through a 3-vector, then the distance and the
     angle through the ``Odometry`` constructor.  Plain floats here, with
-    those constructors' checks written out, which word the overflow
-    errors.  Returns (distance, angle)."""
+    those constructors' checks written out.  Returns (distance, angle)."""
     pa, pb, qa, qb = a.position, b.position, a.orientation, b.orientation
     d = (pb.x - pa.x, pb.y - pa.y, pb.z - pa.z)
-    _vec3_check(d)
+    _finite_check(d)
     dist = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
     c = min(1.0, abs(qa.w * qb.w + qa.x * qb.x + qa.y * qb.y + qa.z * qb.z))
     angle = math.degrees(2.0 * math.acos(c))
@@ -505,7 +505,7 @@ def object_apply_pose(q, t, pose):
     """A pose under the rigid map (q, t), as ``RigidTransform.apply_pose``
     formed it when it built objects: the rotated position, the shifted
     position and the Hamilton product q * o, each written out.  Plain
-    floats here, with the checks of the ``Vec3`` and ``UnitQuaternion``
+    floats here, with the checks of the 3-vector and unit-quaternion
     constructors each went through written out: finite fields, then the
     product normalized and its sign fixed (w >= 0, ties broken by the
     first nonzero vector component).  Returns the 7 fields x, y, z, qw,
@@ -520,9 +520,9 @@ def object_apply_pose(q, t, pose):
     dy = qz * cx - qx * cz
     dz = qx * cy - qy * cx
     r = (v.x + 2.0 * (qw * cx + dx), v.y + 2.0 * (qw * cy + dy), v.z + 2.0 * (qw * cz + dz))
-    _vec3_check(r)
+    _finite_check(r)
     p = (r[0] + t[0], r[1] + t[1], r[2] + t[2])
-    _vec3_check(p)
+    _finite_check(p)
     w = qw * o.w - qx * o.x - qy * o.y - qz * o.z
     x = qw * o.x + qx * o.w + qy * o.z - qz * o.y
     y = qw * o.y - qx * o.z + qy * o.w + qz * o.x

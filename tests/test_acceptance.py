@@ -54,8 +54,6 @@ from posefuse.fusion import (
 )
 from posefuse.geometry import (
     Pose,
-    UnitQuaternion,
-    Vec3,
     odometry,
     track_array,
 )
@@ -75,7 +73,7 @@ from posefuse.synth import (
 )
 from helpers import (
     average_of, median_of, point_distance, quat_product, random_pose, random_quaternion, rotation_about,
-    rotation_angle_deg, wxyz,
+    rotation_angle_deg, unit_quaternion,
 )
 from oracles import grid_median_objective, quat_angle_stable_deg, rotation_matrix, slerp_midpoint
 
@@ -155,7 +153,7 @@ def test_criterion_01_reference_fixed_point():
         worst_pos = max(worst_pos, point_distance(out.position, ref.apr_ref.position))
         worst_ang = max(
             worst_ang,
-            quat_angle_stable_deg(wxyz(out.orientation), wxyz(ref.apr_ref.orientation)),
+            quat_angle_stable_deg(out.orientation, ref.apr_ref.orientation),
         )
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: max pos err {worst_pos:.3e} m, max ori err {worst_ang:.3e} deg, {elapsed:.3f} s")
@@ -184,17 +182,17 @@ def test_criterion_02_rigid_invariance():
 
 def test_criterion_03_checker_truth_table():
     cfg = FusionConfig()
-    gt0 = Pose(Vec3(0.0, 0.0, 0.0), UnitQuaternion(1.0, 0.0, 0.0, 0.0))
-    gt1 = Pose(Vec3(1.0, 0.0, 0.0), rotation_about(Z, 5.0))
+    gt0 = Pose(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    gt1 = Pose(1.0, 0.0, 0.0, *rotation_about(Z, 5.0))
     u_vio = odometry(gt0, gt1)  # vio assumed accurate
 
     def near(gt, dx, rot_deg):
         p = gt.position
-        return Pose(Vec3(p.x + dx, p.y, p.z), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
+        return Pose(p.x + dx, p.y, p.z, *quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def far(gt, dz, rot_deg=15.0):
         p = gt.position
-        return Pose(Vec3(p.x, p.y, p.z + dz), quat_product(gt.orientation, rotation_about(Z, rot_deg)))
+        return Pose(p.x, p.y, p.z + dz, *quat_product(gt.orientation, rotation_about(Z, rot_deg)))
 
     def check(apr0, apr1):
         return relative_pose_check(odometry(apr0, apr1), u_vio, cfg)
@@ -218,7 +216,7 @@ def test_criterion_04_median_against_grid():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         coords = rng.uniform(0.0, 2.0, (n, 3))
-        pts = [Vec3(*row) for row in coords]
+        pts = [tuple(row) for row in coords.tolist()]
         med = median_of(pts)
         gap = median_objective(pts, med) - grid_median_objective(coords)
         worst_gap = max(worst_gap, gap)
@@ -234,19 +232,19 @@ def test_criterion_05_quaternion_average_oracle():
     for _ in range(1000):
         qa, qb = random_quaternion(rng), random_quaternion(rng)
         avg = average_of([qa, qb])
-        mid = slerp_midpoint(wxyz(qa), wxyz(qb))
-        worst = max(worst, quat_angle_stable_deg(wxyz(avg), mid))
+        mid = slerp_midpoint(qa, qb)
+        worst = max(worst, quat_angle_stable_deg(avg, mid))
     worst_inv = 0.0
     for _ in range(1000):
         quats = [random_quaternion(rng) for _ in range(int(rng.integers(2, 7)))]
         base = average_of(quats)
         flipped = [
-            UnitQuaternion(-q.w, -q.x, -q.y, -q.z) if rng.random() < 0.5 else q
+            unit_quaternion(-q.w, -q.x, -q.y, -q.z) if rng.random() < 0.5 else q
             for q in quats
         ]
         perm = [flipped[i] for i in rng.permutation(len(flipped))]
         redone = average_of(perm)
-        worst_inv = max(worst_inv, quat_angle_stable_deg(wxyz(base), wxyz(redone)))
+        worst_inv = max(worst_inv, quat_angle_stable_deg(base, redone))
     print(f"criterion 5: slerp-midpoint gap {worst:.3e} deg, sign/permutation gap {worst_inv:.3e} deg")
     assert worst < 1e-9
     assert worst_inv < 1e-9

@@ -9,12 +9,16 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import posefuse.fusion
 from posefuse import cli
 from posefuse.fusion import FusionConfig, FusionState, Label, Stage, step
+from posefuse.geometry import PoseTrack, track_array
 from posefuse.synth import AprNoiseModel, TrajectoryConfig, VioNoiseModel, generate_gt, simulate_apr, simulate_vio
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+WORKER = TRACING.parent / "worker.py"
 
 
 def load_tracing():
@@ -92,3 +96,18 @@ def test_step_calls_traced_fusion_names(monkeypatch):
         mapped += outs[0].label in (Label.TRACKED, Label.OPTIMIZED)
     assert checked > 0 and mapped > 0
     assert counts == {"odometry": 2 * checked, "optimize_pose": mapped}
+
+
+def test_worker_reads_poses_through_the_views(monkeypatch):
+    # The worker's pose_arrays reads pose.position.x and
+    # pose.orientation.w, which is why Pose keeps both views.  The worker
+    # imports tracing from its own directory.
+    monkeypatch.syspath_prepend(str(WORKER.parent))
+    spec = importlib.util.spec_from_file_location("bench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    samples = worker.make_sequence(3, 40, AprNoiseModel(), worker._untraced)
+    assert len(samples) == 40 and all(s.vio is not None and s.apr is not None for s in samples)
+    track = PoseTrack(track_array([s.vio for s in samples]))
+    pos, quat = worker.pose_arrays(list(track))
+    assert np.array_equal(pos, track.track[:, :3]) and np.array_equal(quat, track.track[:, 3:])

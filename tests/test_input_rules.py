@@ -2,11 +2,13 @@
 finite, |x|, |y| and |z| below COORD_LIMIT, a unit quaternion, and a
 finite timestamp.  Within them both fusion paths run without an
 overflow; Recording and PoseTrack refuse a row that breaks them, naming
-its frame, and parse_sequence refuses it naming its line."""
+its frame, parse_sequence refuses it naming its line, and the Pose
+constructor naming the field."""
 
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from posefuse import cli
 from posefuse.fusion import FusionConfig, run_sequence
-from posefuse.geometry import COORD_LIMIT, Pose, PoseTrack, UnitQuaternion, Vec3, track_array
+from posefuse.geometry import COORD_LIMIT, Pose, PoseTrack, track_array
 from posefuse.io import SEQUENCE_COLUMNS, PoseSample, Recording, SequenceFormatError, parse_sequence
 from oracles import step_run_sequence
 
@@ -30,7 +32,7 @@ def random_track(rng, n, scale):
     just below the bound, and random unit quaternions."""
     pos = np.clip(rng.uniform(-scale, scale, (n, 3)), -BELOW, BELOW)
     quat = rng.normal(size=(n, 4))
-    return [Pose(Vec3(*p), UnitQuaternion(*q)) for p, q in zip(pos.tolist(), quat.tolist())]
+    return [Pose(*p, *q) for p, q in zip(pos.tolist(), quat.tolist())]
 
 
 @st.composite
@@ -114,6 +116,18 @@ def sequence_text(frames, ts, tracks):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("value", [COORD_LIMIT, 1e155, 1.7e308, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("axis", range(3))
+def test_pose_refuses_the_bound(axis, value):
+    row = [1.0, -2.0, 3.0, 1.0, 0.0, 0.0, 0.0]
+    row[axis] = value
+    refused = f"{'xyz'[axis]} must be finite and below 1e+150 m in magnitude, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        Pose(*row)
+    row[axis] = math.copysign(BELOW, value)
+    assert getattr(Pose(*row), "xyz"[axis]) == row[axis]
+
+
 class TestRefusedRows:
     @settings(max_examples=200, deadline=None)
     @given(refused_cases())
@@ -124,12 +138,10 @@ class TestRefusedRows:
         if kind != "nan_timestamp":
             with pytest.raises(ValueError, match=f"^frame {k}: "):
                 PoseTrack(tracks[stream])
-        if kind in ("bound", "nan_timestamp"):
-            # Pose objects hold these too; a list of samples meets the
-            # rules through Recording.of.
-            poses = {
-                name: [Pose(Vec3(*r[:3]), UnitQuaternion(*r[3:])) for r in t.tolist()] for name, t in tracks.items()
-            }
+        if kind == "nan_timestamp":
+            # A list of samples meets the timestamp rule through
+            # Recording.of; the Pose constructor keeps the others.
+            poses = {name: [Pose(*r) for r in t.tolist()] for name, t in tracks.items()}
             samples = [
                 PoseSample(f, t, gt=g, vio=v, apr=a)
                 for f, t, g, v, a in zip(frames, ts.tolist(), poses["gt"], poses["vio"], poses["apr"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.geometry import Pose, UnitQuaternion, Vec3
+from posefuse.geometry import Pose
 from posefuse.io import (
     SEQUENCE_COLUMNS,
     PoseSample,
@@ -27,7 +27,7 @@ from posefuse.synth import (
     simulate_apr,
     simulate_vio,
 )
-from helpers import point_distance, random_pose, rotation_angle_deg, wxyz, xyz
+from helpers import point_distance, random_pose, rotation_angle_deg, unit_quaternion
 from oracles import row_parse_sequence
 import posefuse.io
 from posefuse import cli
@@ -70,8 +70,8 @@ class TestParse:
         assert s.frame_index == 0
         assert s.timestamp == 0.0
         assert s.gt is None and s.apr is None
-        assert xyz(s.vio.position) == (0.0, 0.0, 0.0)
-        assert wxyz(s.vio.orientation) == (1.0, 0.0, 0.0, 0.0)
+        assert s.vio.position == (0.0, 0.0, 0.0)
+        assert s.vio.orientation == (1.0, 0.0, 0.0, 0.0)
 
     def test_header_only_is_empty(self, tmp_path):
         assert parse_sequence(write_text(tmp_path, HEADER + "\n")) == []
@@ -524,8 +524,8 @@ class TestParserFuzz:
                 if pa is None:
                     continue
                 p, q = pa.position, pa.orientation
-                assert pb.position == Vec3(printed(p.x), printed(p.y), printed(p.z))
-                assert pb.orientation == UnitQuaternion(printed(q.w), printed(q.x), printed(q.y), printed(q.z))
+                assert pb.position == (printed(p.x), printed(p.y), printed(p.z))
+                assert pb.orientation == unit_quaternion(printed(q.w), printed(q.x), printed(q.y), printed(q.z))
 
     @settings(max_examples=40, deadline=None)
     @given(sequence_texts(min_rows=2, max_rows=6, mutations=BAD_MUTATIONS))

@@ -8,8 +8,6 @@ import posefuse.metrics
 from posefuse.fusion import ReferencePair, optimize_pose
 from posefuse.geometry import (
     Pose,
-    UnitQuaternion,
-    Vec3,
     _normalize,
     apply_rigid,
     odometry,
@@ -28,13 +26,13 @@ from posefuse.metrics import (
     summarize_errors,
 )
 from helpers import (
-    quat_product, random_pose, random_quaternion, random_vec3, rotation_about, rotation_angle_deg, wxyz, xyz,
+    quat_product, random_pose, random_quaternion, random_vec3, rotation_about, rotation_angle_deg, unit_quaternion,
 )
 from oracles import chordal_distance, rigid_map_pose, rotation_matrix, sort_median
 
 X = (1.0, 0.0, 0.0)
 Z = (0.0, 0.0, 1.0)
-IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def one(pose):
@@ -42,7 +40,7 @@ def one(pose):
 
 
 def points(vecs):
-    return np.array([xyz(v) for v in vecs])
+    return np.array(list(vecs))
 
 
 def moved_points(fit, pts):
@@ -52,9 +50,9 @@ def moved_points(fit, pts):
     return pts @ rotation_matrix(q).T + t
 
 
-def rigid(q: UnitQuaternion, t: Vec3, poses) -> np.ndarray:
+def rigid(q, t, poses) -> np.ndarray:
     """The track of poses under the rigid map (q, t), by apply_rigid."""
-    return apply_rigid(np.array(wxyz(q)), np.array(xyz(t)), track_array(poses))
+    return apply_rigid(np.array(q), np.array(t), track_array(poses))
 
 
 def errors(n, rng, pos_hi, ori_hi):
@@ -65,9 +63,9 @@ def curved_track(n, ori_step=3.0):
     """Non-collinear positions with slowly turning orientations."""
     poses = []
     for i in range(n):
-        pos = Vec3(float(i), math.sin(0.3 * i), 0.2 * math.cos(0.5 * i))
+        pos = (float(i), math.sin(0.3 * i), 0.2 * math.cos(0.5 * i))
         ori = rotation_about(Z, ori_step * i)
-        poses.append(Pose(pos, ori))
+        poses.append(Pose(*pos, *ori))
     return poses
 
 
@@ -81,7 +79,7 @@ class TestAbsolutePoseError:
     def test_constructed_offsets(self, rng):
         gt = random_pose(rng)
         p = gt.position
-        est = Pose(Vec3(p.x, p.y, p.z + 0.25), quat_product(rotation_about(X, 2.0), gt.orientation))
+        est = Pose(p.x, p.y, p.z + 0.25, *quat_product(rotation_about(X, 2.0), gt.orientation))
         pos, ori = absolute_pose_error(one(est), one(gt))
         assert pos[0] == pytest.approx(0.25, abs=1e-12)
         assert ori[0] == pytest.approx(2.0, abs=1e-9)
@@ -89,7 +87,7 @@ class TestAbsolutePoseError:
     def test_negated_orientation_is_zero_error(self, rng):
         gt = random_pose(rng)
         q = gt.orientation
-        est = Pose(gt.position, UnitQuaternion(-q.w, -q.x, -q.y, -q.z))
+        est = Pose(*gt.position, -q.w, -q.x, -q.y, -q.z)
         assert absolute_pose_error(one(est), one(gt))[1][0] == pytest.approx(0.0, abs=1e-5)
 
     def test_shape_mismatch_rejected(self):
@@ -106,7 +104,7 @@ class TestMatchesScalarPrimitives:
         est = [random_pose(rng) for _ in range(300)]
         gt = [random_pose(rng) for _ in range(300)]
         # Near-identical orientations probe acos close to 1.
-        est[:100] = [Pose(e.position, quat_product(rotation_about(X, float(a)), g.orientation))
+        est[:100] = [Pose(*e.position, *quat_product(rotation_about(X, float(a)), g.orientation))
                      for e, g, a in zip(est, gt, rng.uniform(0.0, 1e-3, 100))]
         pos, ori = absolute_pose_error(track_array(est), track_array(gt))
         expect = [odometry(g, e) for e, g in zip(est, gt)]
@@ -148,8 +146,8 @@ class TestRelativeErrors:
             assert roe == pytest.approx(0.0, abs=1e-5)
 
     def test_step_length_difference(self):
-        a = [Pose(Vec3(i * 1.0, 0, 0), IDENTITY) for i in range(5)]
-        b = [Pose(Vec3(i * 1.1, 0, 0), IDENTITY) for i in range(5)]
+        a = [Pose(i * 1.0, 0, 0, *IDENTITY) for i in range(5)]
+        b = [Pose(i * 1.1, 0, 0, *IDENTITY) for i in range(5)]
         for rpe, roe in relative_errors(track_array(a), track_array(b)):
             assert rpe == pytest.approx(0.1, abs=1e-12)
             assert roe == 0.0
@@ -223,22 +221,22 @@ class TestKabschAlign:
         pts = points(random_vec3(rng) for _ in range(6))
         q, t = kabsch_align(pts, pts)
         # 1e-5 deg is the resolution of rotation_angle_deg near zero.
-        assert rotation_angle_deg(UnitQuaternion(*q), IDENTITY) < 1e-5
+        assert rotation_angle_deg(unit_quaternion(*q), IDENTITY) < 1e-5
         assert np.linalg.norm(t) < 1e-9
 
     def test_pure_translation(self, rng):
         src = points(random_vec3(rng) for _ in range(6))
         dst = src + np.array([1.0, 2.0, 3.0])
         q, t = kabsch_align(src, dst)
-        assert rotation_angle_deg(UnitQuaternion(*q), IDENTITY) < 1e-5
+        assert rotation_angle_deg(unit_quaternion(*q), IDENTITY) < 1e-5
         np.testing.assert_allclose(t, [1, 2, 3], atol=1e-9)
 
     def test_recovers_rotation_and_translation(self, rng):
         true = rotation_about(Z, 30.0)
         src = points(random_vec3(rng, scale=5.0) for _ in range(10))
-        dst = moved_points((wxyz(true), (0.5, -1.0, 2.0)), src)
+        dst = moved_points((true, (0.5, -1.0, 2.0)), src)
         fit = kabsch_align(src, dst)
-        assert rotation_angle_deg(UnitQuaternion(*fit[0]), true) < 1e-5
+        assert rotation_angle_deg(unit_quaternion(*fit[0]), true) < 1e-5
         assert np.linalg.norm(moved_points(fit, src) - dst, axis=1).max() < 1e-6
 
     def test_mirror_target_gets_best_proper_rotation(self, rng):
@@ -255,8 +253,8 @@ class TestKabschAlign:
             assert residual == pytest.approx(rssd, abs=1e-9)
 
     def test_collinear_rejected(self):
-        src = points(Vec3(float(i), 0.0, 0.0) for i in range(5))
-        dst = points(Vec3(0.0, float(i), 0.0) for i in range(5))
+        src = points((float(i), 0.0, 0.0) for i in range(5))
+        dst = points((0.0, float(i), 0.0) for i in range(5))
         with pytest.raises(ValueError, match="rank deficient"):
             kabsch_align(src, dst)
 
@@ -334,7 +332,7 @@ class TestKabschAlign:
             track = np.column_stack((src, np.tile([1.0, 0.0, 0.0, 0.0], (len(src), 1))))
             aligned = apply_rigid(q, t, track)
             assert np.abs(aligned[:, :3] - dst).max() < 1e-9
-            assert chordal_distance(aligned[0, 3:], wxyz(q_true)) < 1e-9
+            assert chordal_distance(aligned[0, 3:], q_true) < 1e-9
         assert len(tops) == 100 and renormalized > 0
 
 
@@ -348,8 +346,8 @@ class TestApplyAlignment:
         aligned = rigid(q, t, poses)
         assert aligned.shape == (5, 7)
         for orig, row in zip(poses, aligned):
-            pos, quat = rigid_map_pose(wxyz(q), xyz(t), xyz(orig.position), wxyz(orig.orientation))
-            assert rotation_angle_deg(UnitQuaternion(*row[3:]), UnitQuaternion(*quat)) < 1e-6
+            pos, quat = rigid_map_pose(q, t, orig.position, orig.orientation)
+            assert rotation_angle_deg(unit_quaternion(*row[3:]), unit_quaternion(*quat)) < 1e-6
             assert math.dist(row[:3], pos) < 1e-12
 
 
@@ -441,7 +439,7 @@ class TestAlignAndEvaluate:
         for i, p in enumerate(gt):
             drift = 0.01 * max(0, i - (window - 1))
             pos = p.position
-            est.append(Pose(Vec3(pos.x, pos.y + drift, pos.z), p.orientation))
+            est.append(Pose(pos.x, pos.y + drift, pos.z, *p.orientation))
         rep = align_and_evaluate(track_array(est), track_array(gt), float(window), ts)
         expected = [0.01 * max(0, i - (window - 1)) for i in range(n)]
         assert rep.median_pos == pytest.approx(sort_median(expected), abs=1e-6)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import point_distance, rotation_angle_deg, wxyz, xyz
+from helpers import point_distance, rotation_angle_deg
 from oracles import rotation_matrix, sequential_vio
 from posefuse import synth
 from posefuse.geometry import PoseTrack, _norms, track_array
@@ -83,7 +83,7 @@ class TestGenerateGt:
             assert s.gt.position.x == pytest.approx(1.2 * i, abs=1e-12)
             assert s.gt.position.y == 0.0
             assert s.gt.position.z == 0.0
-            assert wxyz(s.gt.orientation) == (1.0, 0.0, 0.0, 0.0)
+            assert s.gt.orientation == (1.0, 0.0, 0.0, 0.0)
 
     def test_minimum_length(self):
         assert len(generate_gt(TrajectoryConfig(n_frames=2))) == 2
@@ -97,20 +97,20 @@ class TestGenerateGt:
     def test_starts_at_origin_and_stays_planar(self):
         samples = generate_gt(TrajectoryConfig(n_frames=50, seed=3))
         first = samples[0].gt
-        assert xyz(first.position) == (0.0, 0.0, 0.0)
-        assert wxyz(first.orientation) == (1.0, 0.0, 0.0, 0.0)
+        assert first.position == (0.0, 0.0, 0.0)
+        assert first.orientation == (1.0, 0.0, 0.0, 0.0)
         for s in samples:
             assert s.gt.position.z == 0.0
 
     def test_orientation_faces_direction_of_travel(self):
         samples = generate_gt(TrajectoryConfig(n_frames=50, seed=5))
         for prev, cur in zip(samples, samples[1:]):
-            step = np.subtract(xyz(cur.gt.position), xyz(prev.gt.position))
+            step = np.subtract(cur.gt.position, prev.gt.position)
             length = float(np.linalg.norm(step))
             if length < 1e-9:
                 continue
             # The body's forward axis, x, in the world frame.
-            heading = rotation_matrix(wxyz(cur.gt.orientation))[:, 0]
+            heading = rotation_matrix(cur.gt.orientation)[:, 0]
             assert float(heading @ step) / length == pytest.approx(1.0, abs=1e-9)
 
 
