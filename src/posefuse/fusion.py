@@ -105,6 +105,15 @@ class Label(enum.Enum):
     PENDING = "pending"
 
 
+# The members step reads, bound once: on Python 3.11 a read such as
+# Label.TRACKED goes through EnumType.__getattr__, ~100 ns, and every
+# frame needs two.  _LABELS is also the table the batch pass's label
+# codes index.
+_ALIGNING, _OPTIMIZING = Stage
+_LABELS = tuple(Label)
+_KEYFRAME_LABEL, _RELIABLE_LABEL, _OPTIMIZED_LABEL, _TRACKED_LABEL, _PENDING_LABEL = _LABELS
+
+
 @dataclass(frozen=True)
 class ReferencePair:
     """Averaged anchor poses of one alignment window, index-aligned
@@ -210,12 +219,15 @@ def optimize_pose(p_vio: Pose, ref: ReferencePair) -> Pose:
     At the reference itself this returns apr_ref, and being rigid it
     preserves relative distances and angles of the vio stream.  A vio
     stream that is any rigid transform of the world trajectory maps back
-    onto it."""
+    onto it.  Its coordinates are not held to COORD_LIMIT: near the
+    bound one can reach (1 + 2 sqrt 3) * COORD_LIMIT, which Pose,
+    PoseTrack and Recording refuse if the pose is fed back in."""
     # apply_rigid's float form: the position rotated by q_g, then shifted
     # by t; the orientation q_g * o, normalized.
     (tx, ty, tz), q_g = ref._map
     x, y, z = _rotate(q_g, (p_vio.x, p_vio.y, p_vio.z))
-    return _pose(x + tx, y + ty, z + tz, *_normalize(_hamilton(q_g, (p_vio.qw, p_vio.qx, p_vio.qy, p_vio.qz))))
+    w, qx, qy, qz = _normalize(_hamilton(q_g, (p_vio.qw, p_vio.qx, p_vio.qy, p_vio.qz)))
+    return _pose(x + tx, y + ty, z + tz, w, qx, qy, qz)
 
 
 def step(
@@ -233,19 +245,19 @@ def step(
     outputs: list[FusionOutput] = []
     idx = state.frame_index
     state.frame_index = idx + 1
-    if state.stage is Stage.OPTIMIZING:
+    if state.stage is _OPTIMIZING:
         assert state.reference is not None
         u_apr = odometry(apr, state.reference.apr_ref)
         u_vio = odometry(vio, state.reference.vio_ref)
         if relative_pose_check(u_apr, u_vio, cfg):
-            outputs.append(FusionOutput(idx, apr, Label.RELIABLE))
+            outputs.append(FusionOutput(idx, apr, _RELIABLE_LABEL))
         else:
             outputs.append(
-                FusionOutput(idx, optimize_pose(vio, state.reference), Label.OPTIMIZED)
+                FusionOutput(idx, optimize_pose(vio, state.reference), _OPTIMIZED_LABEL)
             )
         state.opt_count += 1
         if state.opt_count >= cfg.t_opt:
-            state.stage = Stage.ALIGNING
+            state.stage = _ALIGNING
             state.window.clear()
             state.opt_count = 0
         return state, outputs
@@ -253,10 +265,10 @@ def step(
     # Alignment: provisional output first, so every frame emits something.
     if state.reference is not None:
         outputs.append(
-            FusionOutput(idx, optimize_pose(vio, state.reference), Label.TRACKED)
+            FusionOutput(idx, optimize_pose(vio, state.reference), _TRACKED_LABEL)
         )
     else:
-        outputs.append(FusionOutput(idx, apr, Label.PENDING))
+        outputs.append(FusionOutput(idx, apr, _PENDING_LABEL))
 
     window = state.window
     if window:
@@ -272,9 +284,9 @@ def step(
             full = [*window, (idx, apr, vio)]
             state.reference = compute_reference([w[1] for w in full], [w[2] for w in full])
             for kf_idx, kf_apr, _ in full:
-                outputs.append(FusionOutput(kf_idx, kf_apr, Label.KEYFRAME))
+                outputs.append(FusionOutput(kf_idx, kf_apr, _KEYFRAME_LABEL))
             window.clear()
-            state.stage = Stage.OPTIMIZING
+            state.stage = _OPTIMIZING
             state.opt_count = 0
             return state, outputs
     window.append((idx, apr, vio))
@@ -365,7 +377,6 @@ def _check_inputs(rec: Recording) -> None:
 
 
 # Label codes of the batch pass: index into _LABELS.
-_LABELS = tuple(Label)
 _KEYFRAME, _RELIABLE, _OPTIMIZED, _TRACKED, _PENDING = range(len(_LABELS))
 
 

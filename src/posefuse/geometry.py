@@ -185,7 +185,10 @@ def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float,
 def odometry(a: Pose, b: Pose) -> _Motions:
     """Scalar motion magnitudes between two poses: a distance, finite
     below COORD_LIMIT, and an angle in [0, 180]."""
-    d = math.sqrt(_squared_distance(a.x, a.y, a.z, b.x, b.y, b.z))
+    # _squared_distance written out, as _angle_deg writes out its dot
+    # product: step comes here twice a frame.
+    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
     return tuple.__new__(_Motions, (d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)))
 
@@ -216,10 +219,14 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
     """_normalize of each row of a quaternion array, in place, with its
     sign rule as a mask; the rows must not be near zero."""
-    q /= np.sqrt(_dot4(*q.T, *q.T))[:, None]
-    # The sign rule: the first nonzero component is positive.
+    # The norm sums the unpacked columns: _norms' sum along a last axis
+    # of four costs less on a few rows but ~5x more on thousands.
+    w, x, y, z = q.T
+    q /= np.sqrt(_dot4(w, x, y, z, w, x, y, z))[:, None]
+    # The sign rule: the first nonzero component is positive.  Times
+    # -1.0 or 1.0 flips or keeps each row exactly.
     lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
-    q[lead < 0.0] *= -1.0
+    q *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
     return q
 
 
@@ -260,7 +267,10 @@ def apply_rigid(q: np.ndarray, t: np.ndarray, track: np.ndarray) -> np.ndarray:
     """A track under the rigid map (q, t), x' = R(q) x + t: positions
     rotated by q, then shifted by t; orientations q * o, normalized.
     q and t give one map, shapes (4,) and (3,), or one map per row,
-    (N, 4) and (N, 3).  fusion.optimize_pose is its float form."""
+    (N, 4) and (N, 3).  fusion.optimize_pose is its float form.  A map
+    of fusion's, applied to rows within the input rules, can give
+    coordinates up to (1 + 2 sqrt 3) * COORD_LIMIT, which the input rules
+    refuse when the track is fed back in."""
     pos = _rotate_rows(q, track[:, :3]) + t
     return np.column_stack((pos, _normalize_rows(_hamilton_rows(q, track[:, 3:]))))
 

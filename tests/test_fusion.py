@@ -728,6 +728,24 @@ class TestBatchMatchesStep:
             setattr(samples[k], stream, None)
             assert assert_batch_matches_step(samples, CFG)[0] is ValueError
 
+    def test_step_reads_no_enum_attribute(self, monkeypatch):
+        # step reads the Stage and Label members bound at import: on
+        # Python 3.11 each read of an enum class attribute costs ~100 ns.
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"step read {name} of an enum class")
+
+        samples = fused(seed=8, n=300)
+        monkeypatch.setattr(posefuse.fusion, "Stage", Unreadable())
+        monkeypatch.setattr(posefuse.fusion, "Label", Unreadable())
+        state, last = FusionState(), {}
+        for s in samples:
+            state, outs = step(state, s.apr, s.vio, CFG)
+            last.update((o.frame_index, (o.label.value, pose_hex(o.pose))) for o in outs)
+        batch = [(o.label.value, pose_hex(o.pose)) for o in run_sequence(samples, CFG)]
+        assert [last[i] for i in range(len(samples))] == batch
+        assert {value for value, _ in batch} == {label.value for label in Label}
+
     def test_huge_coordinates(self):
         # Below COORD_LIMIT no motion, reference or mapped pose overflows,
         # so step and run_sequence agree bit for bit.

@@ -17,6 +17,8 @@ from posefuse.geometry import (
     _hamilton_rows,
     _Motions,
     _motions,
+    _normalize,
+    _normalize_rows,
     _poses,
     _rotate,
     _rotate_rows,
@@ -363,6 +365,25 @@ class TestRowPrimitives:
         # One quaternion against every row.
         got = _rotate_rows(q[7], pts).tolist()
         assert [hexes(r) for r in got] == [hexes(_rotate(q[7].tolist(), v)) for v in pts.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 400])
+    def test_normalize_rows(self, rng, n):
+        q = signed_zero_rows(rng, n + 4, 4)
+        q = q[np.sqrt((q * q).sum(axis=1)) >= 1e-6][:n]
+        # Leading zeros of both signs before a negative, and a row of
+        # an absent group, which stays NaN.
+        q[0, :3] = (-0.0, 0.0, -0.0)
+        q[0, 3] = -abs(q[0, 3]) or -1.0
+        if n > 1:
+            q[1] = math.nan
+        expect = [hexes(_normalize(r)) for r in q.tolist()]
+        # In place, on a column view of a wider table as the parser has it.
+        table = np.zeros((len(q), 7))
+        table[:, 3:] = q
+        _normalize_rows(table[:, 3:])
+        assert [hexes(r) for r in table[:, 3:].tolist()] == expect
+        assert (table[:, :3] == 0.0).all()
+        assert hexes(table[0, 3:]) == hexes((0.0, -0.0, 0.0, 1.0))
 
     def test_axis_angle_rows_rejects_a_zero_axis(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posefuse import cli
-from posefuse.fusion import FusionConfig, run_sequence
+from posefuse.fusion import FusionConfig, FusionState, Label, run_sequence, step
 from posefuse.geometry import COORD_LIMIT, Pose, PoseTrack, track_array
 from posefuse.io import SEQUENCE_COLUMNS, PoseSample, Recording, SequenceFormatError, parse_sequence
 from oracles import step_run_sequence
@@ -70,6 +70,42 @@ class TestBelowTheBound:
         expect = fused_bytes(step_run_sequence(samples, cfg))
         assert fused_bytes(run_sequence(samples, cfg)) == expect
         assert fused_bytes(run_sequence(Recording.of(samples), cfg)) == expect
+
+
+    @pytest.mark.parametrize("turned, limit", [(False, 3.0), (True, 4.5)])
+    def test_fused_poses_stay_finite(self, turned, limit):
+        # Mapped poses may leave the bound the inputs keep: t adds the apr
+        # reference to the rotated vio reference, so a coordinate can reach
+        # 3 * COORD_LIMIT on one axis and (1 + 2 sqrt 3) * COORD_LIMIT once
+        # the map turns the diagonal (BELOW, BELOW, BELOW) of vio onto x.
+        # Frames 3 to 10 are optimized, the rest tracked through the first
+        # reference.
+        # apr's turn of acos(1 / sqrt 3) about (0, 1, -1) takes the diagonal
+        # onto x, and the map's rotation is that turn.
+        half = math.acos(math.sqrt(1.0 / 3.0)) / 2.0
+        s = math.sin(half) * math.sqrt(0.5)
+        ori = (math.cos(half), 0.0, s, -s) if turned else (1.0, 0.0, 0.0, 0.0)
+        samples = [
+            PoseSample(
+                i, float(i),
+                vio=Pose(*[-BELOW if i < 3 else BELOW] * 3, 1.0, 0.0, 0.0, 0.0),
+                apr=Pose(*[BELOW if i < 11 or i % 2 else -BELOW] * 3, *ori),
+            )
+            for i in range(20)
+        ]
+        cfg, state, outs = FusionConfig(), FusionState(), []
+        for sample in samples:
+            state, emitted = step(state, sample.apr, sample.vio, cfg)
+            outs += emitted
+        fused = run_sequence(samples, cfg)
+        assert {o.label for o in fused} >= {Label.OPTIMIZED, Label.TRACKED}
+        for track in (track_array([o.pose for o in outs]), fused.track):
+            assert np.isfinite(track).all()
+            assert np.abs(track[:, :3]).max() < limit * COORD_LIMIT
+        reach = np.abs(fused.track[:, :3]).max() / COORD_LIMIT
+        assert reach > (1.0 + 2.0 * math.sqrt(3.0) if turned else 3.0) - 1e-9
+        with pytest.raises(ValueError, match="must be finite and below"):
+            PoseTrack(fused.track)
 
 
 # What breaks a rule, applied to one frame of one stream.
