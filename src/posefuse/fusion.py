@@ -45,7 +45,6 @@ from .geometry import (
     _FrameSequence,
     _frozen,
     _hamilton,
-    _Motions,
     _motions,
     _normalize,
     _normalize_rows,
@@ -169,13 +168,13 @@ class FusionState:
     frame_index: int = 0
 
 
-def relative_pose_check(u_apr: _Motions, u_vio: _Motions, cfg: FusionConfig) -> bool | np.ndarray:
-    """True when the two motion magnitudes agree within the thresholds.
-    Boundary values pass.  Agreement of independent streams is evidence
-    the absolute estimates are good, with one known blind spot: a shared
-    offset on both apr poses cancels in the comparison.  Given odometry's
-    floats it returns a bool, given _motions of many pairs one bool per
-    pair."""
+def relative_pose_check(u_apr: tuple, u_vio: tuple, cfg: FusionConfig) -> bool | np.ndarray:
+    """True when the two (distance, angle) pairs agree within the
+    thresholds.  Boundary values pass.  Agreement of independent streams
+    is evidence the absolute estimates are good, with one known blind
+    spot: a shared offset on both apr poses cancels in the comparison.
+    Given odometry's floats it returns a bool, given _motions of many
+    pairs one bool per pair."""
     (da, aa), (dv, av) = u_apr, u_vio
     return (abs(da - dv) <= cfg.d_th) & (abs(aa - av) <= cfg.o_th)
 

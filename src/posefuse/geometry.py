@@ -162,15 +162,6 @@ class Pose:
         return _Orientation(self.qw, self.qx, self.qy, self.qz)
 
 
-class _Motions(NamedTuple):
-    """Motion magnitudes between poses: distances (m) and angles (deg),
-    two floats from odometry or two arrays from _motions.  Directions
-    are dropped, the reliability checks compare magnitudes only."""
-
-    dist: float | np.ndarray
-    angle: float | np.ndarray
-
-
 def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
     """Magnitude of the relative rotation between two unit quaternions,
     in [0, 180] degrees.  Symmetric in its arguments and blind to the
@@ -182,15 +173,18 @@ def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float,
     return math.degrees(2.0 * math.acos(c))
 
 
-def odometry(a: Pose, b: Pose) -> _Motions:
-    """Scalar motion magnitudes between two poses: a distance, finite
-    below COORD_LIMIT, and an angle in [0, 180]."""
+def odometry(a: Pose, b: Pose) -> tuple[float, float]:
+    """Scalar motion magnitudes between two poses, a (distance, angle)
+    pair: a distance in m, finite below COORD_LIMIT, and an angle in
+    [0, 180] degrees.  Directions are dropped, the reliability checks
+    compare magnitudes only.  The pair is an exact tuple because Python
+    3.11 unpacks only exact tuples on its specialized path, and step
+    unpacks two of them a frame."""
     # _squared_distance written out, as _angle_deg writes out its dot
     # product: step comes here twice a frame.
     dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    # tuple.__new__ skips the Python-level __new__ of the NamedTuple.
-    return tuple.__new__(_Motions, (d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)))
+    return d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)
 
 
 # Array forms of the formulas above, one row per pose: (N, 3) positions,
@@ -201,12 +195,13 @@ def odometry(a: Pose, b: Pose) -> _Motions:
 # bit on some inputs.  A row form with its own body says why.
 
 
-def _motions(a: np.ndarray, b: np.ndarray) -> _Motions:
-    """odometry(a, b) of each row pair of two (N, 7) tracks.  Only acos
-    runs per row: odometry of each pair of 5000 poses takes ~12x longer."""
+def _motions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """odometry(a, b) of each row pair of two (N, 7) tracks, as a
+    (distance, angle) pair of arrays.  Only acos runs per row: odometry
+    of each pair of 5000 poses takes ~12x longer."""
     c = np.minimum(1.0, np.abs(_dot4(*a[:, 3:].T, *b[:, 3:].T))).tolist()
     angle = np.degrees(2.0 * np.fromiter(map(math.acos, c), float))
-    return _Motions(np.sqrt(_squared_distance(*a[:, :3].T, *b[:, :3].T)), angle)
+    return np.sqrt(_squared_distance(*a[:, :3].T, *b[:, :3].T)), angle
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

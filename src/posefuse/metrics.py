@@ -106,8 +106,9 @@ def relative_errors(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
         )
     if len(track_a) < 2:
         raise ValueError("relative errors need at least two poses per track")
-    a, b = _motions(track_a[:-1], track_a[1:]), _motions(track_b[:-1], track_b[1:])
-    return np.column_stack((np.abs(a.dist - b.dist), np.abs(a.angle - b.angle)))
+    dist_a, angle_a = _motions(track_a[:-1], track_a[1:])
+    dist_b, angle_b = _motions(track_b[:-1], track_b[1:])
+    return np.column_stack((np.abs(dist_a - dist_b), np.abs(angle_a - angle_b)))
 
 
 def precision_buckets(pos: np.ndarray, ori: np.ndarray) -> PrecisionBuckets:

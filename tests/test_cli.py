@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +295,96 @@ class TestPinnedReports:
             assert got == (REPORTS / f"{name}.{suffix}").read_bytes(), suffix
 
 
+SUFFIXES = ("frames.csv", "summary.json", "cdf.csv")
+
+
+def report_bytes(data, out, *flags):
+    """Run the CLI on data, written as synth-0.sequence.csv in a new
+    directory under out, and read back each report's bytes by suffix,
+    None for a report that was not written."""
+    src = out / "input" / "synth-0.sequence.csv"
+    src.parent.mkdir(parents=True)
+    src.write_bytes(data)
+    assert main(["--input", str(src), "--out", str(out / "reports"), *flags]) == 0
+    paths = {suffix: out / "reports" / f"synth-0.sequence.{suffix}" for suffix in SUFFIXES}
+    return {suffix: path.read_bytes() if path.exists() else None for suffix, path in paths.items()}
+
+
+def first_columns(frames_csv, n=10):
+    """The first n fields of every line, as `cut -d, -f1-n` gives them."""
+    return [b",".join(line.split(b",")[:n]) for line in frames_csv.split(b"\n")]
+
+
+def no_gt_copy(data):
+    """The sequence with the gt group of every data row emptied."""
+    header, *rows = data.split(b"\n")
+    return b"\n".join([header, *(re.sub(rb"^([^,]*,[^,]*),(?:[^,]*,){7}", rb"\1,,,,,,,,", r) for r in rows)])
+
+
+def space_padded(data):
+    """The sequence with every comma padded with a space on each side."""
+    return data.replace(b",", b" , ")
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """A saved 300-frame synthetic sequence, CRLF-terminated as
+    write_sequence writes it, and the reports of one run over it."""
+    root = tmp_path_factory.mktemp("recorded")
+    assert main(["--synth", "1", "--frames", "300", "--save-sequence", "--out", str(root)]) == 0
+    data = (root / "synth-0.sequence.csv").read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == 301
+    reports = report_bytes(data, root / "run")
+    assert all(reports.values())
+    return data, reports
+
+
+@pytest.fixture(scope="module")
+def no_gt(recorded, tmp_path_factory):
+    """The recorded sequence's no-gt copy and the reports of a run over it."""
+    data = no_gt_copy(recorded[0])
+    return data, report_bytes(data, tmp_path_factory.mktemp("no-gt"))
+
+
+class TestRecordedInput:
+    """Copies of a recorded sequence that differ only in form give the
+    same reports, byte for byte; a copy without gt gives the same labels
+    and poses."""
+
+    def test_second_run_gives_same_reports(self, recorded, tmp_path):
+        data, reports = recorded
+        assert report_bytes(data, tmp_path) == reports
+
+    @pytest.mark.parametrize("drop", [b"\r", b"\n"], ids=["lf", "cr"])
+    def test_line_endings_give_same_reports(self, recorded, tmp_path, drop):
+        data, reports = recorded
+        assert report_bytes(data.replace(drop, b""), tmp_path) == reports
+
+    def test_quoted_padded_copy_gives_same_frames(self, recorded, tmp_path):
+        # The first field of every line, the header's too, is quoted.
+        data, reports = recorded
+        quoted = b"\n".join(re.sub(rb"^([^,]*),", rb'"\1",', line) for line in data.split(b"\n"))
+        assert report_bytes(space_padded(quoted), tmp_path)["frames.csv"] == reports["frames.csv"]
+
+    def test_no_gt_copy_keeps_labels_and_poses(self, recorded, no_gt):
+        # Only the error columns, the last two, go blank.
+        full, blank = recorded[1]["frames.csv"], no_gt[1]["frames.csv"]
+        assert first_columns(blank) == first_columns(full)
+        assert blank != full
+
+    def test_csv_format_alone_gives_same_frames(self, no_gt, tmp_path):
+        data, reports = no_gt
+        got = report_bytes(data, tmp_path, "--formats", "csv")
+        assert got["frames.csv"] == reports["frames.csv"]
+        assert got["summary.json"] is None
+
+    def test_padded_no_gt_copy_gives_same_frames(self, no_gt, tmp_path):
+        # Its gt groups hold only whitespace, which the row checks
+        # convert instead of numpy's reader.
+        data, reports = no_gt
+        assert report_bytes(space_padded(data), tmp_path)["frames.csv"] == reports["frames.csv"]
+
+
 def straight_walk_file(tmp_path, frames=200):
     """A walk that never turns: its gt positions are collinear, so no
     rigid fit onto them determines a rotation."""
@@ -411,9 +503,17 @@ class TestFileRuns:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
+        # The [project.scripts] entry of pyproject.toml, resolved and
+        # called as an installed console script calls it.
+        tomllib = pytest.importorskip("tomllib")
+        with (Path(__file__).parents[1] / "pyproject.toml").open("rb") as fh:
+            entry = tomllib.load(fh)["project"]["scripts"]["posefuse"]
+        assert entry == "posefuse.cli:main"
+        module, name = entry.split(":")
+        assert callable(getattr(importlib.import_module(module), name))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from posefuse.cli import main; sys.exit(main(sys.argv[1:]))",
+             f"import importlib, sys; sys.exit(getattr(importlib.import_module({module!r}), {name!r})())",
              "--synth", "1", "--frames", "40", "--out", str(tmp_path)],
             capture_output=True,
             text=True,

@@ -24,7 +24,6 @@ from posefuse.fusion import (
 )
 from posefuse.geometry import (
     Pose,
-    _Motions,
     _normalize_rows,
     _poses,
     odometry,
@@ -93,16 +92,16 @@ class TestFusionConfig:
 
 class TestRelativePoseCheck:
     def test_inside_both_gates(self):
-        assert relative_pose_check(_Motions(1.3, 12.0), _Motions(1.0, 10.0), CFG)
+        assert relative_pose_check((1.3, 12.0), (1.0, 10.0), CFG)
 
     def test_distance_gate_fails(self):
-        assert not relative_pose_check(_Motions(1.5, 10.0), _Motions(1.0, 10.0), CFG)
+        assert not relative_pose_check((1.5, 10.0), (1.0, 10.0), CFG)
 
     def test_angle_gate_fails(self):
-        assert not relative_pose_check(_Motions(1.0, 14.1), _Motions(1.0, 10.0), CFG)
+        assert not relative_pose_check((1.0, 14.1), (1.0, 10.0), CFG)
 
     def test_boundary_inclusive(self):
-        assert relative_pose_check(_Motions(1.4, 14.0), _Motions(1.0, 10.0), CFG)
+        assert relative_pose_check((1.4, 14.0), (1.0, 10.0), CFG)
 
 
 class TestCheckerCases:

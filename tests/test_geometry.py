@@ -15,7 +15,6 @@ from posefuse.geometry import (
     _axis_angle_rows,
     _hamilton,
     _hamilton_rows,
-    _Motions,
     _motions,
     _normalize,
     _normalize_rows,
@@ -198,27 +197,30 @@ class TestTranslationDistance:
     """The distance odometry measures between two positions."""
 
     def test_three_four_five(self):
-        assert odometry(at(0, 0, 0), at(3, 4, 0)).dist == 5.0
+        dist, _ = odometry(at(0, 0, 0), at(3, 4, 0))
+        assert dist == 5.0
 
     def test_zero(self):
-        assert odometry(at(1, 1, 1), at(1, 1, 1)).dist == 0.0
+        dist, _ = odometry(at(1, 1, 1), at(1, 1, 1))
+        assert dist == 0.0
 
     def test_axis_offset(self):
-        assert odometry(at(0, 0, 0), at(0, 0, 2)).dist == 2.0
+        dist, _ = odometry(at(0, 0, 0), at(0, 0, 2))
+        assert dist == 2.0
 
 
 class TestOdometry:
     def test_same_pose(self, rng):
         p = random_pose(rng)
-        u = odometry(p, p)
-        assert (u.dist, u.angle) == (0.0, 0.0)
+        dist, angle = odometry(p, p)
+        assert (dist, angle) == (0.0, 0.0)
 
     def test_worked_pair(self):
         a = at(0, 0, 0)
         b = Pose(3, 4, 0, *QZ90)
-        u = odometry(a, b)
-        assert u.dist == pytest.approx(5.0)
-        assert u.angle == pytest.approx(90.0)
+        dist, angle = odometry(a, b)
+        assert dist == pytest.approx(5.0)
+        assert angle == pytest.approx(90.0)
 
     def test_symmetric(self, rng):
         a, b = random_pose(rng), random_pose(rng)
@@ -227,7 +229,7 @@ class TestOdometry:
     def test_validation(self):
         # The angle is in [0, 180] for any poses, here at a half turn.
         u = odometry(at(0, 0, 0), Pose(0, 0, 0, 0.0, 1.0, 0.0, 0.0))
-        assert type(u) is _Motions and u == (0.0, 180.0)
+        assert type(u) is tuple and u == (0.0, 180.0)
 
 
 class TestRotate:
@@ -455,7 +457,7 @@ class TestFloatForms:
         others[1::9] = [copy.copy(p) for p in poses[1::9]]
         for a, b in zip(poses, others):
             u = odometry(a, b)
-            assert type(u) is _Motions and (type(u.dist), type(u.angle)) == (float, float)
+            assert type(u) is tuple and [type(v) for v in u] == [float, float]
             assert hexes(u) == hexes(object_odometry(a, b))
 
     def test_apply_pose_matches_object_form(self, rng):
@@ -507,11 +509,10 @@ class TestMotions:
         others[::9] = poses[::9]
         others[1::9] = [copy.copy(p) for p in poses[1::9]]
         got = _motions(track_array(poses), track_array(others))
-        assert type(got) is _Motions
+        assert type(got) is tuple and [type(v) for v in got] == [np.ndarray, np.ndarray]
+        dist, angle = got
         expect = [odometry(a, b) for a, b in zip(poses, others)]
-        assert [hexes(r) for r in zip(got.dist.tolist(), got.angle.tolist())] == [
-            hexes((u.dist, u.angle)) for u in expect
-        ]
+        assert [hexes(r) for r in zip(dist.tolist(), angle.tolist())] == [hexes(u) for u in expect]
 
     def test_against_oracles(self, rng):
         a = track_array(edge_poses(rng, 2000))
@@ -519,10 +520,10 @@ class TestMotions:
         # Near-identical orientations probe acos close to 1.
         b[::4, 3:] = a[::4, 3:] + rng.normal(scale=1e-9, size=(500, 4))
         b[::4, 3:] /= np.linalg.norm(b[::4, 3:], axis=1)[:, None]
-        got = _motions(a, b)
-        assert np.abs(got.dist - np.linalg.norm(b[:, :3] - a[:, :3], axis=1)).max() < 1e-12
+        dist, angle = _motions(a, b)
+        assert np.abs(dist - np.linalg.norm(b[:, :3] - a[:, :3], axis=1)).max() < 1e-12
         expect = np.array([quat_angle_stable_deg(p, q) for p, q in zip(a[:, 3:], b[:, 3:])])
-        assert np.abs(got.angle - expect).max() <= ACOS_RESOLUTION_DEG
+        assert np.abs(angle - expect).max() <= ACOS_RESOLUTION_DEG
 
     def test_gate_on_arrays_matches_float_calls(self, rng):
         cfg = FusionConfig()
@@ -531,11 +532,11 @@ class TestMotions:
         # next to the thresholds, and random ones around them.
         dist = np.concatenate((rng.integers(0, 30, (n, 2)) / 10.0, rng.uniform(0.0, 3.0, (n, 2))))
         angle = np.concatenate((rng.integers(0, 300, (n, 2)) / 10.0, rng.uniform(0.0, 30.0, (n, 2))))
-        u_apr, u_vio = _Motions(dist[:, 0], angle[:, 0]), _Motions(dist[:, 1], angle[:, 1])
+        u_apr, u_vio = (dist[:, 0], angle[:, 0]), (dist[:, 1], angle[:, 1])
         got = relative_pose_check(u_apr, u_vio, cfg)
         assert got.dtype == bool
         expect = [
-            relative_pose_check(_Motions(da, aa), _Motions(dv, av), cfg)
+            relative_pose_check((da, aa), (dv, av), cfg)
             for da, dv, aa, av in zip(*dist.T.tolist(), *angle.T.tolist())
         ]
         assert {type(e) for e in expect} == {bool}

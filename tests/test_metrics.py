@@ -108,8 +108,8 @@ class TestMatchesScalarPrimitives:
                      for e, g, a in zip(est, gt, rng.uniform(0.0, 1e-3, 100))]
         pos, ori = absolute_pose_error(track_array(est), track_array(gt))
         expect = [odometry(g, e) for e, g in zip(est, gt)]
-        assert pos.tolist() == [u.dist for u in expect]
-        assert ori.tolist() == [u.angle for u in expect]
+        assert pos.tolist() == [dist for dist, _ in expect]
+        assert ori.tolist() == [angle for _, angle in expect]
 
     def test_relative_errors(self, rng):
         a = [random_pose(rng) for _ in range(300)]
@@ -117,8 +117,8 @@ class TestMatchesScalarPrimitives:
         got = relative_errors(track_array(a), track_array(b))
         expect = []
         for i in range(len(a) - 1):
-            ua, ub = odometry(a[i], a[i + 1]), odometry(b[i], b[i + 1])
-            expect.append([abs(ua.dist - ub.dist), abs(ua.angle - ub.angle)])
+            (dist_a, angle_a), (dist_b, angle_b) = odometry(a[i], a[i + 1]), odometry(b[i], b[i + 1])
+            expect.append([abs(dist_a - dist_b), abs(angle_a - angle_b)])
         assert got.tolist() == expect
 
     def test_apply_alignment(self, rng):
