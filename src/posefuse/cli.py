@@ -20,15 +20,14 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig, Label, run_sequence
-from .geometry import PoseTrack, track_array
-from .io import Recording, SequenceFormatError, parse_sequence, write_sequence
+from .fusion import _LABELS, FusionConfig, Label, run_sequence
+from .geometry import PoseTrack, _blocks, track_array
+from .io import _FLOAT_FMT, Recording, SequenceFormatError, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
     SummaryReport,
@@ -47,11 +46,6 @@ _FORMATS = ("csv", "json")
 # manifest seed.
 _VIO_SEED_OFFSET = 1_000_003
 _APR_SEED_OFFSET = 2_000_003
-
-_FMT = "%.12g"
-
-# The labels in the order of a FusedTrack's label codes.
-_LABELS = tuple(Label)
 
 # Label groups reported in the summary, in report order, each with its
 # membership table, indexed by label code.  Keyframes and reliable
@@ -202,7 +196,7 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
         summary["label_counts"] = {
             label.value: int(count) for label, count in zip(_LABELS, counts)
         }
-        labels = np.array([label.value for label in _LABELS])[result.labels].tolist()
+        labels = np.array([label.value for label in _LABELS])[result.labels]
         scored_labels = result.labels[has_gt]
         raw_pos, raw_ori = absolute_pose_error(rec.apr[has_gt], gt)
         moved = _MOVED[scored_labels]
@@ -247,7 +241,7 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
                 f"frame, missing on {gt_missing}"
             )
         track = rec.vio
-        labels = ["vio"] * len(rec)
+        labels = np.full(len(rec), "vio")
         pos_err, ori_err = absolute_pose_error(track, gt)
         section, report = _vio_section(track, gt, rec.timestamps, manifest)
         summary["vio"] = section
@@ -255,7 +249,7 @@ def _process_sequence(name: str, rec: Recording, manifest: RunManifest) -> None:
 
     if "json" in manifest.formats:
         text = json.dumps(_round_floats(summary), sort_keys=True, indent=2) + "\n"
-        (manifest.out_dir / f"{name}.summary.json").write_text(text, encoding="utf-8")
+        (manifest.out_dir / f"{name}.summary.json").write_text(text, encoding="utf-8", newline="")
     if "csv" in manifest.formats:
         _write_frames_csv(
             manifest.out_dir / f"{name}.frames.csv",
@@ -284,37 +278,41 @@ def _write_frames_csv(
     frames: Sequence[int],
     timestamps: np.ndarray,
     track: np.ndarray,
-    labels: Sequence[str],
+    labels: np.ndarray,
     has_gt: np.ndarray,
     pos_err: np.ndarray,
     ori_err: np.ndarray,
 ) -> None:
-    """One row per frame; pos_err and ori_err hold the frames marked in
-    has_gt, in order, and the other frames get blank error cells.  In
-    fusion mode keyframe, reliable and pending rows carry the apr pose,
-    so their errors are the raw apr errors.  The text is one join that
-    holds the header and the final newline: adding either onto the
-    joined rows would copy the whole text once more."""
-    pose_fmt = ",".join(["%d", _FMT, "%s"] + [_FMT] * 7)
+    """One row per frame, labels an array of label names; pos_err and
+    ori_err hold the frames marked in has_gt, in order, and the other
+    frames get blank error cells.  In fusion mode keyframe, reliable and
+    pending rows carry the apr pose, so their errors are the raw apr
+    errors.  The rows are formatted and written a block of _WRITE_ROWS
+    at a time."""
+    pose_fmt = ",".join(["%d", _FLOAT_FMT, "%s"] + [_FLOAT_FMT] * 7)
     # Indexed by has_gt; %.0s takes an unscored frame's NaN and prints
     # nothing.
-    formats = (pose_fmt + ",%.0s,%.0s", pose_fmt + f",{_FMT},{_FMT}")
+    formats = (pose_fmt + ",%.0s,%.0s\n", pose_fmt + f",{_FLOAT_FMT},{_FLOAT_FMT}\n")
     pos, ori = np.full((2, len(frames)), np.nan)
     pos[has_gt], ori[has_gt] = pos_err, ori_err
-    columns = zip(frames, timestamps.tolist(), labels, *track.T.tolist(), pos.tolist(), ori.tolist())
-    rows = (formats[scored] % row for scored, row in zip(has_gt.tolist(), columns))
-    header = "frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg"
-    path.write_text("\n".join(chain((header,), rows, ("",))), encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write("frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg\n")
+        for b in _blocks(len(frames)):
+            columns = zip(
+                frames[b], timestamps[b].tolist(), labels[b].tolist(), *track[b].T.tolist(),
+                pos[b].tolist(), ori[b].tolist(),
+            )
+            fh.write("".join([formats[scored] % row for scored, row in zip(has_gt[b].tolist(), columns)]))
 
 
 def _write_cdf_csv(path: Path, rows: list[tuple[str, SummaryReport]]) -> None:
     lines = ["series,metric,threshold,fraction"]
     for series, report in rows:
         for d, frac in report.cdf_pos:
-            lines.append(f"{series},ape_m,{_FMT % d},{_FMT % frac}")
+            lines.append(f"{series},ape_m,{_FLOAT_FMT % d},{_FLOAT_FMT % frac}")
         for d, frac in report.cdf_ori:
-            lines.append(f"{series},aoe_deg,{_FMT % d},{_FMT % frac}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            lines.append(f"{series},aoe_deg,{_FLOAT_FMT % d},{_FLOAT_FMT % frac}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def _round_floats(obj):

@@ -26,14 +26,14 @@ run_sequence keeps the last label per frame.
 step is the streaming form, one frame of Pose objects at a time.
 run_sequence fuses a whole Recording on its arrays and returns a
 FusedTrack: label codes and the fused (N, 7) track, which build
-FusionOutput objects only when indexed or iterated.  Both form their
-references in the one stacked kernel, _references.
+FusionOutput objects only when indexed or iterated, a block at a time.
+Both form their references in the one stacked kernel, _references.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -107,7 +107,7 @@ class Label(enum.Enum):
 # The members step reads, bound once: on Python 3.11 a read such as
 # Label.TRACKED goes through EnumType.__getattr__, ~100 ns, and every
 # frame needs two.  _LABELS is also the table the batch pass's label
-# codes index.
+# codes index, which the CLI's reports read too.
 _ALIGNING, _OPTIMIZING = Stage
 _LABELS = tuple(Label)
 _KEYFRAME_LABEL, _RELIABLE_LABEL, _OPTIMIZED_LABEL, _TRACKED_LABEL, _PENDING_LABEL = _LABELS
@@ -300,7 +300,8 @@ class FusedTrack(_FrameSequence):
     errors against gt are the raw apr errors.
 
     It is a read-only sequence of FusionOutput, one per frame; indexing
-    or iterating builds them."""
+    builds one, and iterating builds them a block of _WRITE_ROWS frames
+    at a time."""
 
     __slots__ = ("frames", "labels", "track")
 
@@ -310,9 +311,9 @@ class FusedTrack(_FrameSequence):
         self.labels = _frozen(labels, (n,), dtype=np.intp)
         self.track = _frozen(track, (n, 7))
 
-    def __iter__(self) -> Iterator[FusionOutput]:
+    def _elements(self) -> list[FusionOutput]:
         labels = map(_LABELS.__getitem__, self.labels.tolist())
-        return map(FusionOutput, self.frames, _poses(self.track), labels)
+        return list(map(FusionOutput, self.frames, _poses(self.track), labels))
 
 
 def run_sequence(samples: Sequence[PoseSample], cfg: FusionConfig) -> FusedTrack:

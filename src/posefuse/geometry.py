@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from math import isfinite
 from typing import NamedTuple
 
@@ -307,12 +307,26 @@ def track_array(poses: Sequence[Pose]) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 
+# The writers format, and the array sequences build their objects, at
+# most this many rows at a time, which bounds the Python objects held at
+# once whatever the length of the sequence.
+_WRITE_ROWS = 1024
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """The slices of _WRITE_ROWS rows, the last one shorter, that cover
+    n rows in order."""
+    return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
+
+
 class _FrameSequence(Sequence):
     """A read-only sequence whose fields each hold one entry per frame,
-    named in __slots__.  Iteration, which subclasses define, builds every
-    element; slicing slices every field, and indexing iterates the
-    one-frame slice.  It equals any sequence with equal elements, a list
-    of them included."""
+    named in __slots__.  _elements, which subclasses define, builds the
+    elements of every frame at once; iteration builds them a block of
+    _WRITE_ROWS frames at a time, so it holds at most one block's
+    objects, and indexing builds the one-frame slice's.  Slicing slices
+    every field.  It equals any sequence with equal elements, a list of
+    them included."""
 
     __slots__ = ()
 
@@ -327,7 +341,10 @@ class _FrameSequence(Sequence):
                 setattr(part, name, getattr(self, name)[i])
             return part
         i = range(len(self))[i]
-        return next(iter(self[i : i + 1]))
+        return self[i : i + 1]._elements()[0]
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self[block]._elements() for block in _blocks(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -375,7 +392,8 @@ class PoseTrack(_FrameSequence):
     or a quaternion norm further than UNIT_NORM_TOL (1e-9) from 1.
 
     It is a read-only sequence of Pose.  Indexing builds one Pose and
-    iteration builds them all; it equals a list of equal poses."""
+    iteration builds them a block at a time; it equals a list of equal
+    poses."""
 
     __slots__ = ("track",)
 
@@ -384,5 +402,5 @@ class PoseTrack(_FrameSequence):
         if (fault := _pose_fault(self.track, UNIT_NORM_TOL)) is not None:
             raise ValueError("frame %d: %s" % fault)
 
-    def __iter__(self) -> Iterator[Pose]:
-        return iter(_poses(self.track))
+    def _elements(self) -> list[Pose]:
+        return _poses(self.track)

@@ -16,8 +16,10 @@ and checked as they are converted, so a bad row's error names its line.
 Each row is checked once, so the parser builds its Recording without
 the constructor's checks.  A Recording is a read-only sequence of
 PoseSample, whose Pose objects are built only when a caller indexes or
-iterates it.  Recording.of turns any sequence of samples into one, and
-write_sequence formats from that form.
+iterates it, and then a block of _WRITE_ROWS frames at a time.
+Recording.of turns any sequence of samples into one, and write_sequence
+formats from that form and writes the file a block of rows at a time,
+so neither holds the objects or the text of the whole sequence.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    COORD_LIMIT, UNIT_NORM_TOL, Pose, _dot4, _FrameSequence, _frozen, _new, _normalize_rows, _pose_fault, _poses,
-    track_array,
+    COORD_LIMIT, UNIT_NORM_TOL, Pose, _blocks, _dot4, _FrameSequence, _frozen, _new, _normalize_rows, _pose_fault,
+    _poses, track_array,
 )
 
 SEQUENCE_COLUMNS = (
@@ -59,10 +61,6 @@ _CHUNK_CHARS = 1 << 16
 # where the group is empty.
 _ROW = np.dtype([("frame", np.int64), ("values", np.float64, (22,))])
 _FRAME_RANGE = range(-(1 << 63), 1 << 63)
-
-# write_sequence formats at most this many rows at a time, which bounds
-# the Python floats it holds at once.
-_WRITE_ROWS = 1024
 
 _FLOAT_FMT = "%.12g"
 _POSE_GROUP = ("," + _FLOAT_FMT) * 7
@@ -108,7 +106,7 @@ class Recording(_FrameSequence):
 
     It is a read-only sequence of PoseSample.  Indexing builds a fresh
     sample, so changing one changes nothing here, and iteration builds
-    the samples of the whole recording at once."""
+    the samples a block of _WRITE_ROWS frames at a time."""
 
     __slots__ = ("frames", "timestamps", "gt", "vio", "apr")
 
@@ -160,13 +158,13 @@ class Recording(_FrameSequence):
         """The (N,) mask of frames that carry stream, one of STREAMS."""
         return ~np.isnan(getattr(self, stream)[:, 0])
 
-    def __iter__(self) -> Iterator[PoseSample]:
+    def _elements(self) -> list[PoseSample]:
         streams = []
         for name in STREAMS:
             present = self.has(name)
             poses = iter(_poses(getattr(self, name)[present]))
             streams.append([next(poses) if p else None for p in present.tolist()])
-        return map(PoseSample, self.frames, self.timestamps.tolist(), *streams)
+        return list(map(PoseSample, self.frames, self.timestamps.tolist(), *streams))
 
 
 def parse_sequence(path: str | Path) -> Recording:
@@ -368,25 +366,34 @@ def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     """Serialize samples, a Recording or any sequence of PoseSample,
     back to the sequence CSV format.  Floats keep 12 significant digits,
     enough for a lossless-in-practice round trip.  Lines end in CRLF, as
-    csv.writer ends them; no field needs quoting."""
+    csv.writer ends them; no field needs quoting.  The rows are formatted
+    and written a block of _WRITE_ROWS at a time, so the text of one
+    block is all that is held at once."""
     rec = Recording.of(samples)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(SEQUENCE_COLUMNS) + "\r\n")
+        for block in _blocks(len(rec)):
+            fh.write(_sequence_lines(rec[block]))
+
+
+def _sequence_lines(rec: Recording) -> str:
+    """The rows of a recording as write_sequence writes them, each ended
+    by CRLF."""
     frames, tracks = rec.frames, (rec.gt, rec.vio, rec.apr)
     # A frame's pattern has bit 4 set for gt, 2 for vio and 1 for apr.
     patterns = rec.has("gt") * 4 + rec.has("vio") * 2 + rec.has("apr")
-    lines = [",".join(SEQUENCE_COLUMNS)] + [""] * len(rec)
+    lines = [""] * len(rec)
     # One format per pattern of present streams, filled from the columns
-    # of the streams present, a bounded block of rows at a time.
+    # of the streams present.
     for code in np.unique(patterns).tolist():
         rows = np.flatnonzero(patterns == code)
         pattern = [bool(code & 4), bool(code & 2), bool(code & 1)]
         fmt = "%d," + _FLOAT_FMT + "".join(_POSE_GROUP if p else _EMPTY_GROUP for p in pattern)
-        for start in range(0, len(rows), _WRITE_ROWS):
-            block = rows[start : start + _WRITE_ROWS]
-            values = np.column_stack([rec.timestamps[block]] + [t[block] for t, p in zip(tracks, pattern) if p])
-            for i, row in zip(block.tolist(), values.tolist()):
-                lines[i + 1] = fmt % (frames[i], *row)
+        values = np.column_stack([rec.timestamps[rows]] + [t[rows] for t, p in zip(tracks, pattern) if p])
+        for i, row in zip(rows.tolist(), values.tolist()):
+            lines[i] = fmt % (frames[i], *row)
     lines.append("")
-    Path(path).write_text("\r\n".join(lines), encoding="utf-8", newline="")
+    return "\r\n".join(lines)
 
 
 def _parse_float(text: str, name: str, line_no: int) -> float:

@@ -160,6 +160,28 @@ class TestSynthRuns:
         for suffix in ("frames.csv", "summary.json", "cdf.csv"):
             assert (tmp_path / f"synth-5.{suffix}").is_file()
 
+    def test_files_are_written_without_newline_translation(self, tmp_path, monkeypatch):
+        """Text mode turns each \\n into os.linesep, \\r\\n on Windows,
+        and the pinned bytes would not hold there; newline="" writes the
+        line ends the text spells."""
+        written = {}
+        path_open, path_write_text = Path.open, Path.write_text
+
+        def spy_open(self, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written[self.name] = kwargs.get("newline")
+            return path_open(self, mode, *args, **kwargs)
+
+        def spy_write_text(self, data, *args, **kwargs):
+            written[self.name] = kwargs.get("newline")
+            return path_write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy_open)
+        monkeypatch.setattr(Path, "write_text", spy_write_text)
+        assert main(synth_args(tmp_path, frames=40, seed=5) + ["--save-sequence"]) == 0
+        suffixes = ("sequence.csv", "summary.json", "frames.csv", "cdf.csv")
+        assert written == {f"synth-5.{suffix}": "" for suffix in suffixes}
+
     def test_summary_shape(self, tmp_path):
         main(synth_args(tmp_path, seed=5))
         summary = json.loads((tmp_path / "synth-5.summary.json").read_text())
