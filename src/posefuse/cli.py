@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import _LABELS, FusionConfig, Label, run_sequence
-from .geometry import PoseTrack, _blocks, track_array
-from .io import _FLOAT_FMT, Recording, SequenceFormatError, parse_sequence, write_sequence
+from .geometry import PoseTrack, track_array
+from .io import _FLOAT_FMT, Recording, SequenceFormatError, _write_rows, parse_sequence, write_sequence
 from .metrics import (
     DEFAULT_ALIGN_WINDOW_SECONDS,
     SummaryReport,
@@ -287,22 +287,15 @@ def _write_frames_csv(
     ori_err hold the frames marked in has_gt, in order, and the other
     frames get blank error cells.  In fusion mode keyframe, reliable and
     pending rows carry the apr pose, so their errors are the raw apr
-    errors.  The rows are formatted and written a block of _WRITE_ROWS
-    at a time."""
+    errors.  _write_rows writes the rows."""
     pose_fmt = ",".join(["%d", _FLOAT_FMT, "%s"] + [_FLOAT_FMT] * 7)
     # Indexed by has_gt; %.0s takes an unscored frame's NaN and prints
     # nothing.
     formats = (pose_fmt + ",%.0s,%.0s\n", pose_fmt + f",{_FLOAT_FMT},{_FLOAT_FMT}\n")
     pos, ori = np.full((2, len(frames)), np.nan)
     pos[has_gt], ori[has_gt] = pos_err, ori_err
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg\n")
-        for b in _blocks(len(frames)):
-            columns = zip(
-                frames[b], timestamps[b].tolist(), labels[b].tolist(), *track[b].T.tolist(),
-                pos[b].tolist(), ori[b].tolist(),
-            )
-            fh.write("".join([formats[scored] % row for scored, row in zip(has_gt[b].tolist(), columns)]))
+    header = "frame,timestamp,label,x,y,z,qw,qx,qy,qz,ape_m,aoe_deg\n"
+    _write_rows(path, header, formats, has_gt, (frames, timestamps, labels, *track.T, pos, ori))
 
 
 def _write_cdf_csv(path: Path, rows: list[tuple[str, SummaryReport]]) -> None:

@@ -307,9 +307,9 @@ def track_array(poses: Sequence[Pose]) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), 7)
 
 
-# The writers format, and the array sequences build their objects, at
-# most this many rows at a time, which bounds the Python objects held at
-# once whatever the length of the sequence.
+# io._write_rows, the one row writer, formats, and the array sequences
+# build their objects, at most this many rows at a time, which bounds the
+# Python objects held at once whatever the length of the sequence.
 _WRITE_ROWS = 1024
 
 

@@ -12,14 +12,17 @@ lines as read, by one call of numpy's C reader, which ends a line at
 LF or CRLF (numpy 2.4's at CR alone too) and converts a field with the
 routine float() uses.  The rows of a chunk that reader refuses are
 converted one at a time with int and float, which give the same bits,
-and checked as they are converted, so a bad row's error names its line.
-Each row is checked once, so the parser builds its Recording without
-the constructor's checks.  A Recording is a read-only sequence of
+and checked as they are converted, so a bad row's error names its line;
+a byte that is not UTF-8 is refused naming its line too.  Each row is
+checked once, so the parser builds its Recording without the
+constructor's checks.  A Recording is a read-only sequence of
 PoseSample, whose Pose objects are built only when a caller indexes or
 iterates it, and then a block of _WRITE_ROWS frames at a time.
 Recording.of turns any sequence of samples into one, and write_sequence
-formats from that form and writes the file a block of rows at a time,
-so neither holds the objects or the text of the whole sequence.
+formats from that form.  _write_rows, the one row writer of the
+package, writes the sequence file and the CLI's frames.csv report a
+block of rows at a time, so neither holds the objects or the text of
+the whole sequence.
 """
 
 from __future__ import annotations
@@ -63,8 +66,15 @@ _ROW = np.dtype([("frame", np.int64), ("values", np.float64, (22,))])
 _FRAME_RANGE = range(-(1 << 63), 1 << 63)
 
 _FLOAT_FMT = "%.12g"
-_POSE_GROUP = ("," + _FLOAT_FMT) * 7
 _EMPTY_GROUP = "," * 7
+
+# The row formats of write_sequence, indexed by a frame's one-byte code:
+# 4 if it carries gt, plus 2 for vio, plus 1 for apr.  An absent group's
+# seven values are NaN, which %.0s prints as nothing.
+_SEQUENCE_FORMATS = tuple(
+    "%d," + _FLOAT_FMT + "".join(("," + _FLOAT_FMT) * 7 if code & bit else ",%.0s" * 7 for bit in (4, 2, 1)) + "\r\n"
+    for code in range(8)
+)
 
 
 class SequenceFormatError(ValueError):
@@ -175,7 +185,8 @@ def parse_sequence(path: str | Path) -> Recording:
     outside the int64 range, a field longer than csv.field_size_limit(),
     pose coordinates of magnitude COORD_LIMIT (1e150 m) or more,
     quaternions further than 1e-3 from unit norm, missing vio poses, or
-    non-increasing timestamps.
+    non-increasing timestamps; and naming the line it is on, for a byte
+    that is not UTF-8.
 
     The rows come in chunks (see _chunks), the header alone first.
     _read_chunk converts and checks each chunk in bulk; _check_rows
@@ -186,22 +197,25 @@ def parse_sequence(path: str | Path) -> Recording:
     recording is indexed or iterated.
     """
     tables: list[np.ndarray] = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        chunks = _chunks(fh)
-        header = next(chunks, None)
-        if header is None:
-            raise SequenceFormatError("empty file, expected a header row", line=1)
-        if tuple(h.strip() for h in _fields(header[0][0])) != SEQUENCE_COLUMNS:
-            raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
-        last = -math.inf  # the timestamp of the last row read
-        for rows, starts, lines, text in chunks:
-            table = _read_chunk(lines, text, last)
-            if table is None:
-                table = _check_rows(rows, starts, last)
-            # A chunk of blank lines has no rows.
-            if len(table):
-                tables.append(table)
-                last = table["values"].item(-1, 0)
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            chunks = _chunks(fh)
+            header = next(chunks, None)
+            if header is None:
+                raise SequenceFormatError("empty file, expected a header row", line=1)
+            if tuple(h.strip() for h in _fields(header[0][0])) != SEQUENCE_COLUMNS:
+                raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
+            last = -math.inf  # the timestamp of the last row read
+            for rows, starts, lines, text in chunks:
+                table = _read_chunk(lines, text, last)
+                if table is None:
+                    table = _check_rows(rows, starts, last)
+                # A chunk of blank lines has no rows.
+                if len(table):
+                    tables.append(table)
+                    last = table["values"].item(-1, 0)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     table = np.concatenate(tables) if tables else np.empty(0, _ROW)
     values = table["values"]
     # The quaternion columns of each group, normalized in place as the
@@ -209,6 +223,22 @@ def parse_sequence(path: str | Path) -> Recording:
     for g in range(3):
         _normalize_rows(values[:, 4 + 7 * g : 8 + 7 * g])
     return Recording._checked(table["frame"].tolist(), values[:, 0], values[:, 1:8], values[:, 8:15], values[:, 15:22])
+
+
+def _undecodable(path: str | Path, exc: UnicodeDecodeError) -> SequenceFormatError:
+    """The error for the first byte of the file at path that is not
+    UTF-8, exc as the strict decoder raised it, naming the line the byte
+    is on, where LF, CRLF and CR each end a line."""
+    # surrogateescape reads each byte the strict decoder refuses as a
+    # lone surrogate, which the strict encoder refuses in turn.
+    with Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as err:
+                byte = ord(line[err.start]) - 0xDC00
+                return SequenceFormatError(f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})", line=line_no)
+    return SequenceFormatError(str(exc))
 
 
 def _chunks(fh) -> Iterator[tuple[list, Sequence[int], Optional[list[str]], Optional[str]]]:
@@ -281,18 +311,14 @@ def _read_chunk(lines: Optional[list[str]], text: Optional[str], last: float) ->
     # Most chunks are shorter than the limit, which spares the line scan.
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    table = _table(lines)
-    # Without a field spelled nan the reader reads no NaN, so only a
-    # chunk read again with empty groups filled needs the NaN checks.
-    filled = table is None and _EMPTY_GROUP in text
-    if filled:
-        # An absent pose group is seven empty fields, each after a comma
-        # of a run of seven, and the reader refuses empty fields.  It
-        # reads them as NaN once each comma of the run is followed by
-        # nan.  A nan that lands before a field that is not empty joins
-        # it into one the reader refuses, so NaN stands for an empty
-        # field and nothing else.
-        table = _table([line.replace(_EMPTY_GROUP, ",nan" * 7) for line in lines])
+    # An absent pose group is a run of seven commas within one line,
+    # whose empty fields the reader refuses and reads as NaN once each
+    # comma is followed by nan.  A nan before a field that is not empty
+    # joins it into one the reader refuses, so NaN stands for an empty
+    # field alone.  No other field is spelled nan, so the reader reads no
+    # other NaN, and only a filled chunk needs the NaN checks.
+    filled = _EMPTY_GROUP in text
+    table = _table([line.replace(_EMPTY_GROUP, ",nan" * 7) for line in lines] if filled else lines)
     if table is None:
         return None
     values = table["values"]
@@ -366,34 +392,24 @@ def write_sequence(path: str | Path, samples: Sequence[PoseSample]) -> None:
     """Serialize samples, a Recording or any sequence of PoseSample,
     back to the sequence CSV format.  Floats keep 12 significant digits,
     enough for a lossless-in-practice round trip.  Lines end in CRLF, as
-    csv.writer ends them; no field needs quoting.  The rows are formatted
-    and written a block of _WRITE_ROWS at a time, so the text of one
-    block is all that is held at once."""
+    csv.writer ends them; no field needs quoting.  _write_rows writes
+    the rows, each in the format of its frame's streams."""
     rec = Recording.of(samples)
+    codes = rec.has("gt") * np.uint8(4) + rec.has("vio") * np.uint8(2) + rec.has("apr")
+    columns = (rec.frames, rec.timestamps, *rec.gt.T, *rec.vio.T, *rec.apr.T)
+    _write_rows(path, ",".join(SEQUENCE_COLUMNS) + "\r\n", _SEQUENCE_FORMATS, codes, columns)
+
+
+def _write_rows(path: str | Path, header: str, formats: Sequence[str], codes: np.ndarray, columns: Sequence) -> None:
+    """Write header, then row i as formats[codes[i]] % (entry i of each
+    column), to the file at path.  A column is an array or a tuple.  The
+    rows are formatted and written a block of _WRITE_ROWS at a time, so
+    the text of one block is all that is held at once."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SEQUENCE_COLUMNS) + "\r\n")
-        for block in _blocks(len(rec)):
-            fh.write(_sequence_lines(rec[block]))
-
-
-def _sequence_lines(rec: Recording) -> str:
-    """The rows of a recording as write_sequence writes them, each ended
-    by CRLF."""
-    frames, tracks = rec.frames, (rec.gt, rec.vio, rec.apr)
-    # A frame's pattern has bit 4 set for gt, 2 for vio and 1 for apr.
-    patterns = rec.has("gt") * 4 + rec.has("vio") * 2 + rec.has("apr")
-    lines = [""] * len(rec)
-    # One format per pattern of present streams, filled from the columns
-    # of the streams present.
-    for code in np.unique(patterns).tolist():
-        rows = np.flatnonzero(patterns == code)
-        pattern = [bool(code & 4), bool(code & 2), bool(code & 1)]
-        fmt = "%d," + _FLOAT_FMT + "".join(_POSE_GROUP if p else _EMPTY_GROUP for p in pattern)
-        values = np.column_stack([rec.timestamps[rows]] + [t[rows] for t, p in zip(tracks, pattern) if p])
-        for i, row in zip(rows.tolist(), values.tolist()):
-            lines[i] = fmt % (frames[i], *row)
-    lines.append("")
-    return "\r\n".join(lines)
+        fh.write(header)
+        for b in _blocks(len(codes)):
+            rows = zip(*[np.asarray(column[b]).tolist() for column in columns])
+            fh.write("".join([formats[code] % row for code, row in zip(codes[b].tolist(), rows)]))
 
 
 def _parse_float(text: str, name: str, line_no: int) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posefuse.geometry import Pose
+from posefuse.geometry import _WRITE_ROWS, Pose, _normalize_rows
 from posefuse.io import (
     SEQUENCE_COLUMNS,
     PoseSample,
@@ -306,6 +307,25 @@ class TestWriterBytes:
         path = tmp_path / f"{name}.csv"
         write_sequence(path, samples)
         assert path.read_bytes() == (REPORTS / f"{name}.csv").read_bytes()
+
+
+    def test_all_eight_stream_patterns(self, tmp_path):
+        # Rows cycle through every pattern of present gt, vio and apr
+        # groups, across two block edges.  Recorded with the writer that
+        # grouped each block's rows by pattern.
+        n = 2 * _WRITE_ROWS + 5
+        rng = np.random.default_rng(8)
+        tracks = []
+        for bit in (4, 2, 1):
+            track = rng.normal(size=(n, 7))
+            track[:, :3] *= 100.0
+            _normalize_rows(track[:, 3:])
+            track[(np.arange(n) % 8 & bit) == 0] = math.nan
+            tracks.append(track)
+        path = tmp_path / "patterns.csv"
+        write_sequence(path, Recording(range(3, n + 3), 50.0 + np.arange(n) * 0.05, *tracks))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "83d21b1a1b1057e26e4fb1fda83b9a7ab5deb5a3ed33ff4a4dc8478782cfd174"
 
 
 # Row mutations for the parser properties.  The first group always makes
@@ -642,6 +662,62 @@ class TestCReader:
         assert len(expect) == 700 and len(text) > 3 << 16
         if presence == "some":
             assert {s[2] is None for s in expect} == {s[4] is None for s in expect} == {True, False}
+
+    def test_one_conversion_per_chunk(self, monkeypatch):
+        # gt absent on every third row: each chunk holds an absent group,
+        # filled before its one conversion.
+        rng = np.random.default_rng(17)
+        rows = row_fields(rng, 700, {"gt": "all", "vio": "all", "apr": "all"}, "%r")
+        for fields in rows[::3]:
+            fields[2:9] = [""] * 7
+        text = "\r\n".join([HEADER] + [",".join(f) for f in rows]) + "\r\n"
+        calls = {"_read_chunk": 0, "_table": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(posefuse.io, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(posefuse.io, name, counted)
+        with text_file(text) as path:
+            assert len(parse_sequence(path)) == 700
+        assert calls["_table"] == calls["_read_chunk"] >= 3
+
+
+class TestUndecodable:
+    """A byte that is not UTF-8 is refused naming the physical line it
+    is on, whichever of LF, CRLF or CR ends the lines."""
+
+    @staticmethod
+    def data(ending, row):
+        """A 700-row file, more than three chunks, with byte 0xff in the
+        vio x field of data row row, or in the header at row None; and
+        the line of that byte."""
+        rng = np.random.default_rng(19)
+        rows = row_fields(rng, 700, {"gt": "some", "vio": "all", "apr": "some"}, "%r")
+        lines = [HEADER.encode()] + [",".join(f).encode() for f in rows]
+        line = 1 if row is None else row + 2
+        fields = lines[line - 1].split(b",")
+        fields[2 if row is None else 9] += b"\xff"
+        lines[line - 1] = b",".join(fields)
+        data = ending.join(lines) + ending
+        assert len(data) > 3 << 16
+        return data, line
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("row", [None, 600])
+    def test_names_the_line(self, tmp_path, ending, row):
+        data, line = self.data(ending, row)
+        path = tmp_path / "seq.csv"
+        path.write_bytes(data)
+        with pytest.raises(SequenceFormatError) as exc:
+            parse_sequence(path)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: byte 0xff is not UTF-8 (invalid start byte)"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.getvalue() == f"posefuse: error: {exc.value}\n"
 
 
 class TestRowPath:
