@@ -162,29 +162,23 @@ class Pose:
         return _Orientation(self.qw, self.qx, self.qy, self.qz)
 
 
-def _angle_deg(aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float) -> float:
-    """Magnitude of the relative rotation between two unit quaternions,
-    in [0, 180] degrees.  Symmetric in its arguments and blind to the
-    quaternion double cover."""
-    # The scalar part of a^-1 * b is the 4-vector dot product, here
-    # without _dot4's call cost (~1% of step's ordinary frame, which comes
-    # here twice).  |c| can exceed 1 by float noise, so clamp before acos.
-    c = min(1.0, abs(aw * bw + ax * bx + ay * by + az * bz))
-    return math.degrees(2.0 * math.acos(c))
-
-
 def odometry(a: Pose, b: Pose) -> tuple[float, float]:
     """Scalar motion magnitudes between two poses, a (distance, angle)
-    pair: a distance in m, finite below COORD_LIMIT, and an angle in
-    [0, 180] degrees.  Directions are dropped, the reliability checks
-    compare magnitudes only.  The pair is an exact tuple because Python
-    3.11 unpacks only exact tuples on its specialized path, and step
-    unpacks two of them a frame."""
-    # _squared_distance written out, as _angle_deg writes out its dot
-    # product: step comes here twice a frame.
+    pair: a distance in m, finite below COORD_LIMIT, and the magnitude
+    of the relative rotation in [0, 180] degrees, symmetric and blind to
+    the quaternion double cover.  Directions are dropped, the
+    reliability checks compare magnitudes only.  The pair is an exact
+    tuple because Python 3.11 unpacks only exact tuples on its
+    specialized path, and step unpacks two of them a frame."""
+    # _squared_distance and _dot4 written out: step comes here twice a
+    # frame.  The scalar part of a^-1 * b is the dot product, and |dot|
+    # can exceed 1 by float noise, so it is clamped before acos by a
+    # comparison: min(1.0, c) takes 3.11's generic builtin call path.
     dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    return d, _angle_deg(a.qw, a.qx, a.qy, a.qz, b.qw, b.qx, b.qy, b.qz)
+    c = abs(a.qw * b.qw + a.qx * b.qx + a.qy * b.qy + a.qz * b.qz)
+    if c > 1.0:
+        c = 1.0
+    return math.sqrt(dx * dx + dy * dy + dz * dz), math.degrees(2.0 * math.acos(c))
 
 
 # Array forms of the formulas above, one row per pose: (N, 3) positions,

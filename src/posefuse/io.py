@@ -203,7 +203,10 @@ def parse_sequence(path: str | Path) -> Recording:
             header = next(chunks, None)
             if header is None:
                 raise SequenceFormatError("empty file, expected a header row", line=1)
-            if tuple(h.strip() for h in _fields(header[0][0])) != SEQUENCE_COLUMNS:
+            names = _fields(header[0][0])
+            # A byte-order mark, as spreadsheet programs write, may open the file.
+            names[0] = names[0].removeprefix("\ufeff")
+            if tuple(h.strip() for h in names) != SEQUENCE_COLUMNS:
                 raise SequenceFormatError(f"bad header, expected {','.join(SEQUENCE_COLUMNS)}", line=1)
             last = -math.inf  # the timestamp of the last row read
             for rows, starts, lines, text in chunks:

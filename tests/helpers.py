@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from posefuse.fusion import _average_quaternions, _medians
-from posefuse.geometry import Pose, _angle_deg, _poses
+from posefuse.geometry import Pose, _pose, _poses, odometry
 from oracles import axis_angle_quaternion, hamilton_product
 
 # Positions are (x, y, z) tuples and quaternions (w, x, y, z) tuples; a
@@ -32,8 +32,9 @@ def random_pose(rng: np.random.Generator, scale: float = 10.0) -> Pose:
 
 def rotation_angle_deg(a, b) -> float:
     """The relative rotation angle of two orientations: the package's
-    one angle formula, geometry._angle_deg, on their components."""
-    return _angle_deg(*a, *b)
+    one angle formula, odometry's, on two poses at the origin that store
+    the components as they are."""
+    return odometry(_pose(0.0, 0.0, 0.0, *a), _pose(0.0, 0.0, 0.0, *b))[1]
 
 
 def point_distance(a, b) -> float:

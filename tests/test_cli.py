@@ -382,6 +382,24 @@ class TestRecordedInput:
         data, reports = recorded
         assert report_bytes(data.replace(drop, b""), tmp_path) == reports
 
+    def test_byte_order_mark_gives_same_reports(self, recorded, tmp_path):
+        data, reports = recorded
+        assert report_bytes(b"\xef\xbb\xbf" + data, tmp_path) == reports
+
+    def test_byte_order_mark_keeps_bad_line(self, recorded, tmp_path, capsys):
+        # A vio x that is not a number on line 250, with and without the mark.
+        lines = recorded[0].split(b"\r\n")
+        lines[249] = re.sub(rb"^((?:[^,]*,){9})[^,]*", rb"\1x", lines[249])
+        bad = b"\r\n".join(lines)
+        errors = []
+        for name, data in (("plain", bad), ("marked", b"\xef\xbb\xbf" + bad)):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            assert main(["--input", str(path), "--out", str(tmp_path / name)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("posefuse: error: line 250: ")
+        assert errors[1] == errors[0]
+
     def test_quoted_padded_copy_gives_same_frames(self, recorded, tmp_path):
         # The first field of every line, the header's too, is quoted.
         data, reports = recorded

@@ -443,6 +443,14 @@ def pose_hexes(pose):
 ORIGIN = Pose(0.0, 0.0, 0.0, *IDENTITY)
 
 
+def self_dot_sides(poses):
+    """The sides of 1 that the quaternion self-dots of poses round to, as
+    signs: odometry clamps a |dot| above 1 and takes the others as they
+    are, so coincident pairs test both paths only if both signs occur."""
+    dots = (p.qw * p.qw + p.qx * p.qx + p.qy * p.qy + p.qz * p.qz for p in poses)
+    return {(c > 1.0) - (c < 1.0) for c in dots}
+
+
 class TestFloatForms:
     """odometry and optimize_pose compute in plain floats; they equal the
     object forms they replaced (tests/oracles.py, with each constructor's
@@ -455,6 +463,7 @@ class TestFloatForms:
         # Coincident poses: the same object, and an equal copy.
         others[::9] = poses[::9]
         others[1::9] = [copy.copy(p) for p in poses[1::9]]
+        assert self_dot_sides(poses[::9] + poses[1::9]) == {-1, 0, 1}
         for a, b in zip(poses, others):
             u = odometry(a, b)
             assert type(u) is tuple and [type(v) for v in u] == [float, float]
@@ -508,6 +517,7 @@ class TestMotions:
         # Coincident poses: the same object, and an equal copy.
         others[::9] = poses[::9]
         others[1::9] = [copy.copy(p) for p in poses[1::9]]
+        assert self_dot_sides(poses[::9] + poses[1::9]) == {-1, 0, 1}
         got = _motions(track_array(poses), track_array(others))
         assert type(got) is tuple and [type(v) for v in got] == [np.ndarray, np.ndarray]
         dist, angle = got

@@ -720,6 +720,52 @@ class TestUndecodable:
         assert err.getvalue() == f"posefuse: error: {exc.value}\n"
 
 
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """One UTF-8 byte-order mark may open the file, as spreadsheet
+    programs write it; anywhere else U+FEFF is refused with its line."""
+
+    @staticmethod
+    def outcomes(text):
+        """parse_outcome of text, and of the byte-order mark then text."""
+        with text_file(text) as plain, text_file(BOM + text) as marked:
+            return parse_outcome(parse_sequence, plain), parse_outcome(parse_sequence, marked)
+
+    def test_parses_as_the_plain_file(self):
+        rows = row_fields(np.random.default_rng(23), 700, {"gt": "some", "vio": "all", "apr": "some"}, "%r")
+        text = "\r\n".join([HEADER, *map(",".join, rows)]) + "\r\n"
+        assert len(text) > 2 << 16
+        with text_file(text) as plain, text_file(BOM + text) as marked:
+            a, b = parse_sequence(plain), parse_sequence(marked)
+        assert a.frames == b.frames and len(a) == 700
+        for name in ("timestamps", *posefuse.io.STREAMS):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+
+    @pytest.mark.parametrize("line", [3, 650])
+    def test_bad_row_names_the_same_line(self, line):
+        rows = row_fields(np.random.default_rng(29), 700, {"gt": "all", "vio": "all", "apr": "all"}, "%r")
+        rows[line - 2][9] = "x"
+        plain, marked = self.outcomes("\n".join([HEADER, *map(",".join, rows)]) + "\n")
+        assert plain[0] == "error" and plain[2] == line
+        assert marked == plain
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (BOM + HEADER, 1),
+            (HEADER.replace(",", "," + BOM, 1), 1),
+            (f"{HEADER}\n{BOM}0,0.0,{EMPTY_GROUP},{IDENTITY_GROUP},{EMPTY_GROUP}", 2),
+            (f"{HEADER}\n0,0.0,{EMPTY_GROUP},{BOM}{IDENTITY_GROUP},{EMPTY_GROUP}", 2),
+        ],
+        ids=["second_mark", "second_field", "data_row", "data_field"],
+    )
+    def test_mark_elsewhere_is_refused(self, text, line):
+        _, marked = self.outcomes(text + "\n")
+        assert marked[0] == "error" and marked[2] == line
+
+
 class TestRowPath:
     """The rows of a chunk the C reader refuses are converted by the row
     checks themselves, to the row scanner's bits, and never handed back
